@@ -217,6 +217,5 @@ main(int argc, char **argv)
                         pctOrFailed(speedup[i++]).c_str());
         }
     }
-    bench::exportJitSection(sink, options);
     return finishRun(sink, jsonPath, {&all});
 }

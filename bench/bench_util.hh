@@ -15,12 +15,9 @@
 #include <utility>
 
 #include "cpu/dispatch_tier.hh"
-#include "cpu/jit_tier.hh"
-#include "farm/coordinator.hh"
 #include "harness/experiment.hh"
 #include "harness/machines.hh"
 #include "harness/workloads.hh"
-#include "obs/stats_sink.hh"
 
 namespace scd::bench
 {
@@ -34,14 +31,10 @@ parseSize(int argc, char **argv, harness::InputSize fallback)
 {
     for (int n = 1; n < argc; ++n) {
         if (std::strncmp(argv[n], "--size=", 7) == 0) {
-            std::string v = argv[n] + 7;
-            if (v == "test")
-                return harness::InputSize::Test;
-            if (v == "sim")
-                return harness::InputSize::Sim;
-            if (v == "fpga")
-                return harness::InputSize::Fpga;
-            std::fprintf(stderr, "unknown --size value '%s'\n", v.c_str());
+            harness::InputSize size;
+            if (harness::parseInputSize(argv[n] + 7, size))
+                return size;
+            std::fprintf(stderr, "unknown --size value '%s'\n", argv[n] + 7);
         }
     }
     return fallback;
@@ -175,7 +168,7 @@ parsePointTimeout(int argc, char **argv)
 
 /**
  * Parse --dispatch-tier=switch|threaded into RunOptions::dispatchTier:
- * the functional execution engine (cpu/dispatch_tier.hh). Absent flag
+ * the engine of recorded runs (cpu/dispatch_tier.hh). Absent flag
  * keeps the RunOptions default ($SCD_DISPATCH_TIER, else threaded).
  * Host-speed only; results are bit-identical across tiers.
  */
@@ -193,48 +186,6 @@ parseDispatchTier(int argc, char **argv, harness::RunOptions &options)
             }
         }
     }
-}
-
-/**
- * Parse --jit-threshold=N: the per-slot execution count at which the
- * jit tier compiles a superblock head (cpu::setJitThreshold). Absent
- * flag leaves the process default ($SCD_JIT_THRESHOLD, else 256).
- * Only meaningful together with --dispatch-tier=jit.
- */
-inline void
-parseJitThreshold(int argc, char **argv)
-{
-    for (int n = 1; n < argc; ++n) {
-        if (std::strncmp(argv[n], "--jit-threshold=", 16) == 0) {
-            long v = std::strtol(argv[n] + 16, nullptr, 10);
-            if (v > 0) {
-                cpu::setJitThreshold(static_cast<uint32_t>(v));
-            } else {
-                std::fprintf(stderr,
-                             "ignoring bad --jit-threshold value '%s'\n",
-                             argv[n] + 16);
-            }
-        }
-    }
-}
-
-/**
- * Attach the jit tier's process-global counters to @p sink as the
- * optional scd-stats-v1 "jit" section — only when @p options actually
- * selected the jit tier and this build has the backend, so default-tier
- * documents (and every checked-in golden) stay byte-identical.
- */
-inline void
-exportJitSection(obs::StatsSink &sink, const harness::RunOptions &options)
-{
-    if (options.dispatchTier != cpu::DispatchTier::Jit ||
-        !cpu::jitTierAvailable())
-        return;
-    cpu::JitStats stats = cpu::jitStatsSnapshot();
-    sink.addJitStat("blocksCompiled", stats.blocksCompiled);
-    sink.addJitStat("blocksInvalidated", stats.blocksInvalidated);
-    sink.addJitStat("blockExecutions", stats.blockExecutions);
-    sink.addJitStat("codeBytes", stats.codeBytes);
 }
 
 /**
@@ -268,8 +219,7 @@ parseJournal(int argc, char **argv, harness::RunOptions &options)
 
 /**
  * Assemble the RunOptions every figure driver shares: --jobs,
- * --no-replay, --point-timeout, --dispatch-tier, --jit-threshold and
- * --journal/--resume.
+ * --no-replay, --point-timeout, --dispatch-tier and --journal/--resume.
  */
 inline harness::RunOptions
 parseRunOptions(int argc, char **argv)
@@ -279,52 +229,8 @@ parseRunOptions(int argc, char **argv)
     options.replay = !parseNoReplay(argc, argv);
     options.pointTimeout = parsePointTimeout(argc, argv);
     parseDispatchTier(argc, argv, options);
-    parseJitThreshold(argc, argv);
     parseJournal(argc, argv, options);
     return options;
-}
-
-/**
- * Parse --farm=N: run the plan across N worker subprocesses via the
- * sweep-farm coordinator (src/farm/coordinator.hh) instead of
- * in-process threads. Returns 0 when absent — the ordinary runPlan()
- * path. The merged output is byte-identical either way.
- */
-inline unsigned
-parseFarm(int argc, char **argv)
-{
-    for (int n = 1; n < argc; ++n) {
-        if (std::strncmp(argv[n], "--farm=", 7) == 0) {
-            long v = std::strtol(argv[n] + 7, nullptr, 10);
-            if (v > 0)
-                return static_cast<unsigned>(v);
-            std::fprintf(stderr, "ignoring bad --farm value '%s'\n",
-                         argv[n] + 7);
-        }
-    }
-    return 0;
-}
-
-/**
- * Parse --manifest=<path> (scd-farm-v1 shard manifest) and
- * --log=<path> (coordinator event log) into farm options, and hook
- * coordinator progress lines to stderr. Only meaningful with --farm.
- */
-inline void
-parseFarmOptions(int argc, char **argv, farm::FarmOptions &options)
-{
-    for (int n = 1; n < argc; ++n) {
-        if (std::strncmp(argv[n], "--manifest=", 11) == 0 &&
-            argv[n][11] != '\0') {
-            options.manifestPath = argv[n] + 11;
-        } else if (std::strncmp(argv[n], "--log=", 6) == 0 &&
-                   argv[n][6] != '\0') {
-            options.logPath = argv[n] + 6;
-        }
-    }
-    options.onProgress = [](const std::string &line) {
-        std::fprintf(stderr, "farm: %s\n", line.c_str());
-    };
 }
 
 inline const char *

@@ -29,6 +29,5 @@ main(int argc, char **argv)
 
     obs::StatsSink sink("fig03_dispatch_fraction", bench::sizeName(size));
     exportSet(sink, "baseline-dispatch", run.set);
-    bench::exportJitSection(sink, options);
     return finishRun(sink, jsonPath, {&run.set});
 }

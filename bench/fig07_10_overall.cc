@@ -9,9 +9,6 @@
 #include <cstdio>
 
 #include "bench_util.hh"
-#include "farm/coordinator.hh"
-#include "farm/worker.hh"
-#include "farm_plans.hh"
 #include "harness/figures.hh"
 #include "harness/json_export.hh"
 #include "harness/machines.hh"
@@ -22,12 +19,6 @@ main(int argc, char **argv)
     using namespace scd;
     using namespace scd::harness;
 
-    // Farm workers re-enter this binary with --worker; the plan is
-    // rebuilt from the registry on both sides so they agree exactly.
-    bench::registerOverallPlan();
-    if (int rc = farm::maybeWorkerMain(argc, argv); rc >= 0)
-        return rc;
-
     InputSize size = bench::parseSize(argc, argv, InputSize::Sim);
     RunOptions options = bench::parseRunOptions(argc, argv);
     options.verbose = true;
@@ -37,21 +28,13 @@ main(int argc, char **argv)
                  "jobs)...\n",
                  bench::sizeName(size), resolveJobs(options.jobs));
 
-    farm::PlanRef ref;
-    ref.name = "overall";
-    ref.params.size = size;
-    ref.params.frontend = bench::parseFrontend(argc, argv);
-    ExperimentPlan plan = farm::buildPlan(ref);
+    ExperimentPlan plan;
+    plan.addGrid(bench::applyFrontendFlag(argc, argv, minorConfig()), size,
+                 {VmKind::Rlua, VmKind::Sjs},
+                 {core::Scheme::Baseline, core::Scheme::JumpThreading,
+                  core::Scheme::Vbbi, core::Scheme::Scd});
 
-    ExperimentSet set;
-    if (unsigned workers = bench::parseFarm(argc, argv)) {
-        farm::FarmOptions farmOptions;
-        farmOptions.workers = workers;
-        bench::parseFarmOptions(argc, argv, farmOptions);
-        set = farm::runPlanFarm(plan, ref, options, farmOptions);
-    } else {
-        set = runPlan(plan, options);
-    }
+    ExperimentSet set = runPlan(plan, options);
     Grid grid = gridFromSet(set);
     std::printf("%s\n", renderFig7(grid).c_str());
     std::printf("%s\n", renderFig8(grid).c_str());
@@ -60,6 +43,5 @@ main(int argc, char **argv)
 
     obs::StatsSink sink("fig07_10_overall", bench::sizeName(size));
     exportSet(sink, "overall", set);
-    bench::exportJitSection(sink, options);
     return finishRun(sink, jsonPath, {&set});
 }

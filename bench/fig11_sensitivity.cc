@@ -15,9 +15,6 @@
 
 #include "bench_util.hh"
 #include "common/table.hh"
-#include "farm/coordinator.hh"
-#include "farm/worker.hh"
-#include "farm_plans.hh"
 #include "fig11_plan.hh"
 #include "harness/figures.hh"
 #include "harness/json_export.hh"
@@ -88,37 +85,22 @@ capTables(VmKind vm, const Grid *grids)
 int
 main(int argc, char **argv)
 {
-    // Workers of a --farm run re-enter this binary with --worker and
-    // rebuild the registered plan; the serial path below builds its
-    // plan through the same registry so both sides agree exactly.
-    bench::registerFig11Plan();
-    if (int rc = farm::maybeWorkerMain(argc, argv); rc >= 0)
-        return rc;
-
     InputSize size = bench::parseSize(argc, argv, InputSize::Sim);
     RunOptions options = bench::parseRunOptions(argc, argv);
     std::string jsonPath = bench::parseJsonPath(argc, argv);
     obs::StatsSink sink("fig11_sensitivity", bench::sizeName(size));
 
-    farm::PlanRef ref;
-    ref.name = "fig11";
-    ref.params.size = size;
-    ref.params.frontend = bench::parseFrontend(argc, argv);
     std::vector<bench::Fig11Step> steps = bench::fig11Steps();
-    ExperimentPlan plan = farm::buildPlan(ref);
+    if (std::string spec = bench::parseFrontend(argc, argv); !spec.empty()) {
+        for (bench::Fig11Step &step : steps)
+            step.machine = withFrontend(std::move(step.machine), spec);
+    }
+    ExperimentPlan plan = bench::fig11Plan(steps, size);
     std::fprintf(stderr, "fig11: %zu points across %zu sweep steps%s...\n",
                  plan.size(), steps.size(),
                  options.replay ? "" : " (direct)");
 
-    ExperimentSet all;
-    if (unsigned workers = bench::parseFarm(argc, argv)) {
-        farm::FarmOptions farmOptions;
-        farmOptions.workers = workers;
-        bench::parseFarmOptions(argc, argv, farmOptions);
-        all = farm::runPlanFarm(plan, ref, options, farmOptions);
-    } else {
-        all = runPlan(plan, options);
-    }
+    ExperimentSet all = runPlan(plan, options);
 
     const size_t perStep = all.points.size() / steps.size();
     std::vector<Grid> grids;
@@ -136,6 +118,5 @@ main(int argc, char **argv)
     capTables(VmKind::Rlua, &grids[8]);
     capTables(VmKind::Sjs, &grids[12]);
 
-    bench::exportJitSection(sink, options);
     return finishRun(sink, jsonPath, {&all});
 }

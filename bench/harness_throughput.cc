@@ -5,64 +5,52 @@
  * in BENCH_harness.json so the perf trajectory is tracked across PRs.
  *
  * The plan is the fig07-10 grid shape (2 VMs x 11 workloads x 4 schemes)
- * at the chosen input size. The same plan runs under the functional-only
- * NullTiming model twice per dispatch tier — jit, threaded and the
- * reference switch interpreter, interleaved so allocator drift hits all
- * three equally —
- * then twice serially (--jobs=1) and twice on the requested worker count
- * with the timed model; the JSON records per-experiment wall time, the
- * total wall times, the parallel speedup, the timed-vs-functional
- * instruction throughput (instructions/sec), the threaded tier's
- * speedup over the switch tier (functional_threaded_speedup), and the
- * jit tier's speedup over the threaded tier (functional_jit_speedup) —
- * the two numbers the CI bench-regression gate watches. On hosts
- * without the jit backend the jit passes degrade gracefully to the
- * threaded tier and jit_available records it. Each mode's throughput is
- * the best of its two passes per experiment — the runs are short enough
- * that scheduler noise on a shared machine swings single measurements by
- * >10%, and the per-experiment minimum is the usual noise-robust
- * estimator of the achievable speed.
+ * at the chosen input size. Every point first runs as a replay producer
+ * would — FunctionalCore::runRecorded() against RecorderTiming, in
+ * RetireChunk-sized fills — twice per dispatch tier, threaded and the
+ * reference switch interpreter interleaved so allocator drift hits both
+ * equally. The plan then runs twice serially (--jobs=1) and twice on the
+ * requested worker count with the timed model. The JSON records
+ * per-experiment wall time, the total wall times, the parallel speedup,
+ * the timed and producer instruction throughput (instructions/sec), and
+ * the threaded tier's producer speedup over the switch tier
+ * (producer_threaded_speedup) — the number the CI bench-regression gate
+ * watches. Each mode's throughput is the best of its two passes per
+ * experiment — the runs are short enough that scheduler noise on a
+ * shared machine swings single measurements by >10%, and the
+ * per-experiment minimum is the usual noise-robust estimator of the
+ * achievable speed.
  *
  * A final pair of passes times the execute-once, time-many plan executor
  * on its reference workload — the Figure 11 sweep (bench/fig11_plan.hh),
  * whose 16 machine variants per (vm, scheme) are exactly the shape replay
  * accelerates — once directly and once replayed, recording the wall
  * times and their ratio (fig11_replay_speedup).
- *
- * --functional (or SCD_FUNCTIONAL=1) skips the timed passes entirely:
- * the plan runs once under NullTiming, for quick workload validation.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_util.hh"
 #include "branch/btb.hh"
 #include "branch/frontend.hh"
+#include "core/scheme.hh"
 #include "cpu/dispatch_tier.hh"
+#include "cpu/functional_core.hh"
+#include "cpu/retire_stream.hh"
 #include "fig11_plan.hh"
 #include "harness/experiment.hh"
 #include "harness/machines.hh"
+#include "harness/runner.hh"
+#include "mem/memory.hh"
 
 namespace
 {
-
-bool
-functionalOnly(int argc, char **argv)
-{
-    for (int n = 1; n < argc; ++n) {
-        if (std::strcmp(argv[n], "--functional") == 0)
-            return true;
-    }
-    const char *env = std::getenv("SCD_FUNCTIONAL");
-    return env && env[0] == '1';
-}
 
 uint64_t
 totalInstructions(const scd::harness::ExperimentSet &set)
@@ -74,38 +62,75 @@ totalInstructions(const scd::harness::ExperimentSet &set)
 }
 
 /**
- * Per-experiment best-of-two sim time: the minimum of the two passes'
- * Core::run() wall times, summed over the plan. @p second may be empty
- * (functional-only mode runs one pass), in which case @p first stands
- * alone.
- */
-double
-bestSimSeconds(const scd::harness::ExperimentSet &first,
-               const scd::harness::ExperimentSet &second)
-{
-    double total = 0.0;
-    for (size_t i = 0; i < first.runs.size(); ++i) {
-        double s = first.runs[i].result.simSeconds;
-        if (second.runs.size() == first.runs.size())
-            s = std::min(s, second.runs[i].result.simSeconds);
-        total += s;
-    }
-    return total;
-}
-
-/**
  * Aggregate simulator speed over two passes of the same plan: retired
- * instructions per second of best-of-two Core::run() time. Compile/setup
- * time is excluded — it is identical whatever the timing model, so
- * including it would understate the timing-model cost being measured.
+ * instructions per second of the per-experiment best-of-two Core::run()
+ * time. Compile/setup time is excluded — it is identical whatever the
+ * timing model, so including it would understate the timing-model cost
+ * being measured.
  */
 double
 instructionsPerSecond(const scd::harness::ExperimentSet &first,
                       const scd::harness::ExperimentSet &second)
 {
-    double simSeconds = bestSimSeconds(first, second);
+    double simSeconds = 0.0;
+    for (size_t i = 0; i < first.runs.size(); ++i) {
+        simSeconds += std::min(first.runs[i].result.simSeconds,
+                               second.runs[i].result.simSeconds);
+    }
     return simSeconds > 0 ? double(totalInstructions(first)) / simSeconds
                           : 0.0;
+}
+
+/** One replay-producer pass over a plan on one dispatch tier. */
+struct ProducerPass
+{
+    std::vector<double> seconds; ///< per point, guest compile excluded
+    uint64_t instructions = 0;   ///< retired over the whole plan
+};
+
+/**
+ * Run every point of @p plan the way a replay group's producer does:
+ * the guest to exit through FunctionalCore::runRecorded() against
+ * RecorderTiming, one RetireChunk-sized fill at a time.
+ */
+ProducerPass
+producerPass(const scd::harness::ExperimentPlan &plan,
+             scd::cpu::DispatchTier tier)
+{
+    using namespace scd;
+    ProducerPass pass;
+    std::vector<cpu::RetireInfo> chunk(cpu::RetireChunk::kCapacity);
+    for (const harness::ExperimentPoint &p : plan.points()) {
+        auto program = harness::compileGuest(
+            p.vm, p.workload->text(p.size),
+            harness::dispatchForScheme(p.scheme));
+        cpu::CoreConfig cfg = core::withScheme(p.machine, p.scheme);
+        mem::GuestMemory memory;
+        program->loadInto(memory);
+        cpu::RecorderTiming recorder;
+        cpu::FunctionalCore func(cfg, memory, recorder);
+        func.loadProgram(program->text);
+        func.setDispatchMeta(program->meta);
+        func.setDispatchTier(tier);
+        auto t0 = std::chrono::steady_clock::now();
+        while (!func.exited())
+            func.runRecorded(chunk.data(), chunk.size());
+        pass.seconds.push_back(std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count());
+        pass.instructions += func.retired();
+    }
+    return pass;
+}
+
+/** Instructions per second of the per-point best of two producer passes. */
+double
+producerIps(const ProducerPass &first, const ProducerPass &second)
+{
+    double seconds = 0.0;
+    for (size_t i = 0; i < first.seconds.size(); ++i)
+        seconds += std::min(first.seconds[i], second.seconds[i]);
+    return seconds > 0 ? double(first.instructions) / seconds : 0.0;
 }
 
 /**
@@ -244,7 +269,6 @@ main(int argc, char **argv)
 
     InputSize size = bench::parseSize(argc, argv, InputSize::Test);
     unsigned jobs = resolveJobs(bench::parseJobs(argc, argv));
-    bool funcOnly = functionalOnly(argc, argv);
     // This bench's output is inherently wall-time data, so --json picks
     // the destination of its (timing-laden) document rather than the
     // deterministic scd-stats-v1 export of the figure binaries.
@@ -252,133 +276,87 @@ main(int argc, char **argv)
     if (jsonPath.empty())
         jsonPath = "BENCH_harness.json";
 
-    std::vector<VmKind> vms{VmKind::Rlua, VmKind::Sjs};
-    std::vector<core::Scheme> schemes{
-        core::Scheme::Baseline, core::Scheme::JumpThreading,
-        core::Scheme::Vbbi, core::Scheme::Scd};
-
     ExperimentPlan plan;
     plan.addGrid(bench::applyFrontendFlag(argc, argv, minorConfig()), size,
-                 vms, schemes);
+                 {VmKind::Rlua, VmKind::Sjs},
+                 {core::Scheme::Baseline, core::Scheme::JumpThreading,
+                  core::Scheme::Vbbi, core::Scheme::Scd});
 
-    cpu::CoreConfig functionalMachine = minorConfig();
-    functionalMachine.timingKind = cpu::TimingKind::Null;
-    ExperimentPlan functionalPlan;
-    functionalPlan.addGrid(functionalMachine, size, vms, schemes);
-
-    // The functional passes run before the timed ones: 88 timed
+    // The producer passes run before the timed ones: 88 timed
     // experiments leave the allocator and page tables in a state that
-    // measurably slows later short runs, and the functional mode — being
-    // ~5x faster — is the one short enough to be hurt by it. The two
-    // tiers interleave (threaded, switch, threaded, switch) so that
-    // drift degrades both tiers' best-of-two equally instead of biasing
-    // the tier ratio.
-    bench::parseJitThreshold(argc, argv);
+    // measurably slows later short runs, and the producer — being
+    // several times faster — is the one short enough to be hurt by it.
+    // The two tiers interleave (threaded, switch, threaded, switch) so
+    // that drift degrades both tiers' best-of-two equally instead of
+    // biasing the tier ratio.
     std::fprintf(stderr,
-                 "harness_throughput: %zu points (%s), functional pass "
-                 "(NullTiming, threaded)...\n",
+                 "harness_throughput: %zu points (%s), producer pass "
+                 "(threaded)...\n",
                  plan.size(), bench::sizeName(size));
-    RunOptions threadedOpts;
-    threadedOpts.jobs = 1;
-    threadedOpts.dispatchTier = cpu::DispatchTier::Threaded;
-    RunOptions jitOpts;
-    jitOpts.jobs = 1;
-    jitOpts.dispatchTier = cpu::DispatchTier::Jit;
-    RunOptions functionalOpts;
-    functionalOpts.jobs = 1;
-    functionalOpts.dispatchTier = cpu::DispatchTier::Switch;
-    ExperimentSet threaded = runPlan(functionalPlan, threadedOpts);
-    std::fprintf(stderr, "harness_throughput: functional pass (jit)...\n");
-    ExperimentSet jit = runPlan(functionalPlan, jitOpts);
+    ProducerPass threaded = producerPass(plan, cpu::DispatchTier::Threaded);
+    std::fprintf(stderr, "harness_throughput: producer pass (switch)...\n");
+    ProducerPass reference = producerPass(plan, cpu::DispatchTier::Switch);
+    std::fprintf(stderr,
+                 "harness_throughput: producer pass 2 (threaded)...\n");
+    ProducerPass threaded2 = producerPass(plan, cpu::DispatchTier::Threaded);
+    std::fprintf(stderr,
+                 "harness_throughput: producer pass 2 (switch)...\n");
+    ProducerPass reference2 = producerPass(plan, cpu::DispatchTier::Switch);
 
-    ExperimentSet threaded2, jit2, functional, functional2, serial,
-        serial2, parallel, parallel2;
-    if (funcOnly) {
-        functional = runPlan(functionalPlan, functionalOpts);
-    } else {
-        std::fprintf(stderr,
-                     "harness_throughput: functional pass (switch)...\n");
-        functional = runPlan(functionalPlan, functionalOpts);
-        std::fprintf(stderr,
-                     "harness_throughput: functional pass 2 (threaded)"
-                     "...\n");
-        threaded2 = runPlan(functionalPlan, threadedOpts);
-        std::fprintf(stderr,
-                     "harness_throughput: functional pass 2 (jit)...\n");
-        jit2 = runPlan(functionalPlan, jitOpts);
-        std::fprintf(stderr,
-                     "harness_throughput: functional pass 2 (switch)...\n");
-        functional2 = runPlan(functionalPlan, functionalOpts);
-
-        // The serial/parallel pair also interleaves, and the speedup is
-        // taken over each mode's best total: on a loaded (or single-CPU)
-        // host a single pass per mode measures scheduler luck more than
-        // the pool.
-        RunOptions serialOpts;
-        serialOpts.jobs = 1;
-        RunOptions parallelOpts;
-        parallelOpts.jobs = jobs;
-        std::fprintf(stderr, "harness_throughput: serial pass...\n");
-        serial = runPlan(plan, serialOpts);
-        std::fprintf(stderr,
-                     "harness_throughput: parallel pass (%u jobs)...\n",
-                     jobs);
-        parallel = runPlan(plan, parallelOpts);
-        std::fprintf(stderr, "harness_throughput: serial pass 2...\n");
-        serial2 = runPlan(plan, serialOpts);
-        std::fprintf(stderr,
-                     "harness_throughput: parallel pass 2 (%u jobs)...\n",
-                     jobs);
-        parallel2 = runPlan(plan, parallelOpts);
-    }
+    // The serial/parallel pair also interleaves, and the speedup is
+    // taken over each mode's best total: on a loaded (or single-CPU)
+    // host a single pass per mode measures scheduler luck more than the
+    // pool.
+    RunOptions serialOpts;
+    serialOpts.jobs = 1;
+    RunOptions parallelOpts;
+    parallelOpts.jobs = jobs;
+    std::fprintf(stderr, "harness_throughput: serial pass...\n");
+    ExperimentSet serial = runPlan(plan, serialOpts);
+    std::fprintf(stderr, "harness_throughput: parallel pass (%u jobs)...\n",
+                 jobs);
+    ExperimentSet parallel = runPlan(plan, parallelOpts);
+    std::fprintf(stderr, "harness_throughput: serial pass 2...\n");
+    ExperimentSet serial2 = runPlan(plan, serialOpts);
+    std::fprintf(stderr,
+                 "harness_throughput: parallel pass 2 (%u jobs)...\n", jobs);
+    ExperimentSet parallel2 = runPlan(plan, parallelOpts);
 
     // Replay-engine measurement: the fig11 sweep wall-clocked direct
     // then replayed. The guest compile cache is warm either way (the
     // passes above compiled every (vm, workload, dispatch) already), so
     // the ratio isolates the execute-once, time-many win.
-    double fig11Direct = 0.0, fig11Replay = 0.0;
-    if (!funcOnly) {
-        ExperimentPlan fig11 = bench::fig11Plan(bench::fig11Steps(), size);
-        RunOptions fig11Opts;
-        fig11Opts.jobs = jobs;
-        std::fprintf(stderr,
-                     "harness_throughput: fig11 direct pass (%zu points, "
-                     "%u jobs)...\n",
-                     fig11.size(), jobs);
-        fig11Opts.replay = false;
-        auto t0 = std::chrono::steady_clock::now();
-        runPlan(fig11, fig11Opts);
-        auto t1 = std::chrono::steady_clock::now();
-        std::fprintf(stderr, "harness_throughput: fig11 replay pass...\n");
-        fig11Opts.replay = true;
-        runPlan(fig11, fig11Opts);
-        auto t2 = std::chrono::steady_clock::now();
-        fig11Direct = std::chrono::duration<double>(t1 - t0).count();
-        fig11Replay = std::chrono::duration<double>(t2 - t1).count();
-    }
+    ExperimentPlan fig11 = bench::fig11Plan(bench::fig11Steps(), size);
+    RunOptions fig11Opts;
+    fig11Opts.jobs = jobs;
+    std::fprintf(stderr,
+                 "harness_throughput: fig11 direct pass (%zu points, %u "
+                 "jobs)...\n",
+                 fig11.size(), jobs);
+    fig11Opts.replay = false;
+    auto t0 = std::chrono::steady_clock::now();
+    runPlan(fig11, fig11Opts);
+    auto t1 = std::chrono::steady_clock::now();
+    std::fprintf(stderr, "harness_throughput: fig11 replay pass...\n");
+    fig11Opts.replay = true;
+    runPlan(fig11, fig11Opts);
+    auto t2 = std::chrono::steady_clock::now();
+    double fig11Direct = std::chrono::duration<double>(t1 - t0).count();
+    double fig11Replay = std::chrono::duration<double>(t2 - t1).count();
 
     std::fprintf(stderr, "harness_throughput: frontend-overhead "
                          "microbench...\n");
     double frontendOverhead = frontendOverheadRatio();
 
-    double serialSeconds = 0.0, parallelSeconds = 0.0, speedup = 0.0;
-    if (!funcOnly) {
-        serialSeconds = std::min(serial.totalSeconds, serial2.totalSeconds);
-        parallelSeconds =
-            std::min(parallel.totalSeconds, parallel2.totalSeconds);
-        if (parallelSeconds > 0)
-            speedup = serialSeconds / parallelSeconds;
-    }
-    double timedIps =
-        funcOnly ? 0.0 : instructionsPerSecond(serial, parallel);
-    double functionalIps = instructionsPerSecond(functional, functional2);
-    double threadedIps = instructionsPerSecond(threaded, threaded2);
-    double jitIps = instructionsPerSecond(jit, jit2);
-    double functionalSpeedup = timedIps > 0 ? functionalIps / timedIps : 0.0;
-    double threadedSpeedup =
-        functionalIps > 0 ? threadedIps / functionalIps : 0.0;
-    double jitSpeedup = threadedIps > 0 ? jitIps / threadedIps : 0.0;
-    cpu::JitStats jitStats = cpu::jitStatsSnapshot();
+    double serialSeconds = std::min(serial.totalSeconds, serial2.totalSeconds);
+    double parallelSeconds =
+        std::min(parallel.totalSeconds, parallel2.totalSeconds);
+    double speedup =
+        parallelSeconds > 0 ? serialSeconds / parallelSeconds : 0.0;
+    double timedIps = instructionsPerSecond(serial, parallel);
+    double switchIps = producerIps(reference, reference2);
+    double threadedIps = producerIps(threaded, threaded2);
+    double threadedSpeedup = switchIps > 0 ? threadedIps / switchIps : 0.0;
 
     const char *path = jsonPath.c_str();
     std::FILE *f = std::fopen(path, "w");
@@ -390,94 +368,47 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"bench\": \"harness_throughput\",\n");
     std::fprintf(f, "  \"size\": \"%s\",\n", bench::sizeName(size));
     std::fprintf(f, "  \"points\": %zu,\n", plan.size());
-    std::fprintf(f, "  \"functional_only\": %s,\n",
-                 funcOnly ? "true" : "false");
     std::fprintf(f, "  \"host_cpus\": %u,\n",
                  std::thread::hardware_concurrency());
     std::fprintf(f, "  \"threaded_dispatch\": \"%s\",\n",
                  cpu::threadedTierUsesComputedGoto() ? "computed-goto"
                                                      : "switch-fallback");
-    if (!funcOnly) {
-        std::fprintf(f, "  \"jobs\": %u,\n", parallel.jobs);
-        std::fprintf(f, "  \"serial_seconds\": %.6f,\n", serialSeconds);
-        std::fprintf(f, "  \"parallel_seconds\": %.6f,\n", parallelSeconds);
-        std::fprintf(f, "  \"speedup\": %.3f,\n", speedup);
-        std::fprintf(f, "  \"timed_instructions_per_second\": %.0f,\n",
-                     timedIps);
-        std::fprintf(f, "  \"fig11_direct_seconds\": %.6f,\n", fig11Direct);
-        std::fprintf(f, "  \"fig11_replay_seconds\": %.6f,\n", fig11Replay);
-        std::fprintf(f, "  \"fig11_replay_speedup\": %.3f,\n",
-                     fig11Replay > 0 ? fig11Direct / fig11Replay : 0.0);
-    }
-    std::fprintf(f, "  \"functional_seconds\": %.6f,\n",
-                 functional.totalSeconds);
-    std::fprintf(f, "  \"functional_instructions_per_second\": %.0f,\n",
-                 functionalIps);
-    std::fprintf(f, "  \"functional_speedup\": %.3f,\n", functionalSpeedup);
-    std::fprintf(f, "  \"functional_threaded_ips\": %.0f,\n", threadedIps);
-    std::fprintf(f, "  \"functional_threaded_speedup\": %.3f,\n",
+    std::fprintf(f, "  \"jobs\": %u,\n", parallel.jobs);
+    std::fprintf(f, "  \"serial_seconds\": %.6f,\n", serialSeconds);
+    std::fprintf(f, "  \"parallel_seconds\": %.6f,\n", parallelSeconds);
+    std::fprintf(f, "  \"speedup\": %.3f,\n", speedup);
+    std::fprintf(f, "  \"timed_instructions_per_second\": %.0f,\n",
+                 timedIps);
+    std::fprintf(f, "  \"fig11_direct_seconds\": %.6f,\n", fig11Direct);
+    std::fprintf(f, "  \"fig11_replay_seconds\": %.6f,\n", fig11Replay);
+    std::fprintf(f, "  \"fig11_replay_speedup\": %.3f,\n",
+                 fig11Replay > 0 ? fig11Direct / fig11Replay : 0.0);
+    std::fprintf(f, "  \"producer_switch_ips\": %.0f,\n", switchIps);
+    std::fprintf(f, "  \"producer_threaded_ips\": %.0f,\n", threadedIps);
+    std::fprintf(f, "  \"producer_threaded_speedup\": %.3f,\n",
                  threadedSpeedup);
-    std::fprintf(f, "  \"jit_available\": %s,\n",
-                 cpu::jitTierAvailable() ? "true" : "false");
-    std::fprintf(f, "  \"jit_threshold\": %u,\n", cpu::jitThreshold());
-    std::fprintf(f, "  \"functional_jit_ips\": %.0f,\n", jitIps);
-    std::fprintf(f, "  \"functional_jit_speedup\": %.3f,\n", jitSpeedup);
-    std::fprintf(f, "  \"jit\": {\"blocksCompiled\": %llu, "
-                 "\"blocksInvalidated\": %llu, \"blockExecutions\": %llu, "
-                 "\"codeBytes\": %llu},\n",
-                 (unsigned long long)jitStats.blocksCompiled,
-                 (unsigned long long)jitStats.blocksInvalidated,
-                 (unsigned long long)jitStats.blockExecutions,
-                 (unsigned long long)jitStats.codeBytes);
     std::fprintf(f, "  \"frontend_overhead\": %.3f,\n", frontendOverhead);
     std::fprintf(f, "  \"experiments\": [\n");
-    if (!funcOnly) {
-        for (size_t i = 0; i < parallel.points.size(); ++i) {
-            std::fprintf(
-                f,
-                "    {\"label\": \"%s\", \"seconds\": %.6f, "
-                "\"serial_seconds\": %.6f, "
-                "\"functional_seconds\": %.6f}%s\n",
-                parallel.points[i].label().c_str(),
-                parallel.runs[i].seconds, serial.runs[i].seconds,
-                std::min(functional.runs[i].seconds,
-                         functional2.runs[i].seconds),
-                i + 1 < parallel.points.size() ? "," : "");
-        }
-    } else {
-        for (size_t i = 0; i < functional.points.size(); ++i) {
-            std::fprintf(f,
-                         "    {\"label\": \"%s\", "
-                         "\"functional_seconds\": %.6f}%s\n",
-                         functional.points[i].label().c_str(),
-                         functional.runs[i].seconds,
-                         i + 1 < functional.points.size() ? "," : "");
-        }
+    for (size_t i = 0; i < parallel.points.size(); ++i) {
+        std::fprintf(f,
+                     "    {\"label\": \"%s\", \"seconds\": %.6f, "
+                     "\"serial_seconds\": %.6f, "
+                     "\"producer_seconds\": %.6f}%s\n",
+                     parallel.points[i].label().c_str(),
+                     parallel.runs[i].seconds, serial.runs[i].seconds,
+                     std::min(threaded.seconds[i], threaded2.seconds[i]),
+                     i + 1 < parallel.points.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
 
-    if (funcOnly) {
-        std::printf("harness throughput (functional only): %zu points, "
-                    "%.2fs, %.0f Minst/s (threaded %.2fx, jit %.2fx%s, "
-                    "frontend overhead %.3fx) -> %s\n",
-                    functionalPlan.size(), functional.totalSeconds,
-                    functionalIps / 1e6, threadedSpeedup, jitSpeedup,
-                    cpu::jitTierAvailable() ? "" : " [no backend]",
-                    frontendOverhead, path);
-        return reportTroubledPoints({&threaded, &jit, &functional});
-    }
-    std::printf("harness throughput: %zu points, serial %.2fs, "
-                "%u jobs %.2fs, speedup %.2fx, functional %.2fs "
-                "(%.1fx inst/s), threaded tier %.2fx, jit tier %.2fx%s, "
-                "fig11 replay %.2fx, frontend overhead %.3fx -> %s\n",
-                plan.size(), serialSeconds, parallel.jobs,
-                parallelSeconds, speedup, functional.totalSeconds,
-                functionalSpeedup, threadedSpeedup, jitSpeedup,
-                cpu::jitTierAvailable() ? "" : " [no backend]",
+    std::printf("harness throughput: %zu points, serial %.2fs, %u jobs "
+                "%.2fs, speedup %.2fx, timed %.0f Minst/s, producer "
+                "threaded %.0f Minst/s (%.2fx switch), fig11 replay %.2fx, "
+                "frontend overhead %.3fx -> %s\n",
+                plan.size(), serialSeconds, parallel.jobs, parallelSeconds,
+                speedup, timedIps / 1e6, threadedIps / 1e6, threadedSpeedup,
                 fig11Replay > 0 ? fig11Direct / fig11Replay : 0.0,
                 frontendOverhead, path);
-    return reportTroubledPoints({&threaded, &threaded2, &jit, &jit2,
-                                 &functional, &functional2, &serial,
-                                 &serial2, &parallel, &parallel2});
+    return reportTroubledPoints({&serial, &serial2, &parallel, &parallel2});
 }

@@ -13,13 +13,7 @@
  * Usage:
  *   scd_trace [--vm=rlua|sjs] [--workload=NAME] [--scheme=NAME]
  *             [--size=test|sim|fpga] [--events=N] [--out=trace.json]
- *             [--dispatch-tier=switch|threaded|jit] [--jit-threshold=N]
- *
- * With --dispatch-tier=jit the workload runs functionally (NullTiming)
- * on the jit tier with the window attached to the process-wide jit
- * hooks, so the recorded events are the tier's superblock compiles and
- * text-write invalidations (jitCompile / jitInvalidate) instead of the
- * timing model's pipeline events.
+ *             [--frontend=SPEC]
  */
 
 #include <cstdio>
@@ -110,29 +104,12 @@ main(int argc, char **argv)
                  vmFlag.c_str(), workloadName.c_str(), schemeName.c_str(),
                  bench::sizeName(size), events);
 
-    harness::RunOptions tierOptions;
-    bench::parseDispatchTier(argc, argv, tierOptions);
-    bench::parseJitThreshold(argc, argv);
-    cpu::DispatchTier tier = tierOptions.dispatchTier;
-
     cpu::CoreConfig machine =
         bench::applyFrontendFlag(argc, argv, minorConfig());
     obs::TraceBuffer trace(events ? events : 1);
-    if (tier == cpu::DispatchTier::Jit) {
-        // The jit tier executes only functional runs — a timed run would
-        // retire on threaded slots and never compile anything. Drop to
-        // NullTiming and point the jit hooks at the window so the
-        // compile/invalidate events are what gets recorded.
-        machine.timingKind = cpu::TimingKind::Null;
-        cpu::setJitTraceBuffer(&trace);
-    }
     ExperimentResult result =
         runWorkload(vm, workload(workloadName), size, scheme, machine,
-                    /*maxInstructions=*/0, &trace, /*timeoutSeconds=*/0.0,
-                    tier);
-    if (tier == cpu::DispatchTier::Jit)
-        cpu::setJitTraceBuffer(nullptr);
-
+                    /*maxInstructions=*/0, &trace);
     std::printf("%s", obs::profileReport(trace, opName).c_str());
     std::printf("\nrun: %llu instructions, %llu cycles; trace recorded "
                 "%llu events (%llu dropped from the window)\n",

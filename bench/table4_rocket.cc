@@ -38,6 +38,5 @@ main(int argc, char **argv)
 
     obs::StatsSink sink("table4_rocket", bench::sizeName(size));
     exportSet(sink, "rocket", run.set);
-    bench::exportJitSection(sink, options);
     return finishRun(sink, jsonPath, {&run.set});
 }

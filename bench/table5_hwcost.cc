@@ -78,6 +78,5 @@ main(int argc, char **argv)
                    100.0 * model.scdPowerDeltaMw() / base.totalPowerMw);
     sink.addMetric("hwcost.edpImprovementPct",
                    100.0 * model.edpImprovement(speedup));
-    bench::exportJitSection(sink, options);
     return finishRun(sink, jsonPath, {&run.set});
 }

@@ -106,27 +106,10 @@ class Btb
     /** Current effective JTE cap (0 = unlimited). */
     unsigned effectiveJteCap() const;
 
-    // ---- inline fast paths ----------------------------------------------
-    // Behaviourally identical to lookupJte() and the hit (refresh) path of
-    // insert(); kept in the header so the simulator's innermost loops can
-    // inline the common case and only fall out of line on a miss.
-
-    /** Same as lookupJte(), inlinable. */
-    std::optional<uint64_t>
-    lookupJteFast(uint8_t bank, uint64_t opcode)
-    {
-        ++useClock_;
-        uint64_t key = jteKey(bank, opcode);
-        Entry *base = &entries_[jteSetOf(key) * config_.associativity];
-        for (unsigned w = 0; w < config_.associativity; ++w) {
-            Entry &e = base[w];
-            if (e.valid && e.kind == EntryKind::Jte && e.key == key) {
-                e.lastUse = useClock_;
-                return e.target;
-            }
-        }
-        return std::nullopt;
-    }
+    // ---- inline fast path ------------------------------------------------
+    // Behaviourally identical to the hit (refresh) path of insert(); kept
+    // in the header so the frontend's insert can inline the common case
+    // and only fall out of line on a miss.
 
     /**
      * Refresh an existing B entry in place (the hit path of insertPc /
@@ -140,43 +123,6 @@ class Btb
         for (unsigned w = 0; w < config_.associativity; ++w) {
             Entry &e = base[w];
             if (e.valid && e.kind == EntryKind::Branch && e.key == key) {
-                e.target = target;
-                e.lastUse = ++useClock_;
-                return true;
-            }
-        }
-        return false;
-    }
-
-    /**
-     * Pure occupancy probe: is a valid B entry with @p key resident? No
-     * state is touched. Under round-robin/uncapped replacement this makes
-     * probe-then-insert observably identical to insert() (the hit path
-     * only rewrites the target and recency, which nothing reads there);
-     * LRU victim choice would see slightly staler recency.
-     */
-    bool
-    containsBranchKey(uint64_t key) const
-    {
-        const Entry *base =
-            &entries_[branchSetOf(key) * config_.associativity];
-        for (unsigned w = 0; w < config_.associativity; ++w) {
-            const Entry &e = base[w];
-            if (e.valid && e.kind == EntryKind::Branch && e.key == key)
-                return true;
-        }
-        return false;
-    }
-
-    /** The JTE analogue of tryRefreshBranchKey(), for insertJte(). */
-    bool
-    tryRefreshJte(uint8_t bank, uint64_t opcode, uint64_t target)
-    {
-        uint64_t key = jteKey(bank, opcode);
-        Entry *base = &entries_[jteSetOf(key) * config_.associativity];
-        for (unsigned w = 0; w < config_.associativity; ++w) {
-            Entry &e = base[w];
-            if (e.valid && e.kind == EntryKind::Jte && e.key == key) {
                 e.target = target;
                 e.lastUse = ++useClock_;
                 return true;

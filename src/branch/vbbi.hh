@@ -63,8 +63,7 @@ class Vbbi
  * organization the timing model fetches through — so VBBI entries suffer
  * the same partial-tag aliasing and multi-level placement as every other
  * B entry. Over the ideal frontend this is operation-for-operation
- * identical to Vbbi over the raw Btb (which the functional-only shadow
- * fast path keeps using for inlining).
+ * identical to Vbbi over the raw Btb.
  */
 class FrontendVbbi
 {

@@ -54,25 +54,6 @@ registeredSites()
         "replay-ring",
         "json-write",
         "point-oom",
-        // Fires inside a farm worker's point-completion hook; the
-        // worker turns it into a hard process death (_Exit) so the
-        // coordinator's kill-and-retry path can be exercised
-        // deterministically (src/farm/worker.cc).
-        "farm-worker",
-        // Fires in the JIT tier's code cache before the mmap; the tier
-        // reports the FatalError instead of degrading (jit_tier.cc).
-        "jit-codecache",
-        // Fires in the farm daemon's durable job journal just before
-        // the write; submit() answers a structured error instead of
-        // accepting a job it could not persist (src/farm/state.cc).
-        "farm-journal-append",
-        // Fires when the coordinator is about to split a dead shard's
-        // remainder; it falls back to a whole-shard retry
-        // (src/farm/coordinator.cc).
-        "farm-repartition",
-        // Fires when the coordinator is about to grant a steal; the
-        // thief gets an empty reassign instead (src/farm/coordinator.cc).
-        "farm-steal",
     };
     return sites;
 }

@@ -28,14 +28,6 @@
  *                while exporting the stats JSON
  *   point-oom    replay.cc, contained point wrapper — simulates an
  *                allocation failure inside one experiment point
- *   jit-codecache jit_tier.cc, CodeCache::install — simulates the host
- *                denying executable code pages (mmap/mprotect failure)
- *   farm-journal-append  farm/state.cc, StateStore append — simulates
- *                an I/O failure while journaling a daemon job record
- *   farm-repartition  farm/coordinator.cc, remainder split — the
- *                coordinator falls back to a whole-shard retry
- *   farm-steal   farm/coordinator.cc, steal grant — the coordinator
- *                denies the steal (empty reassign) instead
  */
 
 #ifndef SCD_COMMON_FAULT_INJECT_HH
@@ -54,8 +46,7 @@ const std::vector<std::string> &registeredSites();
  * Arm a one-shot fault at @p site, firing on the @p nth hit (1-based).
  * @p site must name a registered site: a typo'd SCD_FAULT used to be
  * accepted and then silently never fire, so unknown names now throw a
- * FatalError listing the registry (scd_farm --list-fault-sites prints
- * the same list).
+ * FatalError listing the registry.
  */
 void arm(const std::string &site, unsigned nth);
 

@@ -43,7 +43,6 @@ enum class TimingKind
 {
     InOrder,     ///< scoreboarded in-order pipeline (paper default)
     WideInOrder, ///< same pipeline, width taken as an explicit parameter
-    Null,        ///< no timing: functional-only fast emulation
 };
 
 /** Full microarchitectural configuration. */
@@ -87,8 +86,7 @@ struct CoreConfig
     /**
      * Frontend organization the timed models fetch through (see
      * branch/frontend.hh). The default IdealBtb wraps @ref btb with
-     * bit-identical behaviour; functional-only (Null) timing always uses
-     * the raw single-level structure regardless of this setting.
+     * bit-identical behaviour.
      */
     branch::FrontendConfig frontend;
     PredictorKind predictor = PredictorKind::Tournament;

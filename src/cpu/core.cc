@@ -16,20 +16,14 @@ Core::Core(const CoreConfig &config, mem::GuestMemory &memory)
 RunResult
 Core::run(uint64_t maxInstructions)
 {
-    if (timing_->needsRetireInfo()) {
-        const Watchdog &watchdog = functional_.watchdog();
-        RetireInfo ri;
-        while (!functional_.exited()) {
-            if (maxInstructions != 0 &&
-                functional_.retired() >= maxInstructions) {
-                break;
-            }
-            functional_.step(&ri);
-            timing_->retire(ri);
-            watchdog.maybeExpire(functional_.retired());
-        }
-    } else {
-        functional_.runFunctional(maxInstructions);
+    const Watchdog &watchdog = functional_.watchdog();
+    RetireInfo ri;
+    while (!functional_.exited()) {
+        if (maxInstructions != 0 && functional_.retired() >= maxInstructions)
+            break;
+        functional_.step(&ri);
+        timing_->retire(ri);
+        watchdog.maybeExpire(functional_.retired());
     }
     RunResult result;
     result.exitCode = functional_.exitCode();
@@ -54,7 +48,7 @@ Core::btb()
 {
     branch::Btb *btb = timing_->btb();
     SCD_ASSERT(btb, "timing model '", config_.name, "' has no BTB ",
-               "(functional-only model?)");
+               "(non-ideal frontend?)");
     return *btb;
 }
 

@@ -2,7 +2,7 @@
  * @file
  * The simulated core: a thin façade composing a FunctionalCore (SRV64 +
  * SCD architectural execution) with a pluggable TimingModel (scoreboard
- * pipeline, wide pipeline, or none at all). The split keeps the
+ * pipeline or wide pipeline). The split keeps the
  * architecturally-visible microarchitectural state — the jump-table
  * entries consumed by bop (paper §III-B) — consistent through the timing
  * model's JTE port while everything purely cycle-related stays behind
@@ -38,7 +38,7 @@ struct RunResult
 {
     int exitCode = 0;
     uint64_t instructions = 0;
-    uint64_t cycles = 0; ///< 0 under the functional-only timing model
+    uint64_t cycles = 0;
     bool exited = false; ///< false if the instruction limit was hit
 };
 
@@ -72,7 +72,11 @@ class Core
     /** Arm the per-point wall-clock watchdog (<= 0 disarms). */
     void armWatchdog(double seconds) { functional_.armWatchdog(seconds); }
 
-    /** Select the functional execution tier (see cpu/dispatch_tier.hh). */
+    /**
+     * Select the execution tier of recorded runs (see
+     * cpu/dispatch_tier.hh); run() always steps the reference
+     * interpreter.
+     */
     void
     setDispatchTier(DispatchTier tier)
     {

@@ -13,8 +13,6 @@ dispatchTierName(DispatchTier tier)
     switch (tier) {
       case DispatchTier::Switch:
         return "switch";
-      case DispatchTier::Jit:
-        return "jit";
       default:
         return "threaded";
     }
@@ -27,8 +25,6 @@ parseDispatchTier(std::string_view name)
         return DispatchTier::Switch;
     if (name == "threaded")
         return DispatchTier::Threaded;
-    if (name == "jit")
-        return DispatchTier::Jit;
     return std::nullopt;
 }
 
@@ -42,7 +38,7 @@ defaultDispatchTier()
         if (auto parsed = parseDispatchTier(env))
             return *parsed;
         warn("SCD_DISPATCH_TIER='", env,
-             "' is not 'switch', 'threaded', or 'jit'; using threaded");
+             "' is not 'switch' or 'threaded'; using threaded");
         return DispatchTier::Threaded;
     }();
     return tier;

@@ -26,23 +26,22 @@
 namespace scd::cpu
 {
 
-/** Which execution engine runFunctional()/runRecorded() use. */
+/** Which execution engine FunctionalCore::runRecorded() uses. */
 enum class DispatchTier : uint8_t
 {
     Switch,   ///< the reference switch-dispatched step loop
     Threaded, ///< pre-decoded threaded code (computed goto / portable)
-    Jit,      ///< hot superblocks translated to host x86-64 (jit_tier.hh)
 };
 
-/** Stable lower-case name ("switch" / "threaded" / "jit"). */
+/** Stable lower-case name ("switch" / "threaded"). */
 const char *dispatchTierName(DispatchTier tier);
 
 /** Parse a tier name; nullopt on anything else. */
 std::optional<DispatchTier> parseDispatchTier(std::string_view name);
 
 /**
- * The process-wide default tier: $SCD_DISPATCH_TIER ("switch",
- * "threaded", or "jit") when set and valid, else Threaded. Read once and
+ * The process-wide default tier: $SCD_DISPATCH_TIER ("switch" or
+ * "threaded") when set and valid, else Threaded. Read once and
  * cached; an invalid value warns and falls back to the default.
  */
 DispatchTier defaultDispatchTier();
@@ -53,24 +52,6 @@ DispatchTier defaultDispatchTier();
  * (compiler support missing or -DSCD_PORTABLE_DISPATCH=ON).
  */
 bool threadedTierUsesComputedGoto();
-
-/**
- * True when this build carries the x86-64 JIT backend (x86-64 host and
- * not -DSCD_PORTABLE_DISPATCH=ON). When false, a run requested on the
- * jit tier degrades gracefully to the threaded tier with a one-line
- * notice (never a crash); defined in jit_tier.cc.
- */
-bool jitTierAvailable();
-
-/**
- * The superblock-compile threshold of the JIT tier: a slot that is the
- * target of this many control transfers becomes a superblock head.
- * Defaults from $SCD_JIT_THRESHOLD (else 256); bench drivers override
- * it via --jit-threshold. Timing-irrelevant by the tier contract, so a
- * process-wide knob like defaultDispatchTier(). Defined in jit_tier.cc.
- */
-uint32_t jitThreshold();
-void setJitThreshold(uint32_t threshold);
 
 } // namespace scd::cpu
 

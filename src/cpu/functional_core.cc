@@ -9,7 +9,6 @@
 #include "common/bitutil.hh"
 #include "common/logging.hh"
 #include "functional_core_inl.hh"
-#include "jit_tier.hh"
 #include "syscalls.hh"
 #include "threaded_tier.hh"
 
@@ -23,16 +22,6 @@ FunctionalCore::FunctionalCore(const CoreConfig &config,
                                mem::GuestMemory &memory, TimingModel &timing)
     : config_(config), mem_(memory), timing_(timing)
 {
-    // Mirroring BTB writes only matters when JTE residency can decide
-    // which instructions retire, i.e. under SCD; for the other schemes
-    // the guest has no bop/jru and the BTB is architecturally inert, so
-    // the fast path skips the mirroring entirely.
-    if (config_.scdEnabled) {
-        ArchShadow shadow = timing.archShadow();
-        shadowBtb_ = shadow.btb;
-        shadowVbbi_ = shadow.vbbi;
-        shadowJtes_ = shadow.dedicatedJtes;
-    }
 }
 
 // Out of line so ThreadedTier is complete where unique_ptr destroys it.
@@ -46,18 +35,9 @@ FunctionalCore::ensureThreaded()
     return *threaded_;
 }
 
-JitTier &
-FunctionalCore::ensureJit()
-{
-    if (!jit_)
-        jit_ = std::make_unique<JitTier>(*this);
-    return *jit_;
-}
-
 void
 FunctionalCore::loadProgram(const isa::Program &prog)
 {
-    jit_.reset(); // before the substrate: ~JitTier detaches its hooks
     threaded_.reset(); // translation is per-program
     textBase_ = prog.base;
     slots_.clear();
@@ -79,7 +59,6 @@ void
 FunctionalCore::setDispatchMeta(const DispatchMeta &meta)
 {
     SCD_ASSERT(!slots_.empty(), "setDispatchMeta before loadProgram");
-    jit_.reset(); // before the substrate: ~JitTier detaches its hooks
     threaded_.reset(); // slot flags feed the translation
 
     for (auto [lo, hi] : meta.dispatchRanges) {
@@ -132,8 +111,6 @@ FunctionalCore::textWritten(uint64_t addr, unsigned width)
     }
     if (threaded_)
         threaded_->noteTextWrite(first, last);
-    if (jit_)
-        jit_->noteTextWrite(first, last);
 }
 
 inline uint64_t
@@ -240,7 +217,6 @@ FunctionalCore::handleSyscall()
     }
 }
 
-template <bool kHasRi, bool kTrace>
 bool
 FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
 {
@@ -249,10 +225,8 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
     const Instruction &inst = slot.inst;
     const uint32_t flags = slot.flags;
 
-    if constexpr (kTrace) {
-        if (trace_)
-            trace_(pc, inst);
-    }
+    if (trace_)
+        trace_(pc, inst);
 
     uint64_t nextPc = pc + 4;
     LatClass lat = LatClass::Alu;
@@ -513,7 +487,7 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
         break;
 
       case Opcode::BOP: {
-        if (auto target = bopExec<kHasRi>(inst.bank, pc, hs.retired,
+        if (auto target = bopExec(inst.bank, pc, hs.retired,
                                           ropStall, bopProbed, bopHit,
                                           jteOpcode))
             nextPc = *target;
@@ -538,8 +512,6 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
         for (ScdBank &bank : banks_)
             bank.ropValid = false;
         ctrl = CtrlKind::JteFlush;
-        if constexpr (!kHasRi)
-            timing_.jteFlush();
         break;
 
       default:
@@ -547,32 +519,6 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
         // a guest error, not a simulator bug.
         fatal("unimplemented opcode ", isa::mnemonic(inst.op), " at pc=",
               pc);
-    }
-
-    if constexpr (!kHasRi) {
-        // Functional-only mode: mirror the timed front end's
-        // architecturally-determined BTB writes so the branch entries
-        // sharing sets with JTEs evolve identically and bop sees the same
-        // residency as under InOrderTiming (see ArchShadow). Bodies are in
-        // functional_core_inl.hh, shared with the threaded tier.
-        switch (ctrl) {
-          case CtrlKind::Conditional:
-            if (taken)
-                shadowInsertB(pc, nextPc);
-            break;
-          case CtrlKind::Jal:
-            shadowInsertB(pc, nextPc);
-            break;
-          case CtrlKind::Jalr:
-            if (!isReturn)
-                shadowJalr(pc, nextPc, hintReg, hintValue);
-            break;
-          case CtrlKind::Jru:
-            shadowJru(inst.bank, pc, nextPc, jteIns, jteOpcode);
-            break;
-          default:
-            break;
-        }
     }
 
     // ---- retire ----------------------------------------------------------
@@ -586,124 +532,47 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
     ++hs.retired;
     hs.pc = nextPc;
 
-    if constexpr (kHasRi) {
-        ri->pc = pc;
-        ri->nextPc = nextPc;
-        ri->flags = flags;
-        ri->rd = inst.rd;
-        ri->rs1 = inst.rs1;
-        ri->rs2 = inst.rs2;
-        ri->bank = inst.bank;
-        ri->op = static_cast<uint8_t>(inst.op);
-        ri->ctrl = ctrl;
-        ri->lat = lat;
-        ri->cls = cls;
-        ri->taken = taken;
-        ri->isReturn = isReturn;
-        ri->writesInt = writesInt;
-        ri->writesFp = writesFp;
-        ri->hasMem = hasMem;
-        ri->memIsStore = memIsStore;
-        ri->memAddr = memAddr;
-        ri->hintReg = hintReg;
-        ri->hintValue = hintValue;
-        ri->ropStall = ropStall;
-        ri->bopProbed = bopProbed;
-        ri->bopHit = bopHit;
-        ri->jteInsert = jteIns;
-        ri->jteOpcode = jteOpcode;
-        ri->jteTarget = nextPc;
-    }
+    ri->pc = pc;
+    ri->nextPc = nextPc;
+    ri->flags = flags;
+    ri->rd = inst.rd;
+    ri->rs1 = inst.rs1;
+    ri->rs2 = inst.rs2;
+    ri->bank = inst.bank;
+    ri->op = static_cast<uint8_t>(inst.op);
+    ri->ctrl = ctrl;
+    ri->lat = lat;
+    ri->cls = cls;
+    ri->taken = taken;
+    ri->isReturn = isReturn;
+    ri->writesInt = writesInt;
+    ri->writesFp = writesFp;
+    ri->hasMem = hasMem;
+    ri->memIsStore = memIsStore;
+    ri->memAddr = memAddr;
+    ri->hintReg = hintReg;
+    ri->hintValue = hintValue;
+    ri->ropStall = ropStall;
+    ri->bopProbed = bopProbed;
+    ri->bopHit = bopHit;
+    ri->jteInsert = jteIns;
+    ri->jteOpcode = jteOpcode;
+    ri->jteTarget = nextPc;
     return !exited_;
-}
-
-template bool FunctionalCore::stepImpl<true, true>(RetireInfo *ri,
-                                                   HotState &hs);
-template bool FunctionalCore::stepImpl<false, true>(RetireInfo *ri,
-                                                    HotState &hs);
-
-#if defined(__GNUC__)
-// Inline the whole step body (and everything it calls) into the loop so
-// loop-invariant state (text base, decode table pointers) stays hoisted.
-__attribute__((flatten))
-#endif
-void
-FunctionalCore::runFunctional(uint64_t maxInstructions)
-{
-    if (tier_ != DispatchTier::Switch && !trace_) {
-        // Tracing wants the per-instruction hook probe; keep it on the
-        // reference interpreter, whose semantics the trace documents.
-        if (tier_ == DispatchTier::Jit && jitTierAvailable()) {
-            ensureJit().runFunctional(maxInstructions);
-        } else {
-            if (tier_ == DispatchTier::Jit) {
-                static bool noticed = false;
-                if (!noticed) {
-                    noticed = true;
-                    warn("jit tier unavailable in this build "
-                         "(non-x86-64 host or portable dispatch); "
-                         "running on the threaded tier");
-                }
-            }
-            ensureThreaded().runFunctional(maxInstructions);
-        }
-        return;
-    }
-    HotState hs{pc_, retired_, dispatchInstructions_};
-    if (watchdog_.armed()) {
-        // Watchdog-armed runs step in bounded bursts so the deadline is
-        // checked every kCheckInterval instructions without touching
-        // the unarmed fast loops below. A TimeoutError propagates with
-        // the hot state already folded back by the catch block.
-        try {
-            bool live = true;
-            while (live &&
-                   (maxInstructions == 0 || hs.retired < maxInstructions)) {
-                uint64_t burst = hs.retired + Watchdog::kCheckInterval;
-                if (maxInstructions != 0 && burst > maxInstructions)
-                    burst = maxInstructions;
-                while (hs.retired < burst &&
-                       (live = stepImpl<false, true>(nullptr, hs))) {
-                }
-                watchdog_.expire();
-            }
-        } catch (...) {
-            pc_ = hs.pc;
-            retired_ = hs.retired;
-            dispatchInstructions_ = hs.dispatchInstructions;
-            throw;
-        }
-    } else if (trace_) {
-        // Rare: tracing a functional-only run. Keep the hook probe.
-        while ((maxInstructions == 0 || hs.retired < maxInstructions) &&
-               stepImpl<false, true>(nullptr, hs)) {
-        }
-    } else if (maxInstructions == 0) {
-        while (stepImpl<false, false>(nullptr, hs)) {
-        }
-    } else {
-        while (hs.retired < maxInstructions &&
-               stepImpl<false, false>(nullptr, hs)) {
-        }
-    }
-    pc_ = hs.pc;
-    retired_ = hs.retired;
-    dispatchInstructions_ = hs.dispatchInstructions;
 }
 
 size_t
 FunctionalCore::runRecorded(RetireInfo *out, size_t cap)
 {
-    // Recorded runs execute on the threaded tier for the jit tier too:
-    // the JIT compiles only the functional mode, so RetireInfo streams —
-    // and everything downstream of them — are identical by construction.
+    // Tracing wants the per-instruction hook probe; keep it on the
+    // reference interpreter, whose semantics the trace documents.
     if (tier_ != DispatchTier::Switch && !trace_)
         return ensureThreaded().runRecorded(out, cap);
     HotState hs{pc_, retired_, dispatchInstructions_};
     size_t n = 0;
     bool live = true;
     while (live && n < cap)
-        live = stepImpl<true, true>(&out[n++], hs);
+        live = stepImpl(&out[n++], hs);
     pc_ = hs.pc;
     retired_ = hs.retired;
     dispatchInstructions_ = hs.dispatchInstructions;

@@ -3,9 +3,8 @@
  * The functional half of the simulated core: architectural state (integer
  * and FP register files, the SCD register banks Rop/Rmask/Rbop-pc, guest
  * memory, syscalls) and one-instruction execution. Each step emits a
- * compact RetireInfo record for the attached TimingModel; run without one
- * (timing model with needsRetireInfo() == false) the step is a pure
- * instruction emulator, the fast path of the functional-only mode.
+ * compact RetireInfo record for the attached TimingModel or, through
+ * runRecorded(), for a replay group's timing consumers.
  */
 
 #ifndef SCD_CPU_FUNCTIONAL_CORE_HH
@@ -30,19 +29,11 @@
 #include "retire_info.hh"
 #include "watchdog.hh"
 
-namespace scd::branch
-{
-class Btb;
-class JteTable;
-class Vbbi;
-}
-
 namespace scd::cpu
 {
 
 class TimingModel;
 class ThreadedTier;
-class JitTier;
 
 /**
  * Program metadata supplied by the guest builders: which PC ranges belong
@@ -77,8 +68,8 @@ class FunctionalCore
     void setDispatchMeta(const DispatchMeta &meta);
 
     /**
-     * Select the execution tier used by runFunctional()/runRecorded()
-     * (default: defaultDispatchTier()). step() always runs the reference
+     * Select the execution tier used by runRecorded() (default:
+     * defaultDispatchTier()). step() always runs the reference
      * interpreter; the tiers retire bit-identical streams either way.
      */
     void setDispatchTier(DispatchTier tier) { tier_ = tier; }
@@ -89,29 +80,19 @@ class FunctionalCore
     void setTraceHook(TraceHook hook) { trace_ = std::move(hook); }
 
     /**
-     * Execute one instruction. With @p ri non-null the record is filled
-     * for the timing model; with null all retirement bookkeeping is
-     * skipped and JTE maintenance goes directly to the timing model.
-     * Returns false once the guest has exited.
+     * Execute one instruction on the reference interpreter and fill @p ri
+     * for the timing model. Returns false once the guest has exited.
      */
     bool
     step(RetireInfo *ri)
     {
         HotState hs{pc_, retired_, dispatchInstructions_};
-        bool live = ri ? stepImpl<true, true>(ri, hs)
-                       : stepImpl<false, true>(nullptr, hs);
+        bool live = stepImpl(ri, hs);
         pc_ = hs.pc;
         retired_ = hs.retired;
         dispatchInstructions_ = hs.dispatchInstructions;
         return live;
     }
-
-    /**
-     * Run without retirement bookkeeping until the guest exits or
-     * @p maxInstructions retire (0 = unlimited). The loop lives next to
-     * the step body so the whole fast path inlines into one frame.
-     */
-    void runFunctional(uint64_t maxInstructions);
 
     /**
      * Execute and record: fill up to @p cap RetireInfo records (the
@@ -187,14 +168,7 @@ class FunctionalCore
         uint64_t dispatchInstructions;
     };
 
-    /**
-     * The step body, compiled per mode: with kHasRi the RetireInfo record
-     * is populated; without it the outcome-tracking locals are dead and
-     * the optimizer strips them, which is what makes the functional-only
-     * mode fast. kTrace compiles the trace-hook probe in or out; the
-     * fast loop drops it when no hook is attached.
-     */
-    template <bool kHasRi, bool kTrace>
+    /** The step body: execute one instruction and fill @p ri. */
     bool stepImpl(RetireInfo *ri, HotState &hs);
 
     void handleSyscall();
@@ -205,14 +179,7 @@ class FunctionalCore
     // ---- semantics helpers shared by both dispatch tiers ----------------
     // Defined inline in functional_core_inl.hh and included by both
     // functional_core.cc and threaded_tier.cc: one body per semantic
-    // rule, so the tiers cannot drift apart. The shadow* helpers mirror
-    // the timed front end's architecturally-determined BTB writes in
-    // functional-only mode (see the shadowBtb_ comment below).
-    inline void shadowInsertB(uint64_t pc, uint64_t target);
-    inline void shadowJalr(uint64_t pc, uint64_t nextPc, int16_t hintReg,
-                           uint64_t hintValue);
-    inline void shadowJru(uint8_t bank, uint64_t pc, uint64_t nextPc,
-                          bool jteIns, uint64_t jteOpcode);
+    // rule, so the tiers cannot drift apart.
     /** jru's Rop consumption; returns whether a JTE insert is due. */
     inline bool jruConsume(uint8_t bank, uint64_t &jteOpcode);
     /**
@@ -221,7 +188,6 @@ class FunctionalCore
      * retire index of the bop itself. Returns the short-circuit target
      * on a hit.
      */
-    template <bool kHasRi>
     inline std::optional<uint64_t>
     bopExec(uint8_t bank, uint64_t pc, uint64_t retiredIdx,
             uint32_t &ropStall, bool &bopProbed, bool &bopHit,
@@ -285,17 +251,6 @@ class FunctionalCore
     mem::GuestMemory &mem_;
     TimingModel &timing_; ///< JTE port only; never charged cycles here
 
-    /**
-     * Cached shadow pointers (null with a RetireInfo consumer): in the
-     * functional-only mode the step body mirrors the timed front end's
-     * architecturally-determined BTB writes through these so JTE
-     * residency — and hence the retired instruction stream — matches
-     * InOrderTiming's. See ArchShadow in timing_model.hh.
-     */
-    branch::Btb *shadowBtb_ = nullptr;
-    branch::Vbbi *shadowVbbi_ = nullptr;
-    branch::JteTable *shadowJtes_ = nullptr; ///< dedicated-table ablation
-
     // Decoded text segment.
     uint64_t textBase_ = 0;
     uint64_t textLimit_ = 0; ///< text size in bytes (4 * slots_.size())
@@ -331,14 +286,6 @@ class FunctionalCore
     DispatchTier tier_ = defaultDispatchTier();
     std::unique_ptr<ThreadedTier> threaded_;
     ThreadedTier &ensureThreaded();
-
-    // The JIT execution tier (src/cpu/jit_tier.hh), layered on the
-    // threaded tier as its warmup/fallback substrate. Declared after
-    // threaded_ so it is destroyed first: its destructor detaches the
-    // profiling hook it installed into the substrate.
-    friend class JitTier;
-    std::unique_ptr<JitTier> jit_;
-    JitTier &ensureJit();
 };
 
 } // namespace scd::cpu

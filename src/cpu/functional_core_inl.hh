@@ -2,9 +2,9 @@
  * @file
  * Shared semantic helper bodies of the FunctionalCore, included by both
  * the reference interpreter (functional_core.cc) and the threaded tier
- * (threaded_tier.cc). Every rule with tier-visible consequences — the
- * functional-only shadow-BTB mirroring, jru's Rop consumption, and bop's
- * eligibility/probe/counter protocol — lives here exactly once, so the
+ * (threaded_tier.cc). Every rule with tier-visible consequences — jru's
+ * Rop consumption and bop's eligibility/probe/counter protocol — lives
+ * here exactly once, so the
  * two tiers execute the same code and cannot drift apart. The bodies are
  * inline because they sit on both tiers' per-control-instruction paths.
  */
@@ -12,61 +12,11 @@
 #ifndef SCD_CPU_FUNCTIONAL_CORE_INL_HH
 #define SCD_CPU_FUNCTIONAL_CORE_INL_HH
 
-#include "branch/btb.hh"
-#include "branch/jte_table.hh"
-#include "branch/vbbi.hh"
 #include "functional_core.hh"
 #include "timing_model.hh"
 
 namespace scd::cpu
 {
-
-/**
- * Probe-then-insert mirror of the timed front end's BTB write for a
- * taken direct transfer. Nothing in functional-only mode ever reads a B
- * entry's target or recency, so the refresh insert() would do on a hit
- * is unobservable and skipped.
- */
-inline void
-FunctionalCore::shadowInsertB(uint64_t pc, uint64_t target)
-{
-    if (shadowBtb_ && !shadowBtb_->containsBranchKey(pc))
-        shadowBtb_->insertPc(pc, target);
-}
-
-/** Shadow write of a non-return jalr (VBBI or plain BTB insertion). */
-inline void
-FunctionalCore::shadowJalr(uint64_t pc, uint64_t nextPc, int16_t hintReg,
-                           uint64_t hintValue)
-{
-    if (config_.vbbiEnabled && hintReg >= 0) {
-        if (shadowVbbi_)
-            shadowVbbi_->update(pc, hintValue, nextPc);
-    } else if (!config_.ittageEnabled) {
-        shadowInsertB(pc, nextPc);
-    }
-}
-
-/**
- * Shadow writes of a jru: the B entry goes in before its JTE, matching
- * the timed retire order.
- */
-inline void
-FunctionalCore::shadowJru(uint8_t bank, uint64_t pc, uint64_t nextPc,
-                          bool jteIns, uint64_t jteOpcode)
-{
-    shadowInsertB(pc, nextPc);
-    if (jteIns) {
-        if (shadowJtes_) {
-            shadowJtes_->insert(bank, jteOpcode, nextPc);
-        } else if (shadowBtb_) {
-            if (!shadowBtb_->tryRefreshJte(bank, jteOpcode, nextPc))
-                shadowBtb_->insertJte(bank, jteOpcode, nextPc);
-        } else {
-            timing_.jteInsert(bank, jteOpcode, nextPc);
-        }
-    }
-}
 
 inline bool
 FunctionalCore::jruConsume(uint8_t bank, uint64_t &jteOpcode)
@@ -76,15 +26,13 @@ FunctionalCore::jruConsume(uint8_t bank, uint64_t &jteOpcode)
         jteOpcode = b.ropData;
         ++jteInserts_;
         b.ropValid = false;
-        // The insertion itself happens in the caller's shadow step (or
-        // the replay consumer's), after the B entry, matching the timed
-        // retire order.
+        // The insertion itself happens when the timing model (or a replay
+        // consumer) retires the jru, after the B entry.
         return true;
     }
     return false;
 }
 
-template <bool kHasRi>
 inline std::optional<uint64_t>
 FunctionalCore::bopExec(uint8_t bankIdx, uint64_t pc, uint64_t retiredIdx,
                         uint32_t &ropStall, bool &bopProbed, bool &bopHit,
@@ -113,18 +61,7 @@ FunctionalCore::bopExec(uint8_t bankIdx, uint64_t pc, uint64_t retiredIdx,
         // feeds the architectural stream.
         bopProbed = true;
         jteOpcode = bank.ropData;
-        if constexpr (!kHasRi) {
-            // Probe the shadow structures directly (inlinable) rather
-            // than through the virtual JTE port.
-            if (shadowJtes_)
-                target = shadowJtes_->lookup(bankIdx, bank.ropData);
-            else if (shadowBtb_)
-                target = shadowBtb_->lookupJteFast(bankIdx, bank.ropData);
-            else
-                target = timing_.jteLookup(bankIdx, bank.ropData);
-        } else {
-            target = timing_.jteLookup(bankIdx, bank.ropData);
-        }
+        target = timing_.jteLookup(bankIdx, bank.ropData);
         bopHit = target.has_value();
     }
     if (target) {

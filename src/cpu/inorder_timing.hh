@@ -45,10 +45,6 @@ class InOrderTiming : public TimingModel
 
     std::optional<uint64_t> jteLookup(uint8_t bank,
                                       uint64_t opcode) override;
-    void jteInsert(uint8_t bank, uint64_t opcode, uint64_t target) override;
-    void jteFlush() override;
-
-    bool needsRetireInfo() const override { return true; }
     void retire(const RetireInfo &ri) override;
 
     /**
@@ -79,6 +75,11 @@ class InOrderTiming : public TimingModel
     void setIssueWidth(unsigned width) { width_ = width; }
 
   private:
+    /** Insert/refresh a JTE (a retiring jru with a pending insert). */
+    void jteInsert(uint8_t bank, uint64_t opcode, uint64_t target);
+    /** Invalidate all JTEs (a retiring jte.flush). */
+    void jteFlush();
+
     void chargeFetch(uint64_t pc);
     uint64_t dataAccess(uint64_t addr, bool write);
     void redirect(unsigned penalty);

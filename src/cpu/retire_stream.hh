@@ -83,9 +83,9 @@ class RetireStream
  * permanently empty. Every eligible bop misses, so the recorded stream
  * contains the slow dispatch path for every dispatch — the superset from
  * which any consumer's execution is a prefix-preserving subsequence.
- * Inserts and flushes are no-ops (there is nothing to hold), and no
- * cycles exist; the producer's FunctionalCore is stepped manually with a
- * RetireInfo record, so retire() is never on the hot path.
+ * retire() ignores jru inserts and flushes (there is nothing to hold),
+ * and no cycles exist; the producer's FunctionalCore runs through
+ * runRecorded(), so retire() is never on the hot path.
  */
 class RecorderTiming : public TimingModel
 {
@@ -96,10 +96,6 @@ class RecorderTiming : public TimingModel
         return std::nullopt;
     }
 
-    void jteInsert(uint8_t, uint64_t, uint64_t) override {}
-    void jteFlush() override {}
-
-    bool needsRetireInfo() const override { return true; }
     void retire(const RetireInfo &) override {}
     uint64_t cycles() const override { return 0; }
     void exportStats(StatGroup &) const override {}

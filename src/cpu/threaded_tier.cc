@@ -1,12 +1,12 @@
 /**
  * @file
  * Threaded-code executor of the FunctionalCore (see threaded_tier.hh for
- * the design). The file has three parts: the slot lowering + the
- * process-global translation cache, the handler-threaded executor
- * (ThreadedTier::exec, one handler per opcode, written once and compiled
- * in both computed-goto and switch forms), and the run loops that burst
- * the executor between watchdog checks / budget boundaries /
- * retranslation pauses.
+ * the design). The file has three parts: the slot representation, its
+ * lowering and the process-global translation cache; the handler-threaded
+ * executor (ThreadedTier::exec, one handler per opcode, written once and
+ * compiled in both computed-goto and switch forms); and the run loop that
+ * bursts the executor between budget boundaries and retranslation
+ * pauses.
  *
  * SCD_COMPUTED_GOTO is defined (to 1) by the build system when the
  * compiler supports GNU address-of-label / computed goto and
@@ -30,7 +30,7 @@
 #include "common/logging.hh"
 #include "functional_core_inl.hh"
 #include "isa/instruction.hh"
-#include "tslot.hh"
+#include "isa/opcode.hh"
 
 #ifndef SCD_COMPUTED_GOTO
 #define SCD_COMPUTED_GOTO 0
@@ -47,16 +47,94 @@ threadedTierUsesComputedGoto()
     return SCD_COMPUTED_GOTO != 0;
 }
 
-// TSlot/TProgram/HOp and the division corner-case helpers live in
-// tslot.hh, shared with the JIT tier (jit_tier.cc) so both tiers lower
-// and interpret the same slot stream.
+/**
+ * Handler index of a translated slot. Real opcodes map by identity (the
+ * list below reuses SCD_OPCODE_LIST, so the enum values coincide with
+ * isa::Opcode); the two extras are the sentinel slots appended past the
+ * translated text: EndOfText faults a fall-through off the last
+ * instruction, BadPc faults a computed transfer whose target was outside
+ * text — one instruction *after* the transfer retired, exactly when the
+ * reference interpreter's next fetch would have faulted.
+ */
+enum class HOp : uint8_t
+{
+#define SCD_HOP_ENUM(name, mnem, fmt, flags) name,
+    SCD_OPCODE_LIST(SCD_HOP_ENUM)
+#undef SCD_HOP_ENUM
+    EndOfText,
+    BadPc,
+    NumHops
+};
+
+static_assert(size_t(HOp::EndOfText) == isa::kNumOpcodes,
+              "HOp must mirror the opcode list");
+
+/** TSlot::aux value meaning "taken target is outside text". */
+constexpr uint32_t kNoTarget = UINT32_MAX;
+
+/**
+ * One translated instruction: the handler index for its opcode plus the
+ * operands pre-decoded so no handler ever touches the original text. aux
+ * pre-resolves the taken-successor *slot index* of direct branches and
+ * jal, turning a taken transfer into one pointer assignment. Padded to 32
+ * bytes so slot indexing is a shift.
+ */
+struct alignas(32) TSlot
+{
+    int64_t imm = 0;          ///< sign-extended immediate
+    uint32_t aux = kNoTarget; ///< taken-target slot index (direct only)
+    uint32_t flags = 0;       ///< FunctionalCore's cached flag word
+    uint8_t rd = 0;
+    uint8_t rs1 = 0;
+    uint8_t rs2 = 0;
+    uint8_t bank = 0;
+    uint8_t hop = 0;          ///< HOp handler index
+    uint8_t op = 0;           ///< original isa::Opcode (RetireInfo::op)
+};
+static_assert(sizeof(TSlot) == 32, "TSlot indexing wants a power of two");
+
+/** A translated text segment: nReal lowered slots + the two sentinels. */
+struct TProgram
+{
+    uint64_t textBase = 0;
+    size_t nReal = 0;
+    std::vector<TSlot> slots; ///< size nReal + 2
+};
+
+/** SRV64 division/multiply corner-case semantics. */
+inline uint64_t
+sdivVal(int64_t a, int64_t b)
+{
+    if (b == 0)
+        return ~uint64_t(0);
+    if (a == INT64_MIN && b == -1)
+        return uint64_t(INT64_MIN);
+    return uint64_t(a / b);
+}
+
+inline uint64_t
+sremVal(int64_t a, int64_t b)
+{
+    if (b == 0)
+        return uint64_t(a);
+    if (a == INT64_MIN && b == -1)
+        return 0;
+    return uint64_t(a % b);
+}
+
+inline uint64_t
+mulhVal(int64_t a, int64_t b)
+{
+    return uint64_t((static_cast<__int128>(a) * static_cast<__int128>(b)) >>
+                    64);
+}
 
 namespace
 {
 
 TSlot
 lowerSlot(const isa::Instruction &inst, uint32_t flags, size_t idx,
-          uint64_t limitBytes, const void *const *labels)
+          uint64_t limitBytes)
 {
     TSlot ts;
     ts.imm = inst.imm;
@@ -86,19 +164,15 @@ lowerSlot(const isa::Instruction &inst, uint32_t flags, size_t idx,
       default:
         break;
     }
-    if (labels)
-        ts.fh = labels[ts.hop];
     return ts;
 }
 
 TSlot
-sentinelSlot(HOp hop, const void *const *labels)
+sentinelSlot(HOp hop)
 {
     TSlot ts;
     ts.op = uint8_t(Opcode::EBREAK);
     ts.hop = uint8_t(hop);
-    if (labels)
-        ts.fh = labels[ts.hop];
     return ts;
 }
 
@@ -148,21 +222,11 @@ resetThreadedCache()
 // The executor.
 // ---------------------------------------------------------------------------
 
-template <bool kHasRi, bool kBounded, bool kJit>
 ThreadedTier::ExecStatus
-ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
-                   uint64_t budget, const void *const **labelQuery)
+ThreadedTier::exec(Cursor &cur, RetireInfo *ri, uint64_t budget)
 {
-    [[maybe_unused]] constexpr bool kDirect = !kHasRi && !kBounded && !kJit;
-    static_assert(!kJit || (!kHasRi && kBounded),
-                  "the JIT profiles only bounded functional bursts");
-
 #if SCD_COMPUTED_GOTO
-    // One label per handler, in HOp order. The array is per template
-    // instantiation (labels are function-local), which is why only the
-    // hot unbounded functional executor direct-threads through TSlot::fh
-    // — the bounded and recording executors token-thread through their
-    // own tables below.
+    // One label per handler, in HOp order; slots token-thread through it.
     static const void *const kLabels[] = {
 #define SCD_HOP_LABEL(name, mnem, fmt, flags) &&L_##name,
         SCD_OPCODE_LIST(SCD_HOP_LABEL)
@@ -171,18 +235,10 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
         &&L_BadPc,
     };
     static_assert(std::size(kLabels) == size_t(HOp::NumHops));
-    if (labelQuery) {
-        *labelQuery = kLabels;
-        return ExecStatus::Budget;
-    }
-#else
-    (void)labelQuery;
 #endif
-    (void)ri;
-    (void)budget;
 
-    FunctionalCore &c = t->core_;
-    const TProgram &p = t->prog();
+    FunctionalCore &c = core_;
+    const TProgram &p = prog();
     const TSlot *const base = p.slots.data();
     const TSlot *const badSlot = base + p.nReal + 1;
     const uint64_t tb = p.textBase;
@@ -192,18 +248,12 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
     uint64_t dispatch = cur.dispatch;
 
 // The architectural pc of the current slot — handlers only materialize it
-// when an instruction actually needs one (record mode, control flow).
+// when an instruction actually needs one.
 #define SCD_PC() (tb + (uint64_t(ip - base) << 2))
 
 #if SCD_COMPUTED_GOTO
 #define SCD_CASE(name) L_##name:
-#define SCD_DISPATCH()                                                       \
-    do {                                                                     \
-        if constexpr (kDirect)                                               \
-            goto *const_cast<void *>(ip->fh);                                \
-        else                                                                 \
-            goto *const_cast<void *>(kLabels[ip->hop]);                      \
-    } while (0)
+#define SCD_DISPATCH() goto *const_cast<void *>(kLabels[ip->hop])
 #else
 #define SCD_CASE(name) case HOp::name:
 #define SCD_DISPATCH() goto portable_dispatch
@@ -214,8 +264,7 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
     do {                                                                     \
         dispatch += (ip->flags >> FunctionalCore::kDispatchRangeShift) & 1;  \
         ++retired;                                                           \
-        if constexpr (kHasRi)                                                \
-            ++ri;                                                            \
+        ++ri;                                                                \
     } while (0)
 
 // Retire the current instruction and chain into the slot at `slotp`.
@@ -223,52 +272,25 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
     do {                                                                     \
         SCD_ACCOUNT();                                                       \
         ip = (slotp);                                                        \
-        if constexpr (kBounded) {                                            \
-            if (--budget == 0)                                               \
-                goto pause_budget;                                           \
-        }                                                                    \
+        if (--budget == 0)                                                   \
+            goto pause_budget;                                               \
         SCD_DISPATCH();                                                      \
     } while (0)
 
-// Control-transfer edge into the slot at `slotp`: in kJit bursts the
-// target is a potential superblock head — if it is compiled (or its
-// counter just crossed the threshold) the transfer retires and the burst
-// pauses *at* the target so the JIT run loop can enter (or build) the
-// compiled block. Fall-through chains never come through here: heads
-// only form where control actually jumps.
-#define SCD_EDGE(slotp)                                                      \
-    do {                                                                     \
-        if constexpr (kJit) {                                                \
-            const TSlot *tslot_ = (slotp);                                   \
-            if (t->jitEdgeHot(size_t(tslot_ - base))) [[unlikely]] {         \
-                SCD_ACCOUNT();                                               \
-                ip = tslot_;                                                 \
-                if constexpr (kBounded) {                                    \
-                    if (--budget == 0)                                       \
-                        goto pause_budget;                                   \
-                }                                                            \
-                goto pause_jit;                                              \
-            }                                                                \
-        }                                                                    \
-        SCD_NEXT(slotp);                                                     \
-    } while (0)
-
-// Record-mode base fields; value-init first so every field is defined
+// RetireInfo base fields; value-init first so every field is defined
 // with the same defaults stepImpl's locals start from.
 #define SCD_SET_RI(pcv, nextv)                                               \
     do {                                                                     \
-        if constexpr (kHasRi) {                                              \
-            *ri = RetireInfo{};                                              \
-            ri->pc = (pcv);                                                  \
-            ri->nextPc = (nextv);                                            \
-            ri->jteTarget = ri->nextPc;                                      \
-            ri->flags = ip->flags;                                           \
-            ri->rd = ip->rd;                                                 \
-            ri->rs1 = ip->rs1;                                               \
-            ri->rs2 = ip->rs2;                                               \
-            ri->bank = ip->bank;                                             \
-            ri->op = ip->op;                                                 \
-        }                                                                    \
+        *ri = RetireInfo{};                                                  \
+        ri->pc = (pcv);                                                      \
+        ri->nextPc = (nextv);                                                \
+        ri->jteTarget = ri->nextPc;                                          \
+        ri->flags = ip->flags;                                               \
+        ri->rd = ip->rd;                                                     \
+        ri->rs1 = ip->rs1;                                                   \
+        ri->rs2 = ip->rs2;                                                   \
+        ri->bank = ip->bank;                                                 \
+        ri->op = ip->op;                                                     \
     } while (0)
 
 // Retire, then transfer to a *computed* target pc: in-text targets chain
@@ -279,7 +301,7 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
         uint64_t targ_ = (targetExpr);                                       \
         uint64_t off_ = targ_ - tb;                                          \
         if (off_ < limit && (off_ & 3) == 0) [[likely]]                      \
-            SCD_EDGE(base + (off_ >> 2));                                    \
+            SCD_NEXT(base + (off_ >> 2));                                    \
         cur.pendingBadPc = targ_;                                            \
         SCD_NEXT(badSlot);                                                   \
     } while (0)
@@ -288,7 +310,7 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
 #define SCD_TAKE_AUX(badPcExpr)                                              \
     do {                                                                     \
         if (ip->aux != kNoTarget) [[likely]]                                 \
-            SCD_EDGE(base + ip->aux);                                        \
+            SCD_NEXT(base + ip->aux);                                        \
         cur.pendingBadPc = (badPcExpr);                                      \
         SCD_NEXT(badSlot);                                                   \
     } while (0)
@@ -307,10 +329,8 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
         [[maybe_unused]] double fb = c.f_[ip->rs2];                          \
         uint64_t val = (__VA_ARGS__);                                        \
         SCD_SET_RI(SCD_PC(), SCD_PC() + 4);                                  \
-        if constexpr (kHasRi) {                                              \
-            ri->lat = (latv);                                                \
-            ri->writesInt = ip->rd != 0;                                     \
-        }                                                                    \
+        ri->lat = (latv);                                                    \
+        ri->writesInt = ip->rd != 0;                                         \
         if (ip->rd != 0)                                                     \
             c.x_[ip->rd] = val;                                              \
         SCD_NEXT(ip + 1);                                                    \
@@ -325,22 +345,18 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
         [[maybe_unused]] int64_t srs1 = int64_t(urs1);                       \
         double val = (__VA_ARGS__);                                          \
         SCD_SET_RI(SCD_PC(), SCD_PC() + 4);                                  \
-        if constexpr (kHasRi) {                                              \
-            ri->lat = (latv);                                                \
-            ri->writesFp = true;                                             \
-        }                                                                    \
+        ri->lat = (latv);                                                    \
+        ri->writesFp = true;                                                 \
         c.f_[ip->rd] = val;                                                  \
         SCD_NEXT(ip + 1);                                                    \
     }
 
 #define SCD_H_LOAD_TAIL()                                                    \
     SCD_SET_RI(SCD_PC(), SCD_PC() + 4);                                      \
-    if constexpr (kHasRi) {                                                  \
-        ri->lat = LatClass::Load;                                            \
-        ri->writesInt = ip->rd != 0;                                         \
-        ri->hasMem = true;                                                   \
-        ri->memAddr = addr;                                                  \
-    }                                                                        \
+    ri->lat = LatClass::Load;                                                \
+    ri->writesInt = ip->rd != 0;                                             \
+    ri->hasMem = true;                                                       \
+    ri->memAddr = addr;                                                      \
     if (ip->rd != 0)                                                         \
         c.x_[ip->rd] = val;                                                  \
     SCD_NEXT(ip + 1)
@@ -367,26 +383,22 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
 
 // Stores retire normally, then pause for retranslation if they dirtied
 // text (FunctionalCore::noteIfTextWrite re-decoded the slots and flagged
-// us) — the handler-chain pointers stay valid to the burst boundary.
+// us) — the slot stream stays valid to the burst boundary.
 #define SCD_H_STORE(name, width, ...)                                        \
     SCD_CASE(name) {                                                         \
         uint64_t addr = c.x_[ip->rs1] + uint64_t(ip->imm);                   \
         __VA_ARGS__;                                                         \
         c.noteIfTextWrite(addr, (width));                                    \
         SCD_SET_RI(SCD_PC(), SCD_PC() + 4);                                  \
-        if constexpr (kHasRi) {                                              \
-            ri->hasMem = true;                                               \
-            ri->memIsStore = true;                                           \
-            ri->memAddr = addr;                                              \
-        }                                                                    \
+        ri->hasMem = true;                                                   \
+        ri->memIsStore = true;                                               \
+        ri->memAddr = addr;                                                  \
         SCD_ACCOUNT();                                                       \
         ip = ip + 1;                                                         \
-        if (t->dirtyPending_) [[unlikely]]                                   \
+        if (dirtyPending_) [[unlikely]]                                      \
             goto pause_retranslate;                                          \
-        if constexpr (kBounded) {                                            \
-            if (--budget == 0)                                               \
-                goto pause_budget;                                           \
-        }                                                                    \
+        if (--budget == 0)                                                   \
+            goto pause_budget;                                               \
         SCD_DISPATCH();                                                      \
     }
 
@@ -398,17 +410,12 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
         [[maybe_unused]] int64_t srs2 = int64_t(urs2);                       \
         bool taken = (__VA_ARGS__);                                          \
         c.countBranch(BranchClass::Conditional);                             \
-        if constexpr (kHasRi) {                                              \
-            uint64_t pcv = SCD_PC();                                         \
-            SCD_SET_RI(pcv, taken ? pcv + uint64_t(ip->imm) : pcv + 4);      \
-            ri->ctrl = CtrlKind::Conditional;                                \
-            ri->taken = taken;                                               \
-        }                                                                    \
-        if (taken) {                                                         \
-            if constexpr (!kHasRi)                                           \
-                c.shadowInsertB(SCD_PC(), SCD_PC() + uint64_t(ip->imm));     \
-            SCD_TAKE_AUX(SCD_PC() + uint64_t(ip->imm));                      \
-        }                                                                    \
+        uint64_t pcv = SCD_PC();                                             \
+        SCD_SET_RI(pcv, taken ? pcv + uint64_t(ip->imm) : pcv + 4);          \
+        ri->ctrl = CtrlKind::Conditional;                                    \
+        ri->taken = taken;                                                   \
+        if (taken)                                                           \
+            SCD_TAKE_AUX(pcv + uint64_t(ip->imm));                           \
         SCD_NEXT(ip + 1);                                                    \
     }
 
@@ -473,14 +480,10 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
         uint64_t pcv = SCD_PC();
         uint64_t target = pcv + uint64_t(ip->imm);
         c.countBranch(BranchClass::DirectJump);
-        if constexpr (kHasRi) {
-            SCD_SET_RI(pcv, target);
-            ri->ctrl = CtrlKind::Jal;
-            ri->cls = BranchClass::DirectJump;
-            ri->writesInt = ip->rd != 0;
-        } else {
-            c.shadowInsertB(pcv, target);
-        }
+        SCD_SET_RI(pcv, target);
+        ri->ctrl = CtrlKind::Jal;
+        ri->cls = BranchClass::DirectJump;
+        ri->writesInt = ip->rd != 0;
         if (ip->rd != 0)
             c.x_[ip->rd] = pcv + 4;
         SCD_TAKE_AUX(target);
@@ -506,17 +509,13 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
                 hintValue = c.x_[hintReg];
         }
         c.countBranch(cls);
-        if constexpr (kHasRi) {
-            SCD_SET_RI(pcv, target);
-            ri->ctrl = CtrlKind::Jalr;
-            ri->cls = cls;
-            ri->isReturn = isRet;
-            ri->writesInt = ip->rd != 0;
-            ri->hintReg = hintReg;
-            ri->hintValue = hintValue;
-        } else if (!isRet) {
-            c.shadowJalr(pcv, target, hintReg, hintValue);
-        }
+        SCD_SET_RI(pcv, target);
+        ri->ctrl = CtrlKind::Jalr;
+        ri->cls = cls;
+        ri->isReturn = isRet;
+        ri->writesInt = ip->rd != 0;
+        ri->hintReg = hintReg;
+        ri->hintValue = hintValue;
         if (ip->rd != 0)
             c.x_[ip->rd] = pcv + 4;
         SCD_GOTO_PC(target);
@@ -526,12 +525,10 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
         uint64_t addr = c.x_[ip->rs1] + uint64_t(ip->imm);
         double val = std::bit_cast<double>(c.mem_.read64(addr));
         SCD_SET_RI(SCD_PC(), SCD_PC() + 4);
-        if constexpr (kHasRi) {
-            ri->lat = LatClass::Load;
-            ri->writesFp = true;
-            ri->hasMem = true;
-            ri->memAddr = addr;
-        }
+        ri->lat = LatClass::Load;
+        ri->writesFp = true;
+        ri->hasMem = true;
+        ri->memAddr = addr;
         c.f_[ip->rd] = val;
         SCD_NEXT(ip + 1);
     }
@@ -563,10 +560,8 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
         ip = ip + 1;
         if (c.exited_) [[unlikely]]
             goto pause_exited;
-        if constexpr (kBounded) {
-            if (--budget == 0)
-                goto pause_budget;
-        }
+        if (--budget == 0)
+            goto pause_budget;
         SCD_DISPATCH();
     }
 
@@ -592,18 +587,16 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
         bool bopProbed = false;
         bool bopHit = false;
         uint64_t jteOpcode = 0;
-        std::optional<uint64_t> target = c.bopExec<kHasRi>(
+        std::optional<uint64_t> target = c.bopExec(
             ip->bank, pcv, retired, ropStall, bopProbed, bopHit, jteOpcode);
         c.countBranch(BranchClass::Bop);
-        if constexpr (kHasRi) {
-            SCD_SET_RI(pcv, target ? *target : pcv + 4);
-            ri->ctrl = CtrlKind::Bop;
-            ri->cls = BranchClass::Bop;
-            ri->ropStall = ropStall;
-            ri->bopProbed = bopProbed;
-            ri->bopHit = bopHit;
-            ri->jteOpcode = jteOpcode;
-        }
+        SCD_SET_RI(pcv, target ? *target : pcv + 4);
+        ri->ctrl = CtrlKind::Bop;
+        ri->cls = BranchClass::Bop;
+        ri->ropStall = ropStall;
+        ri->bopProbed = bopProbed;
+        ri->bopHit = bopHit;
+        ri->jteOpcode = jteOpcode;
         if (target)
             SCD_GOTO_PC(*target);
         SCD_NEXT(ip + 1);
@@ -615,27 +608,19 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
         uint64_t jteOpcode = 0;
         bool jteIns = c.jruConsume(ip->bank, jteOpcode);
         c.countBranch(BranchClass::IndirectDispatch);
-        if constexpr (kHasRi) {
-            SCD_SET_RI(pcv, target);
-            ri->ctrl = CtrlKind::Jru;
-            ri->cls = BranchClass::IndirectDispatch;
-            ri->jteInsert = jteIns;
-            ri->jteOpcode = jteOpcode;
-        } else {
-            c.shadowJru(ip->bank, pcv, target, jteIns, jteOpcode);
-        }
+        SCD_SET_RI(pcv, target);
+        ri->ctrl = CtrlKind::Jru;
+        ri->cls = BranchClass::IndirectDispatch;
+        ri->jteInsert = jteIns;
+        ri->jteOpcode = jteOpcode;
         SCD_GOTO_PC(target);
     }
 
     SCD_CASE(JTE_FLUSH) {
         for (FunctionalCore::ScdBank &bk : c.banks_)
             bk.ropValid = false;
-        if constexpr (kHasRi) {
-            SCD_SET_RI(SCD_PC(), SCD_PC() + 4);
-            ri->ctrl = CtrlKind::JteFlush;
-        } else {
-            c.timing_.jteFlush();
-        }
+        SCD_SET_RI(SCD_PC(), SCD_PC() + 4);
+        ri->ctrl = CtrlKind::JteFlush;
         SCD_NEXT(ip + 1);
     }
 
@@ -673,18 +658,6 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
     cur.dispatch = dispatch;
     return ExecStatus::Retranslate;
 
-    // Only the kJit instantiation jumps here; the attribute silences the
-    // unused-label warning in the others.
-  pause_jit:
-#if defined(__GNUC__)
-    __attribute__((unused));
-#endif
-    cur.idx = size_t(ip - base);
-    cur.retired = retired;
-    cur.dispatch = dispatch;
-    return ExecStatus::JitPause;
-
-#undef SCD_EDGE
 #undef SCD_H_BR
 #undef SCD_H_STORE
 #undef SCD_H_OPLOAD
@@ -702,33 +675,9 @@ ThreadedTier::exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
 #undef SCD_PC
 }
 
-ThreadedTier::ExecStatus
-ThreadedTier::runJitBurst(Cursor &cur, uint64_t budget)
-{
-    return exec<false, true, true>(this, cur, nullptr, budget, nullptr);
-}
-
 // ---------------------------------------------------------------------------
 // Translation + cache.
 // ---------------------------------------------------------------------------
-
-const void *const *
-ThreadedTier::handlerLabels()
-{
-#if SCD_COMPUTED_GOTO
-    // Bootstrap: the labels live inside the executor, so query them from
-    // the (sole) direct-threaded instantiation once.
-    static const void *const *labels = [] {
-        const void *const *l = nullptr;
-        Cursor dummy{};
-        exec<false, false>(nullptr, dummy, nullptr, 0, &l);
-        return l;
-    }();
-    return labels;
-#else
-    return nullptr;
-#endif
-}
 
 std::shared_ptr<const TProgram>
 ThreadedTier::translate(const FunctionalCore &core)
@@ -782,13 +731,12 @@ ThreadedTier::translate(const FunctionalCore &core)
     prog->textBase = core.textBase_;
     prog->nReal = slots.size();
     prog->slots.reserve(slots.size() + 2);
-    const void *const *labels = handlerLabels();
     uint64_t limitBytes = uint64_t(slots.size()) * 4;
     for (size_t i = 0; i < slots.size(); ++i)
         prog->slots.push_back(
-            lowerSlot(slots[i].inst, slots[i].flags, i, limitBytes, labels));
-    prog->slots.push_back(sentinelSlot(HOp::EndOfText, labels));
-    prog->slots.push_back(sentinelSlot(HOp::BadPc, labels));
+            lowerSlot(slots[i].inst, slots[i].flags, i, limitBytes));
+    prog->slots.push_back(sentinelSlot(HOp::EndOfText));
+    prog->slots.push_back(sentinelSlot(HOp::BadPc));
 
     std::lock_guard<std::mutex> lock(tc.mu);
     ++tc.compiles;
@@ -797,7 +745,7 @@ ThreadedTier::translate(const FunctionalCore &core)
 }
 
 // ---------------------------------------------------------------------------
-// The tier object and its run loops.
+// The tier object and its run loop.
 // ---------------------------------------------------------------------------
 
 ThreadedTier::ThreadedTier(FunctionalCore &core)
@@ -838,13 +786,12 @@ ThreadedTier::applyDirty()
         owned_ = std::make_unique<TProgram>(*prog_);
         prog_.reset();
     }
-    const void *const *labels = handlerLabels();
     uint64_t limitBytes = uint64_t(owned_->nReal) * 4;
     size_t lo = std::min(dirtyFirst_, owned_->nReal);
     size_t hi = std::min(dirtyLast_, owned_->nReal);
     for (size_t i = lo; i < hi; ++i) {
         const auto &s = core_.slots_[i];
-        owned_->slots[i] = lowerSlot(s.inst, s.flags, i, limitBytes, labels);
+        owned_->slots[i] = lowerSlot(s.inst, s.flags, i, limitBytes);
     }
     dirtyPending_ = false;
 }
@@ -878,45 +825,6 @@ ThreadedTier::syncCore(const Cursor &cur)
                                        : p.textBase + uint64_t(cur.idx) * 4;
 }
 
-void
-ThreadedTier::runFunctional(uint64_t maxInstructions)
-{
-    Cursor cur = makeCursor();
-    try {
-        for (;;) {
-            bool unbounded =
-                maxInstructions == 0 && !core_.watchdog_.armed();
-            ExecStatus st;
-            if (unbounded) {
-                st = exec<false, false>(this, cur, nullptr, 0, nullptr);
-            } else {
-                // Bounded bursts: the smaller of the remaining
-                // instruction budget and the watchdog check interval.
-                uint64_t burst = Watchdog::kCheckInterval;
-                if (maxInstructions != 0) {
-                    if (cur.retired >= maxInstructions)
-                        break;
-                    burst = std::min(burst, maxInstructions - cur.retired);
-                }
-                st = exec<false, true>(this, cur, nullptr, burst, nullptr);
-            }
-            if (st == ExecStatus::Exited)
-                break;
-            if (st == ExecStatus::Retranslate) {
-                applyDirty();
-                continue;
-            }
-            if (maxInstructions != 0 && cur.retired >= maxInstructions)
-                break;
-            core_.watchdog_.expire();
-        }
-    } catch (...) {
-        syncCore(cur);
-        throw;
-    }
-    syncCore(cur);
-}
-
 size_t
 ThreadedTier::runRecorded(RetireInfo *out, size_t cap)
 {
@@ -925,8 +833,7 @@ ThreadedTier::runRecorded(RetireInfo *out, size_t cap)
     try {
         while (cur.retired - start < cap) {
             uint64_t budget = cap - (cur.retired - start);
-            ExecStatus st = exec<true, true>(
-                this, cur, out + (cur.retired - start), budget, nullptr);
+            ExecStatus st = exec(cur, out + (cur.retired - start), budget);
             if (st == ExecStatus::Exited)
                 break;
             if (st == ExecStatus::Retranslate)

@@ -1,27 +1,27 @@
 /**
  * @file
- * The threaded-code execution tier of the FunctionalCore — the first rung
- * of the classic interpreter-to-JIT ladder, applied to the simulator's own
- * hot loop (the same dispatch transformation the paper studies in guest
- * interpreters).
+ * The threaded-code execution tier of the FunctionalCore: the fast tier
+ * that must match the reference switch interpreter, applying the same
+ * dispatch transformation the paper studies in guest interpreters to the
+ * simulator's own hot loop.
  *
  * A one-pass translation lowers the pre-decoded text segment into a flat
- * stream of 32-byte TSlots, each carrying the handler address for its
- * opcode plus fully pre-decoded operands (sign-extended immediate, flag
- * word, register indices, and — for direct branches — the taken-successor
- * slot index). Execution then chains handlers with GNU computed gotos
- * (`goto *ip->fh`), replacing the reference interpreter's
+ * stream of 32-byte TSlots, each carrying its handler index plus fully
+ * pre-decoded operands (sign-extended immediate, flag word, register
+ * indices, and — for direct branches — the taken-successor slot index).
+ * Execution then chains handlers with GNU computed gotos
+ * (`goto *kLabels[ip->hop]`), replacing the reference interpreter's
  * fetch/bounds-check/switch per instruction with one indirect jump per
  * instruction from a per-opcode dispatch site. A portable
  * switch-over-slots fallback is selected automatically when the compiler
  * lacks computed gotos, or explicitly with -DSCD_PORTABLE_DISPATCH=ON.
  *
  * The tier contract: a threaded run retires the bit-identical RetireInfo
- * stream — same architectural effects, same traps, same SCD-bank and
- * shadow-BTB updates, same stats counters — as the reference switch tier
- * (enforced by tests/dispatch_tier_test.cc). It shares the semantic
- * helper bodies in functional_core_inl.hh with the reference interpreter,
- * so per-rule logic exists exactly once.
+ * stream — same architectural effects, same traps, same SCD-bank updates,
+ * same stats counters — as the reference switch tier (enforced by
+ * tests/dispatch_tier_test.cc). It shares the semantic helper bodies in
+ * functional_core_inl.hh with the reference interpreter, so per-rule
+ * logic exists exactly once.
  *
  * Guest self-modification: FunctionalCore::textWritten() reports dirty
  * slot ranges via noteTextWrite(). Translations are shared across cores
@@ -29,8 +29,8 @@
  * (copy-on-write) and subsequent writes retranslate the dirty slots in
  * place. The executor pauses *between* instructions for that — a store
  * that hits text retires normally, then the run loop retranslates and
- * resumes at the architectural PC — so handler-chain pointers never
- * dangle mid-burst.
+ * resumes at the architectural PC — so the slot stream never changes
+ * mid-burst.
  */
 
 #ifndef SCD_CPU_THREADED_TIER_HH
@@ -46,10 +46,8 @@ namespace scd::cpu
 {
 
 class FunctionalCore;
-class JitTier;
 
-// Defined in tslot.hh; opaque here.
-struct TSlot;    ///< one translated instruction ({handler, operands})
+// Defined in threaded_tier.cc; opaque here.
 struct TProgram; ///< a translated text segment (slots + sentinels)
 
 /** Counters of the process-global translation cache (for tests/bench). */
@@ -79,9 +77,6 @@ class ThreadedTier
     ThreadedTier(const ThreadedTier &) = delete;
     ThreadedTier &operator=(const ThreadedTier &) = delete;
 
-    /** Tier-equivalent of FunctionalCore::runFunctional(). */
-    void runFunctional(uint64_t maxInstructions);
-
     /** Tier-equivalent of the step()-and-record loop; see FunctionalCore. */
     size_t runRecorded(RetireInfo *out, size_t cap);
 
@@ -101,7 +96,6 @@ class ThreadedTier
         Exited,      ///< the guest's exit syscall retired
         Budget,      ///< instruction budget exhausted
         Retranslate, ///< a store dirtied text; retranslate, then resume
-        JitPause,    ///< control reached a compiled (or now-hot) JIT head
     };
 
     /**
@@ -118,51 +112,15 @@ class ThreadedTier
     };
 
     /**
-     * The handler-threaded executor: runs from cur.idx until the status
-     * says why it stopped. kBounded compiles the per-instruction budget
-     * decrement in or out (the unbounded form is the hot one); kHasRi
-     * additionally fills one RetireInfo per instruction; kJit compiles
-     * the JIT tier's edge profiling in — every control transfer then
-     * consults the jit hook arrays below and pauses with JitPause when
-     * the target slot has a compiled superblock or just crossed the
-     * hotness threshold. @p labelQuery is the bootstrap back door: when
-     * non-null the executor immediately stores its handler-label table
-     * there and returns (computed-goto builds only; labels are
-     * function-local).
+     * The handler-threaded executor: runs from cur.idx, filling one
+     * RetireInfo per instruction into @p ri, until @p budget instructions
+     * retired or the status says why it stopped.
      */
-    template <bool kHasRi, bool kBounded, bool kJit = false>
-    static ExecStatus exec(ThreadedTier *t, Cursor &cur, RetireInfo *ri,
-                           uint64_t budget, const void *const **labelQuery);
-
-    /**
-     * One profiled bounded burst for the JIT tier's warmup/fallback path
-     * (the kJit executor instantiation lives in this translation unit).
-     */
-    ExecStatus runJitBurst(Cursor &cur, uint64_t budget);
-
-    /**
-     * True when a control transfer into @p idx should pause the burst:
-     * the slot heads a compiled superblock, or its execution count just
-     * crossed the compile threshold. Banned heads park their counter at
-     * INT32_MIN so the increment can never reach the threshold again.
-     */
-    bool
-    jitEdgeHot(size_t idx)
-    {
-        return jitEntries_[idx] != nullptr ||
-               ++jitCounts_[idx] >= int32_t(jitThreshold_);
-    }
+    ExecStatus exec(Cursor &cur, RetireInfo *ri, uint64_t budget);
 
     /** Translate (or fetch from the global cache) the core's slots. */
     static std::shared_ptr<const TProgram>
     translate(const FunctionalCore &core);
-
-    /**
-     * Handler-label table of the direct-threaded functional executor
-     * (null in portable-dispatch builds); what translation stores in
-     * each slot's handler field.
-     */
-    static const void *const *handlerLabels();
 
     /** The translation being executed (the COW clone once one exists). */
     const TProgram &prog() const;
@@ -181,16 +139,6 @@ class ThreadedTier
     std::unique_ptr<TProgram> owned_;      ///< set once text went dirty
     size_t dirtyFirst_ = 0, dirtyLast_ = 0;
     bool dirtyPending_ = false;
-
-    // JIT profiling hook, installed by the JitTier when it adopts this
-    // tier as its warmup/fallback substrate (src/cpu/jit_tier.hh). The
-    // arrays are owned by the JitTier and sized nReal + 2 like the slot
-    // array; they are only dereferenced by the kJit executor, which the
-    // JitTier alone runs.
-    friend class JitTier;
-    void *const *jitEntries_ = nullptr; ///< per-slot compiled entry point
-    int32_t *jitCounts_ = nullptr;      ///< per-slot head execution count
-    uint32_t jitThreshold_ = 0;         ///< compile threshold (>= 1)
 };
 
 } // namespace scd::cpu

@@ -3,7 +3,6 @@
 #include "common/logging.hh"
 #include "config.hh"
 #include "inorder_timing.hh"
-#include "null_timing.hh"
 
 namespace scd::cpu
 {
@@ -33,8 +32,6 @@ makeTimingModel(const CoreConfig &config)
       case TimingKind::WideInOrder:
         return std::make_unique<WideInOrderTiming>(config,
                                                    config.issueWidth);
-      case TimingKind::Null:
-        return std::make_unique<NullTiming>(config);
     }
     ::scd::panic("bad timing kind ", int(config.timingKind));
 }

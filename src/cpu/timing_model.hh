@@ -6,16 +6,13 @@
  * with one TimingModel (cycles, predictors, memory hierarchy). The
  * interface has two ports:
  *
- *  - The architectural JTE port (jteLookup / jteInsert / jteFlush).
- *    Jump-table entries are microarchitectural storage with architectural
- *    consequences (paper §III-B): whether a bop short-circuits decides
- *    which instructions retire, so the FunctionalCore consults the timing
- *    model's JTE storage mid-instruction. When the core runs with a
- *    RetireInfo consumer (needsRetireInfo() == true), jru insertions and
- *    jte.flush arrive as RetireInfo events inside retire() so the model
- *    can sequence them against its own predictor updates; only jteLookup
- *    is ever called mid-instruction. Without a consumer the FunctionalCore
- *    calls jteInsert()/jteFlush() directly.
+ *  - The architectural JTE port (jteLookup). Jump-table entries are
+ *    microarchitectural storage with architectural consequences (paper
+ *    §III-B): whether a bop short-circuits decides which instructions
+ *    retire, so the FunctionalCore probes the timing model's JTE storage
+ *    mid-instruction. jru insertions and jte.flush arrive as RetireInfo
+ *    events inside retire(), so the model sequences them against its own
+ *    predictor updates.
  *
  *  - The timing port: retire() consumes one RetireInfo per retired
  *    instruction and accounts cycles, predictions, and memory-system
@@ -36,8 +33,6 @@
 namespace scd::branch
 {
 class Btb;
-class JteTable;
-class Vbbi;
 }
 
 namespace scd::obs
@@ -50,27 +45,6 @@ namespace scd::cpu
 
 struct CoreConfig;
 
-/**
- * Direct pointers into a functional-only model's architecturally-visible
- * predictor-side structures, so the FunctionalCore's fast path can mirror
- * the BTB-mutating operations of the timed front end without a virtual
- * call per control instruction. JTE residency depends on which BTB ways
- * branch entries occupy, and under the round-robin/uncapped replacement of
- * the embedded configurations every BTB *write* is architecturally
- * determined (insertPc on each taken conditional, JAL, unpredicted JALR,
- * and JRU; prediction state only gates reads, which mutate nothing a
- * round-robin victim choice consults). Mirroring those writes makes the
- * retired instruction stream identical to InOrderTiming's. Models that
- * consume RetireInfo return null pointers and sequence the same
- * operations inside retire() instead.
- */
-struct ArchShadow
-{
-    branch::Btb *btb = nullptr;
-    branch::Vbbi *vbbi = nullptr;
-    branch::JteTable *dedicatedJtes = nullptr; ///< set => JTEs live here
-};
-
 /** Abstract timing model; see the file comment for the contract. */
 class TimingModel
 {
@@ -82,21 +56,7 @@ class TimingModel
     virtual std::optional<uint64_t> jteLookup(uint8_t bank,
                                               uint64_t opcode) = 0;
 
-    /** Insert/refresh a JTE (the jru instruction, functional-only path). */
-    virtual void jteInsert(uint8_t bank, uint64_t opcode,
-                           uint64_t target) = 0;
-
-    /** Invalidate all JTEs (jte.flush, functional-only path). */
-    virtual void jteFlush() = 0;
-
     // ---- timing port -----------------------------------------------------
-    /**
-     * Whether the core should build a RetireInfo and call retire() for
-     * every instruction. Functional-only models return false and the
-     * core skips all retirement bookkeeping.
-     */
-    virtual bool needsRetireInfo() const = 0;
-
     /** Account one retired instruction. */
     virtual void retire(const RetireInfo &ri) = 0;
 
@@ -128,12 +88,6 @@ class TimingModel
      * requires an SCD_TRACE=ON build (obs::kTraceHooksCompiled).
      */
     virtual void attachTrace(obs::TraceBuffer *) {}
-
-    /**
-     * Shadow structures for the functional-only fast path (see
-     * ArchShadow). Only meaningful when needsRetireInfo() is false.
-     */
-    virtual ArchShadow archShadow() { return {}; }
 };
 
 /** Build the timing model selected by @p config (config.timingKind). */

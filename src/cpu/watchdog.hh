@@ -46,8 +46,6 @@ class Watchdog
         armed_ = true;
     }
 
-    bool armed() const { return armed_; }
-
     /** Throw TimeoutError if the deadline has passed. */
     void
     expire() const

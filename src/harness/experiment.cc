@@ -146,8 +146,7 @@ runPlan(const ExperimentPlan &plan, const RunOptions &options)
             pending.push_back(i);
     }
     if (!opts.journalPath.empty())
-        journal.open(opts.journalPath, /*truncate=*/!opts.resume,
-                     opts.journalDurable);
+        journal.open(opts.journalPath, /*truncate=*/!opts.resume);
 
     auto planStart = clock::now();
     if (replayEnabled(opts))

@@ -163,11 +163,11 @@ struct RunOptions
     double pointTimeout = 0.0;
 
     /**
-     * Functional execution tier for every point (and for replay's shared
-     * producer). Host-speed only — results are bit-identical across
-     * tiers (cpu/dispatch_tier.hh) — so it is not part of the replay
-     * grouping key or the resume journal key. CLI: --dispatch-tier=...,
-     * default $SCD_DISPATCH_TIER, else threaded.
+     * Execution tier of replay's shared producer (direct points always
+     * step the reference interpreter). Host-speed only — results are
+     * bit-identical across tiers (cpu/dispatch_tier.hh) — so it is not
+     * part of the replay grouping key or the resume journal key. CLI:
+     * --dispatch-tier=..., default $SCD_DISPATCH_TIER, else threaded.
      */
     cpu::DispatchTier dispatchTier = cpu::defaultDispatchTier();
 
@@ -180,23 +180,6 @@ struct RunOptions
      */
     std::string journalPath;
     bool resume = false;
-
-    /**
-     * fsync every journal append (RunJournal::open durable mode). Set
-     * by the farm daemon for its per-job state journals; the CLI
-     * --journal/--resume flags keep the flush-only default.
-     */
-    bool journalDurable = false;
-
-    /**
-     * Completion hook: called with the plan index and the finished run
-     * the moment a point completes (any status), right after the
-     * journal append. Invoked concurrently from pool workers, so the
-     * callback must be thread-safe; never called for points restored
-     * from a --resume journal. The farm worker streams journal lines
-     * to its coordinator through this hook (src/farm/worker.cc).
-     */
-    std::function<void(size_t, const ExperimentRun &)> onPoint;
 };
 
 /**

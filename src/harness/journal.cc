@@ -3,8 +3,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include <unistd.h>
-
 #include "common/logging.hh"
 #include "obs/json.hh"
 #include "replay.hh"
@@ -36,7 +34,7 @@ RunJournal::~RunJournal()
 }
 
 void
-RunJournal::open(const std::string &path, bool truncate, bool durable)
+RunJournal::open(const std::string &path, bool truncate)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     if (file_)
@@ -45,7 +43,6 @@ RunJournal::open(const std::string &path, bool truncate, bool durable)
     if (!file_) {
         fatal("cannot open journal ", path, ": ", std::strerror(errno));
     }
-    durable_ = durable;
 }
 
 void
@@ -58,12 +55,8 @@ RunJournal::append(const std::string &key, const ExperimentRun &run)
     std::lock_guard<std::mutex> lock(mutex_);
     std::fwrite(line.data(), 1, line.size(), file_);
     // One flush per point: the line reaches the OS before the next
-    // point starts, so kill -9 loses only in-flight work. Durable
-    // journals push it through to the device too, surviving a host
-    // crash, not just a process death.
+    // point starts, so kill -9 loses only in-flight work.
     std::fflush(file_);
-    if (durable_)
-        ::fsync(fileno(file_));
 }
 
 std::string
@@ -115,10 +108,23 @@ bool
 parseJournalLine(const std::string &line, std::string &key,
                  ExperimentRun &run)
 {
+    using Kind = obs::JsonValue::Kind;
     obs::JsonValue doc = obs::JsonValue::parse(line);
     if (!doc.isObject() || doc.stringOr("schema", "") != kJournalSchema ||
-        !doc.has("key")) {
+        !doc.at("key").isString()) {
         return false;
+    }
+    // Every field a restored point's results come from must be present
+    // with its written type; a missing one would otherwise read back as
+    // zero and restore a silently wrong point instead of re-running it.
+    if (doc.at("exited").kind() != Kind::Bool ||
+        !doc.at("instructions").isNumber() || !doc.at("cycles").isNumber() ||
+        !doc.at("textBytes").isNumber() || !doc.at("counters").isObject()) {
+        return false;
+    }
+    for (const auto &member : doc.at("counters").members()) {
+        if (!member.second.isNumber())
+            return false;
     }
 
     ExperimentRun parsed;

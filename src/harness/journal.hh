@@ -45,14 +45,10 @@ class RunJournal
 
     /**
      * Open @p path for appending; with @p truncate the file is emptied
-     * first (a fresh --journal run). With @p durable every append is
-     * additionally fsync(2)'d — the farm daemon's per-job journals need
-     * the record on disk, not just in the page cache, before the point
-     * counts as persisted (src/farm/service.cc). Throws FatalError when
-     * the file cannot be opened.
+     * first (a fresh --journal run). Throws FatalError when the file
+     * cannot be opened.
      */
-    void open(const std::string &path, bool truncate,
-              bool durable = false);
+    void open(const std::string &path, bool truncate);
 
     bool active() const { return file_ != nullptr; }
 
@@ -65,7 +61,6 @@ class RunJournal
 
   private:
     std::FILE *file_ = nullptr;
-    bool durable_ = false;
     std::mutex mutex_;
 };
 
@@ -84,9 +79,9 @@ std::string journalLine(const std::string &key, const ExperimentRun &run);
 /**
  * Parse one scd-journal-v1 line back into (@p key, @p run). Returns
  * false — leaving the outputs untouched — on malformed or truncated
- * data and on schema mismatches. The farm coordinator merges worker
- * streams through this (src/farm/coordinator.cc); loadJournal() is the
- * whole-file wrapper.
+ * data, on schema mismatches, and when a result field (exited,
+ * instructions, cycles, textBytes, counters) is missing or has the wrong
+ * JSON type. loadJournal() is the whole-file wrapper.
  */
 bool parseJournalLine(const std::string &line, std::string &key,
                       ExperimentRun &run);
@@ -94,9 +89,7 @@ bool parseJournalLine(const std::string &line, std::string &key,
 /**
  * Restore every point of @p set recorded in the journal at @p path and
  * collect the plan indices still to run into @p pending (in plan
- * order). Returns the number of restored points. Shared by runPlan()
- * and the farm coordinator so --resume semantics cannot drift between
- * the in-process and the sharded executors.
+ * order). Returns the number of restored points.
  */
 size_t restoreJournaledPoints(ExperimentSet &set, const std::string &path,
                               std::vector<size_t> &pending);

@@ -496,7 +496,7 @@ runPointDirect(const ExperimentPoint &point, const RunOptions &options)
     run.result = runWorkload(point.vm, *point.workload, point.size,
                              point.scheme, point.machine,
                              point.maxInstructions, nullptr,
-                             options.pointTimeout, options.dispatchTier);
+                             options.pointTimeout);
     run.seconds = secondsSince(start);
     return run;
 }
@@ -587,8 +587,6 @@ runPlanDirect(ExperimentSet &set, const std::vector<size_t> &pending,
             set.runs[i] = runPointContained(set.points[i], options);
             if (journal)
                 journal->append(pointKey(set.points[i]), set.runs[i]);
-            if (options.onPoint)
-                options.onPoint(i, set.runs[i]);
         }
     });
 }
@@ -597,19 +595,17 @@ void
 runPlanReplay(ExperimentSet &set, const std::vector<size_t> &pending,
               const RunOptions &options, RunJournal *journal)
 {
-    // Group pending points by functional key. Points the stream cannot
-    // describe — instruction-limited runs (their stop point depends on
-    // the member's own retire count) and functional-only timing
-    // (NullTiming replays nothing, its JTE state lives on the producer
-    // side) — run direct as singleton tasks, as do groups of one.
+    // Group pending points by functional key. Instruction-limited runs
+    // (their stop point depends on the member's own retire count) cannot
+    // share a stream and run direct as singleton tasks, as do groups of
+    // one.
     std::map<std::string, std::vector<size_t>> byKey;
     std::vector<std::vector<size_t>> tasks;
     std::vector<size_t> singles;
     for (size_t i : pending) {
         const ExperimentPoint &p = set.points[i];
         SCD_ASSERT(p.workload, "experiment point without a workload");
-        if (p.maxInstructions != 0 ||
-            p.machine.timingKind == cpu::TimingKind::Null) {
+        if (p.maxInstructions != 0) {
             singles.push_back(i);
             continue;
         }
@@ -646,10 +642,6 @@ runPlanReplay(ExperimentSet &set, const std::vector<size_t> &pending,
         if (journal) {
             for (size_t idx : indices)
                 journal->append(pointKey(set.points[idx]), set.runs[idx]);
-        }
-        if (options.onPoint) {
-            for (size_t idx : indices)
-                options.onPoint(idx, set.runs[idx]);
         }
     });
 }

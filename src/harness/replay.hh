@@ -57,9 +57,6 @@ std::string pointKey(const ExperimentPoint &point);
  * The replay grouping key: points with equal keys retire identical
  * instruction streams whatever their timing models (VM + interpreter
  * binary + workload source + the architecturally-visible SCD knobs).
- * The farm coordinator partitions a plan along this key so every
- * replay group lands whole on one worker process and the execute-once
- * sharing survives the sharding (src/farm/coordinator.cc).
  */
 std::string replayGroupKey(const ExperimentPoint &point);
 

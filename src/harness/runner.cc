@@ -140,8 +140,7 @@ ExperimentResult::branchMpki() const
 ExperimentResult
 runExperiment(VmKind vm, const std::string &source, core::Scheme scheme,
               const cpu::CoreConfig &machine, uint64_t maxInstructions,
-              obs::TraceBuffer *trace, double timeoutSeconds,
-              cpu::DispatchTier tier)
+              obs::TraceBuffer *trace, double timeoutSeconds)
 {
     std::shared_ptr<const guest::GuestProgram> program =
         compileGuest(vm, source, dispatchForScheme(scheme));
@@ -151,7 +150,6 @@ runExperiment(VmKind vm, const std::string &source, core::Scheme scheme,
     cpu::Core core(core::withScheme(machine, scheme), memory);
     core.loadProgram(program->text);
     core.setDispatchMeta(program->meta);
-    core.setDispatchTier(tier);
     if (trace)
         core.timing().attachTrace(trace);
     core.armWatchdog(timeoutSeconds);
@@ -181,10 +179,10 @@ ExperimentResult
 runWorkload(VmKind vm, const Workload &workload, InputSize size,
             core::Scheme scheme, const cpu::CoreConfig &machine,
             uint64_t maxInstructions, obs::TraceBuffer *trace,
-            double timeoutSeconds, cpu::DispatchTier tier)
+            double timeoutSeconds)
 {
     return runExperiment(vm, workload.text(size), scheme, machine,
-                         maxInstructions, trace, timeoutSeconds, tier);
+                         maxInstructions, trace, timeoutSeconds);
 }
 
 } // namespace scd::harness

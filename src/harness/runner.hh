@@ -95,17 +95,13 @@ struct ExperimentResult
  * run (pipeline event tracing; meaningful in SCD_TRACE=ON builds).
  * A positive @p timeoutSeconds arms the core's cooperative watchdog:
  * the run throws TimeoutError when the deadline expires.
- * @p tier picks the functional execution engine (host speed only; the
- * results are bit-identical across tiers, see cpu/dispatch_tier.hh).
  */
 ExperimentResult runExperiment(VmKind vm, const std::string &source,
                                core::Scheme scheme,
                                const cpu::CoreConfig &machine,
                                uint64_t maxInstructions = 0,
                                obs::TraceBuffer *trace = nullptr,
-                               double timeoutSeconds = 0.0,
-                               cpu::DispatchTier tier =
-                                   cpu::defaultDispatchTier());
+                               double timeoutSeconds = 0.0);
 
 /** Convenience: run a Table III workload at the given input size. */
 ExperimentResult runWorkload(VmKind vm, const Workload &workload,
@@ -113,9 +109,7 @@ ExperimentResult runWorkload(VmKind vm, const Workload &workload,
                              const cpu::CoreConfig &machine,
                              uint64_t maxInstructions = 0,
                              obs::TraceBuffer *trace = nullptr,
-                             double timeoutSeconds = 0.0,
-                             cpu::DispatchTier tier =
-                                 cpu::defaultDispatchTier());
+                             double timeoutSeconds = 0.0);
 
 /** The interpreter binary variant a scheme runs on. */
 guest::DispatchKind dispatchForScheme(core::Scheme scheme);

@@ -48,9 +48,8 @@ const char *inputSizeName(InputSize size);
 
 /**
  * Parse a size name back into the enum; returns false (leaving @p size
- * untouched) for anything else. The inverse of inputSizeName(), shared
- * by the bench --size flag and the farm worker/daemon protocol so a
- * worker process reconstructs exactly the plan its coordinator built.
+ * untouched) for anything else. The inverse of inputSizeName(), used
+ * by the bench --size flag.
  */
 bool parseInputSize(const std::string &name, InputSize &size);
 

@@ -99,12 +99,6 @@ StatsSink::addMetric(const std::string &name, double value)
     metrics_[name] = value;
 }
 
-void
-StatsSink::addJitStat(const std::string &name, uint64_t value)
-{
-    jit_[name] = value;
-}
-
 SetRecord &
 StatsSink::addSet(const std::string &label)
 {
@@ -130,13 +124,6 @@ StatsSink::render() const
     if (!metrics_.empty()) {
         json.key("metrics").beginObject();
         for (const auto &[name, value] : metrics_)
-            json.member(name, value);
-        json.endObject();
-    }
-
-    if (!jit_.empty()) {
-        json.key("jit").beginObject();
-        for (const auto &[name, value] : jit_)
             json.member(name, value);
         json.endObject();
     }

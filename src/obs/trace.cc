@@ -21,8 +21,6 @@ traceEventName(TraceEventKind kind)
       case TraceEventKind::JteFlush: return "jteFlush";
       case TraceEventKind::FrontendFalseHit: return "frontendFalseHit";
       case TraceEventKind::FtqPrefetch: return "ftqPrefetch";
-      case TraceEventKind::JitCompile: return "jitCompile";
-      case TraceEventKind::JitInvalidate: return "jitInvalidate";
       case TraceEventKind::NumKinds: break;
     }
     return "?";
@@ -127,7 +125,6 @@ chromeTraceJson(const TraceBuffer &trace, const OpcodeNamer &namer)
     emitThreadName(0, "retire");
     emitThreadName(1, "stalls+mispredicts");
     emitThreadName(2, "jte");
-    emitThreadName(3, "jit");
 
     for (const TraceEvent &e : trace.events()) {
         json.beginObject();
@@ -151,13 +148,6 @@ chromeTraceJson(const TraceBuffer &trace, const OpcodeNamer &namer)
             json.member("s", "t");
             json.member("tid", 1);
             break;
-          case TraceEventKind::JitCompile:
-          case TraceEventKind::JitInvalidate:
-            json.member("name", traceEventName(e.kind));
-            json.member("ph", "i");
-            json.member("s", "t");
-            json.member("tid", 3);
-            break;
           default: // JTE traffic
             json.member("name", traceEventName(e.kind));
             json.member("ph", "i");
@@ -174,8 +164,6 @@ chromeTraceJson(const TraceBuffer &trace, const OpcodeNamer &namer)
         if (e.kind == TraceEventKind::JteInsert ||
             e.kind == TraceEventKind::JteEvict)
             json.member("key", hexPc(e.arg));
-        if (e.kind == TraceEventKind::JitCompile)
-            json.member("codeBytes", e.arg);
         json.endObject();
         json.endObject();
     }
@@ -229,23 +217,6 @@ profileReport(const TraceBuffer &trace, const OpcodeNamer &namer)
                  std::to_string(row.profile.stallCycles)});
     }
     out += ops.render();
-
-    // ---- jit tier activity ----------------------------------------------
-    uint64_t jitCompiles = 0, jitInvalidates = 0, jitCodeBytes = 0;
-    for (const TraceEvent &e : trace.events()) {
-        if (e.kind == TraceEventKind::JitCompile) {
-            ++jitCompiles;
-            jitCodeBytes += e.arg;
-        } else if (e.kind == TraceEventKind::JitInvalidate) {
-            ++jitInvalidates;
-        }
-    }
-    if (jitCompiles || jitInvalidates) {
-        out += "\nJIT tier (window): " + std::to_string(jitCompiles) +
-               " superblocks compiled (" + std::to_string(jitCodeBytes) +
-               " code bytes), " + std::to_string(jitInvalidates) +
-               " invalidated by guest text writes\n";
-    }
 
     // ---- per-dispatch-site table ----------------------------------------
     out += "\nDispatch sites (indirect dispatch jumps):\n";

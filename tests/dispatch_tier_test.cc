@@ -7,7 +7,7 @@
  * state, the same traps, and the same exported statistics — across both
  * guest VMs, all four dispatch schemes, every Table III workload, and
  * the fuzz-corpus seed scripts. Plus the tier-specific machinery:
- * instruction-limited pauses at arbitrary boundaries, guest text
+ * recording caps that pause at arbitrary boundaries, guest text
  * self-modification (copy-on-write retranslation), the process-global
  * translation cache, and byte-identical exports when the replay
  * producer runs on the threaded tier.
@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -66,6 +67,28 @@ struct TierRun
         core->loadProgram(program.text);
         core->setDispatchMeta(program.meta);
         core->setDispatchTier(tier);
+    }
+
+    /** A bare assembled program (no guest data image or metadata). */
+    TierRun(const isa::Program &program, DispatchTier tier)
+    {
+        cfg.name = "test";
+        core = std::make_unique<cpu::FunctionalCore>(cfg, memory, recorder);
+        core->loadProgram(program);
+        core->setDispatchTier(tier);
+    }
+
+    /** Record until exit or @p limit retires; returns the exit code. */
+    int
+    run(uint64_t limit)
+    {
+        std::vector<cpu::RetireInfo> chunk(cpu::RetireChunk::kCapacity);
+        while (!core->exited() && core->retired() < limit) {
+            size_t cap = std::min<uint64_t>(chunk.size(),
+                                            limit - core->retired());
+            core->runRecorded(chunk.data(), cap);
+        }
+        return core->exitCode();
     }
 };
 
@@ -150,11 +173,9 @@ TEST(DispatchTier, ParseAndName)
 {
     EXPECT_EQ(cpu::parseDispatchTier("switch"), DispatchTier::Switch);
     EXPECT_EQ(cpu::parseDispatchTier("threaded"), DispatchTier::Threaded);
-    EXPECT_EQ(cpu::parseDispatchTier("jit"), DispatchTier::Jit);
     EXPECT_FALSE(cpu::parseDispatchTier("compiled").has_value());
     EXPECT_STREQ(cpu::dispatchTierName(DispatchTier::Switch), "switch");
     EXPECT_STREQ(cpu::dispatchTierName(DispatchTier::Threaded), "threaded");
-    EXPECT_STREQ(cpu::dispatchTierName(DispatchTier::Jit), "jit");
 }
 
 TEST(DispatchTier, LockstepStreamsMatchAcrossVmsSchemesAndWorkloads)
@@ -179,8 +200,6 @@ TEST(DispatchTier, CorpusScriptsMatchOnBothVms)
 {
     std::filesystem::path dir(SCD_CORPUS_DIR);
     ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
-    cpu::CoreConfig functional = minorConfig();
-    functional.timingKind = cpu::TimingKind::Null;
 
     size_t scripts = 0;
     for (const auto &entry : std::filesystem::directory_iterator(dir)) {
@@ -196,15 +215,12 @@ TEST(DispatchTier, CorpusScriptsMatchOnBothVms)
                  {core::Scheme::Baseline, core::Scheme::Scd}) {
                 SCOPED_TRACE(entry.path().filename().string() + " on " +
                              vmName(vm) + "/" + core::schemeName(scheme));
-                ExperimentResult ref = runExperiment(
-                    vm, source, scheme, functional, 0, nullptr, 0.0,
-                    DispatchTier::Switch);
-                ExperimentResult fast = runExperiment(
-                    vm, source, scheme, functional, 0, nullptr, 0.0,
-                    DispatchTier::Threaded);
-                EXPECT_EQ(ref.output, fast.output);
-                EXPECT_EQ(ref.run.instructions, fast.run.instructions);
-                EXPECT_EQ(ref.stats.all(), fast.stats.all());
+                auto program =
+                    compileGuest(vm, source, dispatchForScheme(scheme));
+                lockstepCompare(*program,
+                                core::withScheme(minorConfig(), scheme));
+                if (::testing::Test::HasFailure())
+                    return;
             }
         }
     }
@@ -214,9 +230,9 @@ TEST(DispatchTier, CorpusScriptsMatchOnBothVms)
 
 TEST(DispatchTier, InstructionLimitPausesAtIdenticalBoundaries)
 {
-    // ~200 retires per outer iteration, unbounded: only the limit stops
-    // it. Odd limits land mid-loop; the large one crosses the threaded
-    // tier's internal burst size.
+    // ~200 retires per outer iteration, unbounded: only the recording cap
+    // stops it. Odd caps land mid-loop; the large one spans many
+    // retranslation-free bursts of the threaded executor.
     const std::string text = R"(
         li s0, 0
     outer:
@@ -228,34 +244,22 @@ TEST(DispatchTier, InstructionLimitPausesAtIdenticalBoundaries)
         li t1, 97
         j outer
     )";
-    for (uint64_t limit : {1ull, 2ull, 7ull, 101ull, 4099ull, 70001ull}) {
-        SCOPED_TRACE("limit " + std::to_string(limit));
-        cpu::RunResult ref, fast;
-        uint64_t refReg = 0, fastReg = 0;
-        for (DispatchTier tier :
-             {DispatchTier::Switch, DispatchTier::Threaded}) {
-            mem::GuestMemory memory;
-            cpu::CoreConfig cfg;
-            cfg.name = "test";
-            cfg.timingKind = cpu::TimingKind::Null;
-            cpu::Core core(cfg, memory);
-            core.loadProgram(isa::assembleText(text));
-            core.setDispatchTier(tier);
-            cpu::RunResult r = core.run(limit);
-            uint64_t sum = 0;
-            for (unsigned reg = 0; reg < 32; ++reg)
-                sum = sum * 31 + core.readReg(reg);
-            if (tier == DispatchTier::Switch) {
-                ref = r;
-                refReg = sum;
-            } else {
-                fast = r;
-                fastReg = sum;
-            }
-        }
-        EXPECT_EQ(ref.instructions, fast.instructions);
-        EXPECT_EQ(ref.exited, fast.exited);
-        EXPECT_EQ(refReg, fastReg);
+    isa::Program prog = isa::assembleText(text);
+    for (size_t cap : {1ul, 2ul, 7ul, 101ul, 4099ul, 70001ul}) {
+        SCOPED_TRACE("cap " + std::to_string(cap));
+        TierRun ref(prog, DispatchTier::Switch);
+        TierRun fast(prog, DispatchTier::Threaded);
+        std::vector<cpu::RetireInfo> a(cap), b(cap);
+        size_t na = ref.core->runRecorded(a.data(), cap);
+        size_t nb = fast.core->runRecorded(b.data(), cap);
+        EXPECT_EQ(na, cap);
+        ASSERT_EQ(na, nb);
+        EXPECT_EQ(ref.core->retired(), fast.core->retired());
+        EXPECT_EQ(ref.core->exited(), fast.core->exited());
+        for (unsigned reg = 0; reg < 32; ++reg)
+            EXPECT_EQ(ref.core->readReg(reg), fast.core->readReg(reg));
+        for (size_t i = 0; i < na && !::testing::Test::HasFailure(); ++i)
+            expectSameRetire(a[i], b[i]);
     }
 }
 
@@ -295,16 +299,9 @@ TEST(DispatchTier, SelfModifyingTextRetranslates)
     for (DispatchTier tier :
          {DispatchTier::Switch, DispatchTier::Threaded}) {
         SCOPED_TRACE(cpu::dispatchTierName(tier));
-        mem::GuestMemory memory;
-        cpu::CoreConfig cfg;
-        cfg.name = "test";
-        cfg.timingKind = cpu::TimingKind::Null;
-        cpu::Core core(cfg, memory);
-        core.loadProgram(prog);
-        core.setDispatchTier(tier);
-        cpu::RunResult r = core.run(10'000);
-        EXPECT_TRUE(r.exited);
-        EXPECT_EQ(r.exitCode, 42);
+        TierRun run(prog, tier);
+        EXPECT_EQ(run.run(10'000), 42);
+        EXPECT_TRUE(run.core->exited());
     }
 }
 
@@ -323,14 +320,7 @@ TEST(DispatchTier, TranslationCacheSharesPrograms)
     cpu::resetThreadedCache();
 
     auto runOnce = [&prog]() {
-        mem::GuestMemory memory;
-        cpu::CoreConfig cfg;
-        cfg.name = "test";
-        cfg.timingKind = cpu::TimingKind::Null;
-        cpu::Core core(cfg, memory);
-        core.loadProgram(prog);
-        core.setDispatchTier(DispatchTier::Threaded);
-        return core.run(10'000).exitCode;
+        return TierRun(prog, DispatchTier::Threaded).run(10'000);
     };
     EXPECT_EQ(runOnce(), 7);
     cpu::ThreadedCacheStats first = cpu::threadedCacheStats();
@@ -349,14 +339,7 @@ TEST(DispatchTier, SelfModificationDoesNotPoisonTheSharedCache)
     isa::Program prog = selfModifyingProgram();
     cpu::resetThreadedCache();
     auto runOnce = [&prog]() {
-        mem::GuestMemory memory;
-        cpu::CoreConfig cfg;
-        cfg.name = "test";
-        cfg.timingKind = cpu::TimingKind::Null;
-        cpu::Core core(cfg, memory);
-        core.loadProgram(prog);
-        core.setDispatchTier(DispatchTier::Threaded);
-        return core.run(10'000).exitCode;
+        return TierRun(prog, DispatchTier::Threaded).run(10'000);
     };
     // The first run COW-clones before patching; a second fresh core must
     // get the pristine shared translation back and see the same result.
@@ -369,15 +352,9 @@ TEST(DispatchTier, SelfModificationDoesNotPoisonTheSharedCache)
 std::string
 fatalMessageOf(const std::string &text, DispatchTier tier)
 {
-    mem::GuestMemory memory;
-    cpu::CoreConfig cfg;
-    cfg.name = "test";
-    cfg.timingKind = cpu::TimingKind::Null;
-    cpu::Core core(cfg, memory);
-    core.loadProgram(isa::assembleText(text));
-    core.setDispatchTier(tier);
+    TierRun run(isa::assembleText(text), tier);
     try {
-        core.run(10'000);
+        run.run(10'000);
     } catch (const FatalError &e) {
         return e.what();
     }

@@ -198,20 +198,12 @@ class FaultInjection : public ::testing::Test
 /**
  * Every registered in-plan site, when armed, must poison at least one
  * point (named in the set) while the rest of the plan completes. The
- * json-write site is export-side and covered separately below; the
- * farm-worker site only fires inside a farm worker subprocess
- * (tests/farm_test.cc covers the kill-and-retry path it exists for);
- * the jit-codecache site only fires on the jit dispatch tier
- * (tests/jit_tier_test.cc covers the structured failure it exists for);
- * the farm-journal-append, farm-repartition and farm-steal sites only
- * fire inside the farm daemon/coordinator (tests/farm_test.cc).
+ * json-write site is export-side and covered separately below.
  */
 TEST_F(FaultInjection, EveryPlanSiteFiresAndIsContained)
 {
     for (const std::string &site : faultinj::registeredSites()) {
-        if (site == "json-write" || site == "farm-worker" ||
-            site == "jit-codecache" || site == "farm-journal-append" ||
-            site == "farm-repartition" || site == "farm-steal")
+        if (site == "json-write")
             continue;
         SCOPED_TRACE(site);
         faultinj::arm(site, 1);
@@ -291,7 +283,7 @@ TEST_F(FaultInjection, UnknownSiteRejectedAtArmTime)
     } catch (const FatalError &e) {
         std::string what = e.what();
         EXPECT_NE(what.find("unknown fault site"), std::string::npos);
-        EXPECT_NE(what.find("farm-repartition"), std::string::npos)
+        EXPECT_NE(what.find("replay-ring"), std::string::npos)
             << "the error should list the registered sites";
     }
     EXPECT_FALSE(faultinj::armed());

@@ -213,6 +213,69 @@ TEST(Resume, TruncatedTrailingLineIgnored)
     std::remove(path.c_str());
 }
 
+/**
+ * A line carrying a valid schema and key but missing a result field, or
+ * holding it with the wrong JSON type, is rejected: the point re-runs
+ * instead of being restored as an Ok run with zero instructions.
+ */
+TEST(Resume, LinesWithMissingOrMistypedResultsAreRerun)
+{
+    ExperimentRun run;
+    run.result.run.instructions = 12345;
+    run.result.run.cycles = 67890;
+    run.result.run.exited = true;
+    run.result.interpreterTextBytes = 4096;
+    run.result.stats.counter("icache.misses") = 3;
+    std::string whole = journalLine("k", run);
+    std::string key;
+    ExperimentRun parsed;
+    ASSERT_TRUE(parseJournalLine(whole, key, parsed));
+
+    const std::vector<std::pair<std::string, std::string>> damage = {
+        {"\"exited\":true", "\"exited\":1"},
+        {"\"instructions\":12345", "\"instructions\":\"12345\""},
+        {"\"cycles\":67890", "\"cycles\":null"},
+        {"\"textBytes\":4096", "\"textBytes\":[4096]"},
+        {"\"counters\":{\"icache.misses\":3}", "\"counters\":[]"},
+        {"\"icache.misses\":3", "\"icache.misses\":true"},
+    };
+    for (const auto &[field, replacement] : damage) {
+        std::string line = whole;
+        size_t at = line.find(field);
+        ASSERT_NE(at, std::string::npos) << field;
+        EXPECT_FALSE(parseJournalLine(
+            std::string(line).replace(at, field.size(), replacement), key,
+            parsed))
+            << "mistyped: " << replacement;
+        // Drop the member and its separating comma.
+        std::string dropped = line.replace(at - 1, field.size() + 1, "");
+        if (field.find("icache") == std::string::npos) {
+            EXPECT_FALSE(parseJournalLine(dropped, key, parsed))
+                << "missing: " << field;
+        }
+    }
+
+    // End to end: a bare {schema, key} line for a real point must not
+    // satisfy --resume.
+    ExperimentPlan plan = smallPlan();
+    std::string path = tempPath("journal_bare.jsonl");
+    {
+        std::ofstream f(path);
+        f << "{\"schema\":\"scd-journal-v1\",\"key\":\""
+          << pointKey(plan.points()[0]) << "\"}\n";
+    }
+    RunOptions resume;
+    resume.jobs = 1;
+    resume.journalPath = path;
+    resume.resume = true;
+    ExperimentSet b = runPlan(plan, resume);
+    EXPECT_EQ(b.resumed, 0u);
+    EXPECT_EQ(b.executed, plan.size());
+    EXPECT_EQ(b.runs[0].status, PointStatus::Ok);
+    EXPECT_GT(b.runs[0].result.run.instructions, 0u);
+    std::remove(path.c_str());
+}
+
 /** Unusable points are not journaled, so a resume retries them. */
 TEST(Resume, FailedPointsAreRetriedOnResume)
 {
@@ -269,6 +332,46 @@ TEST(Resume, PointKeysDistinguishTimingVariants)
     EXPECT_NE(pointKey(a), pointKey(b));
     EXPECT_NE(pointKey(a), pointKey(c));
     EXPECT_EQ(pointKey(a), pointKey(a));
+}
+
+/**
+ * finishRun's exit-code precedence: an export failure outranks troubled
+ * points, which outrank a clean run.
+ */
+TEST(ExitCodes, FinishRunPrecedence)
+{
+    ExperimentPlan plan;
+    ExperimentPoint p;
+    p.vm = VmKind::Rlua;
+    p.workload = &workload("fibo");
+    p.size = InputSize::Test;
+    p.scheme = core::Scheme::Baseline;
+    p.machine = minorConfig();
+    plan.add(p);
+
+    ExperimentSet clean;
+    clean.points = plan.points();
+    clean.runs.resize(1);
+
+    ExperimentSet troubled = clean;
+    troubled.runs[0].status = PointStatus::Failed;
+    troubled.runs[0].error = "synthetic";
+
+    obs::StatsSink sink("resume_test", "test");
+    exportSet(sink, "clean", clean);
+
+    std::string good = tempPath("exitcodes.json");
+    EXPECT_EQ(finishRun(sink, good, {&clean}), kExitOk);
+    EXPECT_EQ(finishRun(sink, good, {&troubled}), kExitTroubled);
+    // An unwritable path is kExitExportFailure even when points are
+    // troubled too: the lost document is the more urgent signal.
+    std::string bad = "/nonexistent-dir/exitcodes.json";
+    EXPECT_EQ(finishRun(sink, bad, {&troubled}), kExitExportFailure);
+    EXPECT_EQ(finishRun(sink, bad, {&clean}), kExitExportFailure);
+    // No export requested: only the points decide.
+    EXPECT_EQ(finishRun(sink, "", {&troubled}), kExitTroubled);
+    EXPECT_EQ(finishRun(sink, "", {&clean}), kExitOk);
+    std::remove(good.c_str());
 }
 
 } // namespace
