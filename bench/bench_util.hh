@@ -14,7 +14,6 @@
 
 #include <utility>
 
-#include "cpu/dispatch_tier.hh"
 #include "harness/experiment.hh"
 #include "harness/machines.hh"
 #include "harness/workloads.hh"
@@ -58,25 +57,6 @@ parseJobs(int argc, char **argv)
         }
     }
     return 0;
-}
-
-/**
- * Parse --width=N (issue width for WideInOrderTiming studies). Returns
- * @p fallback when absent or malformed.
- */
-inline unsigned
-parseWidth(int argc, char **argv, unsigned fallback)
-{
-    for (int n = 1; n < argc; ++n) {
-        if (std::strncmp(argv[n], "--width=", 8) == 0) {
-            long v = std::strtol(argv[n] + 8, nullptr, 10);
-            if (v > 0)
-                return static_cast<unsigned>(v);
-            std::fprintf(stderr, "ignoring bad --width value '%s'\n",
-                         argv[n] + 8);
-        }
-    }
-    return fallback;
 }
 
 /**
@@ -167,28 +147,6 @@ parsePointTimeout(int argc, char **argv)
 }
 
 /**
- * Parse --dispatch-tier=switch|threaded into RunOptions::dispatchTier:
- * the engine of recorded runs (cpu/dispatch_tier.hh). Absent flag
- * keeps the RunOptions default ($SCD_DISPATCH_TIER, else threaded).
- * Host-speed only; results are bit-identical across tiers.
- */
-inline void
-parseDispatchTier(int argc, char **argv, harness::RunOptions &options)
-{
-    for (int n = 1; n < argc; ++n) {
-        if (std::strncmp(argv[n], "--dispatch-tier=", 16) == 0) {
-            if (auto tier = cpu::parseDispatchTier(argv[n] + 16)) {
-                options.dispatchTier = *tier;
-            } else {
-                std::fprintf(stderr,
-                             "ignoring bad --dispatch-tier value '%s'\n",
-                             argv[n] + 16);
-            }
-        }
-    }
-}
-
-/**
  * Parse --journal=<path> / --resume=<path> into RunOptions journal
  * fields. --journal starts a fresh crash-safe journal at <path>;
  * --resume reads <path> back first, skips every point already recorded
@@ -219,7 +177,7 @@ parseJournal(int argc, char **argv, harness::RunOptions &options)
 
 /**
  * Assemble the RunOptions every figure driver shares: --jobs,
- * --no-replay, --point-timeout, --dispatch-tier and --journal/--resume.
+ * --no-replay, --point-timeout and --journal/--resume.
  */
 inline harness::RunOptions
 parseRunOptions(int argc, char **argv)
@@ -228,7 +186,6 @@ parseRunOptions(int argc, char **argv)
     options.jobs = parseJobs(argc, argv);
     options.replay = !parseNoReplay(argc, argv);
     options.pointTimeout = parsePointTimeout(argc, argv);
-    parseDispatchTier(argc, argv, options);
     parseJournal(argc, argv, options);
     return options;
 }

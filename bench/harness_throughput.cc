@@ -370,9 +370,6 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"points\": %zu,\n", plan.size());
     std::fprintf(f, "  \"host_cpus\": %u,\n",
                  std::thread::hardware_concurrency());
-    std::fprintf(f, "  \"threaded_dispatch\": \"%s\",\n",
-                 cpu::threadedTierUsesComputedGoto() ? "computed-goto"
-                                                     : "switch-fallback");
     std::fprintf(f, "  \"jobs\": %u,\n", parallel.jobs);
     std::fprintf(f, "  \"serial_seconds\": %.6f,\n", serialSeconds);
     std::fprintf(f, "  \"parallel_seconds\": %.6f,\n", parallelSeconds);

@@ -26,10 +26,6 @@ main(int argc, char **argv)
     std::string jsonPath = bench::parseJsonPath(argc, argv);
     cpu::CoreConfig config =
         bench::applyFrontendFlag(argc, argv, cortexA8Config());
-    // The A8-like machine runs on WideInOrderTiming; --width=N widens
-    // (or narrows) the issue stage without touching the rest of the
-    // configuration. Default 2 matches the paper's dual-issue study.
-    config.issueWidth = bench::parseWidth(argc, argv, config.issueWidth);
     std::fprintf(stderr,
                  "higherend: running 2x11x2 on the %u-wide core...\n",
                  config.issueWidth);

@@ -13,6 +13,7 @@
  * Exit codes: 0 = within tolerance, 1 = regressed, 2 = usage/input error.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,7 +55,7 @@ main(int argc, char **argv)
         if (std::strncmp(argv[n], "--tolerance=", 12) == 0) {
             char *end = nullptr;
             double v = std::strtod(argv[n] + 12, &end);
-            if (!end || *end != '\0' || v < 0) {
+            if (!end || *end != '\0' || !std::isfinite(v) || v < 0) {
                 std::fprintf(stderr, "bad --tolerance value '%s'\n",
                              argv[n] + 12);
                 return 2;

@@ -58,7 +58,7 @@ main(int argc, char **argv)
     using namespace scd;
     using namespace scd::harness;
 
-    if (!obs::kTraceHooksCompiled) {
+    if (!obs::kTraceCompiledIn) {
         std::fprintf(stderr,
                      "scd_trace: this build has the trace hooks compiled "
                      "out; reconfigure with -DSCD_TRACE=ON (see "

@@ -10,9 +10,10 @@
 #include <string>
 #include <vector>
 
-#include "cpu/core.hh"
+#include "cpu/functional_core.hh"
+#include "cpu/inorder_timing.hh"
 #include "guest/rlua_guest.hh"
-#include "isa/disassembler.hh"
+#include "isa/instruction.hh"
 #include "mem/memory.hh"
 #include "vm/rlua_compiler.hh"
 
@@ -36,7 +37,8 @@ traceVariant(DispatchKind kind)
     guest.loadInto(memory);
     cpu::CoreConfig config;
     config.scdEnabled = kind == DispatchKind::Scd;
-    cpu::Core core(config, memory);
+    cpu::InOrderTiming timing(config);
+    cpu::FunctionalCore core(config, memory, timing);
     core.loadProgram(guest.text);
     core.setDispatchMeta(guest.meta);
 
@@ -55,23 +57,26 @@ traceVariant(DispatchKind kind)
     int printed = 0;
     int rounds = 0;
     bool lastWasDispatch = false;
-    core.setTraceHook([&](uint64_t pc, const isa::Instruction &inst) {
+    cpu::RetireInfo ri;
+    while (!core.exited() && core.retired() < 4000) {
+        core.step(&ri);
+        timing.retire(ri);
         if (skip > 0) {
             --skip;
-            return;
+            continue;
         }
-        bool dispatching = inDispatch(pc);
+        bool dispatching = inDispatch(ri.pc);
         if (dispatching && !lastWasDispatch)
             ++rounds;
         lastWasDispatch = dispatching;
         if (rounds >= 1 && rounds <= 2 && printed < 60) {
+            uint32_t word = guest.text.words[(ri.pc - guest.text.base) / 4];
             std::printf("  %s%8llx:  %s\n", dispatching ? "[D] " : "    ",
-                        (unsigned long long)pc,
-                        isa::toString(inst).c_str());
+                        (unsigned long long)ri.pc,
+                        isa::toString(isa::decode(word)).c_str());
             ++printed;
         }
-    });
-    core.run(4000);
+    }
     std::printf("\n");
 }
 

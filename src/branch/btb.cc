@@ -1,5 +1,7 @@
 #include "btb.hh"
 
+#include <algorithm>
+
 #include "common/bitutil.hh"
 #include "common/logging.hh"
 
@@ -33,49 +35,53 @@ validateBtbConfig(const BtbConfig &config)
         fatal("BTB adaptEpoch must be at least 1 when the cap is adaptive");
 }
 
-Btb::Btb(const BtbConfig &config) : config_(config)
+Btb::Btb(const BtbConfig &config, unsigned partialTagBits)
+    : config_(config), tagBits_(partialTagBits)
 {
     validateBtbConfig(config);
+    if (partialTagBits > 32)
+        fatal("BTB partial tag width must be at most 32, got ",
+              partialTagBits);
     numSets_ = config.entries / config.associativity;
     entries_.resize(config.entries);
     rrNext_.resize(numSets_, 0);
 }
 
-unsigned
-Btb::setOf(EntryKind kind, uint64_t key) const
-{
-    return kind == EntryKind::Branch ? branchSetOf(key) : jteSetOf(key);
-}
-
 Btb::Entry *
-Btb::find(EntryKind kind, uint64_t key, unsigned set)
+Btb::find(EntryKind kind, uint64_t key, uint32_t tag, unsigned set)
 {
     Entry *base = &entries_[set * config_.associativity];
     for (unsigned w = 0; w < config_.associativity; ++w) {
         Entry &e = base[w];
-        if (e.valid && e.kind == kind && e.key == key)
+        if (matches(e, kind, key, tag))
             return &e;
     }
     return nullptr;
 }
 
 std::optional<uint64_t>
-Btb::lookup(EntryKind kind, uint64_t key)
+Btb::lookup(EntryKind kind, uint64_t key, bool *falseHit)
 {
     ++useClock_;
-    unsigned set = setOf(kind, key);
-    if (Entry *e = find(kind, key, set)) {
-        e->lastUse = useClock_;
-        return e->target;
+    Entry *e = find(kind, key, tagOf(key), setOf(kind, key));
+    if (!e)
+        return std::nullopt;
+    e->lastUse = useClock_;
+    if (e->key != key) {
+        // A partial-tag alias: the hardware returns the resident entry's
+        // target as if it were the probed key's own.
+        if (falseHit)
+            *falseHit = true;
+        SCD_TRACE_HOOK(trace_, obs::TraceEventKind::FrontendFalseHit, key,
+                       e->key, 0, kind == EntryKind::Jte ? 1 : 0);
     }
-    return std::nullopt;
+    return e->target;
 }
 
 std::optional<uint64_t>
 Btb::lookupPc(uint64_t pc)
 {
-    if (config_.adaptiveJteCap)
-        adaptTick();
+    tickAdaptiveCap();
     return lookup(EntryKind::Branch, pc);
 }
 
@@ -125,7 +131,14 @@ Btb::insert(EntryKind kind, uint64_t key, uint64_t target)
 {
     ++useClock_;
     unsigned set = setOf(kind, key);
-    if (Entry *e = find(kind, key, set)) {
+    uint32_t tag = tagOf(key);
+    if (Entry *e = find(kind, key, tag, set)) {
+        // Tag-visible refresh: the hardware cannot tell an aliased entry
+        // from its own, so a partial-tag match is overwritten in place,
+        // silently displacing its previous owner.
+        if (e->key != key && kind == EntryKind::Jte)
+            ++jteAliased_;
+        e->key = key;
         e->target = target;
         e->lastUse = useClock_;
         return;
@@ -148,6 +161,7 @@ Btb::insert(EntryKind kind, uint64_t key, uint64_t target)
         if (!victim)
             return;
         victim->key = key;
+        victim->tag = tag;
         victim->target = target;
         victim->lastUse = useClock_;
         return;
@@ -157,11 +171,7 @@ Btb::insert(EntryKind kind, uint64_t key, uint64_t target)
     for (unsigned w = 0; w < config_.associativity; ++w) {
         Entry &e = base[w];
         if (!e.valid) {
-            e.valid = true;
-            e.kind = kind;
-            e.key = key;
-            e.target = target;
-            e.lastUse = useClock_;
+            e = {key, target, useClock_, tag, kind, true};
             if (kind == EntryKind::Jte) {
                 ++jteCount_;
                 jteHighWater_ = std::max(jteHighWater_, jteCount_);
@@ -212,11 +222,7 @@ Btb::insert(EntryKind kind, uint64_t key, uint64_t target)
     } else if (victim->kind == EntryKind::Jte) {
         panic("B entry evicting a JTE");
     }
-    victim->valid = true;
-    victim->kind = kind;
-    victim->key = key;
-    victim->target = target;
-    victim->lastUse = useClock_;
+    *victim = {key, target, useClock_, tag, kind, true};
 }
 
 void
@@ -244,14 +250,6 @@ Btb::flushJtes()
         if (e.valid && e.kind == EntryKind::Jte)
             e.valid = false;
     }
-    jteCount_ = 0;
-}
-
-void
-Btb::flushAll()
-{
-    for (Entry &e : entries_)
-        e.valid = false;
     jteCount_ = 0;
 }
 

@@ -61,11 +61,21 @@ enum class EntryKind : uint8_t
     Jte,    ///< jump-table entry (J/B = 1)
 };
 
-/** BTB with J/B-flagged entries. */
+/**
+ * BTB with J/B-flagged entries: the one owner of the JTE-overlay policy.
+ *
+ * With full tags (the paper's idealized BTB, the default) an entry matches
+ * on its whole key. With partial tags — the main array of MultiLevelBtb,
+ * after "Branch Target Buffer Reverse Engineering on Arm" — it matches on
+ * the key XOR-folded to a few bits, so a probe can *falsely hit* an entry
+ * of a different full key, and an insert overwrites such an aliased entry
+ * in place.
+ */
 class Btb
 {
   public:
-    explicit Btb(const BtbConfig &config);
+    /** @p partialTagBits = 0 selects full tags. */
+    explicit Btb(const BtbConfig &config, unsigned partialTagBits = 0);
 
     /** Look up a conventional PC-keyed target prediction. */
     std::optional<uint64_t> lookupPc(uint64_t pc);
@@ -85,11 +95,33 @@ class Btb
     /** Insert/refresh a VBBI hashed entry (B-kind placement rules). */
     void insertHashed(uint64_t hashKey, uint64_t target);
 
+    /**
+     * Look up @p key of @p kind by its tag. A match whose full key
+     * differs (possible only with partial tags) still returns that
+     * entry's target and sets @p *falseHit.
+     */
+    std::optional<uint64_t> lookup(EntryKind kind, uint64_t key,
+                                   bool *falseHit = nullptr);
+
+    /**
+     * Insert/refresh @p key of @p kind under the Section III-B policy:
+     * refresh a tag match in place, else fill an invalid way, else evict
+     * by LRU/round-robin — a B entry never evicts a JTE, and at the cap a
+     * JTE may only displace another JTE.
+     */
+    void insert(EntryKind kind, uint64_t key, uint64_t target);
+
+    /** Count one PC lookup toward the adaptive cap's epoch (no-op unless
+     *  the cap is adaptive); lookupPc does this itself. */
+    void
+    tickAdaptiveCap()
+    {
+        if (config_.adaptiveJteCap)
+            adaptTick();
+    }
+
     /** Invalidate all JTEs (the jte.flush instruction). */
     void flushJtes();
-
-    /** Invalidate everything. */
-    void flushAll();
 
     /** Number of currently valid JTEs. */
     unsigned jteCount() const { return jteCount_; }
@@ -103,8 +135,35 @@ class Btb
     /** Times a B insertion was dropped because its set was all-JTE. */
     uint64_t branchInsertDropped() const { return branchInsertDropped_; }
 
+    /** Times a JTE insertion overwrote an aliased JTE of another key. */
+    uint64_t jteAliased() const { return jteAliased_; }
+
     /** Current effective JTE cap (0 = unlimited). */
     unsigned effectiveJteCap() const;
+
+    /** Set index of @p key: B entries index with the word-aligned PC
+     *  (VBBI keys are pre-hashed); JTEs with the opcode XOR-folded with
+     *  the branch-ID (bank) so the multi-table extension's entries spread
+     *  across sets instead of aliasing. */
+    unsigned
+    setOf(EntryKind kind, uint64_t key) const
+    {
+        if (numSets_ == 1)
+            return 0;
+        if (kind == EntryKind::Jte) {
+            uint64_t bank = key >> 40;
+            return static_cast<unsigned>(((key & 0xFF) ^ (bank * 29)) &
+                                         (numSets_ - 1));
+        }
+        return static_cast<unsigned>((key >> 2) & (numSets_ - 1));
+    }
+
+    /** Compose the full key of a JTE. */
+    static uint64_t
+    jteKey(uint8_t bank, uint64_t opcode)
+    {
+        return opcode | (uint64_t(bank) + 1) << 40;
+    }
 
     // ---- inline fast path ------------------------------------------------
     // Behaviourally identical to the hit (refresh) path of insert(); kept
@@ -119,10 +178,13 @@ class Btb
     bool
     tryRefreshBranchKey(uint64_t key, uint64_t target)
     {
-        Entry *base = &entries_[branchSetOf(key) * config_.associativity];
+        uint32_t tag = tagOf(key);
+        Entry *base =
+            &entries_[setOf(EntryKind::Branch, key) * config_.associativity];
         for (unsigned w = 0; w < config_.associativity; ++w) {
             Entry &e = base[w];
-            if (e.valid && e.kind == EntryKind::Branch && e.key == key) {
+            if (matches(e, EntryKind::Branch, key, tag)) {
+                e.key = key;
                 e.target = target;
                 e.lastUse = ++useClock_;
                 return true;
@@ -134,9 +196,9 @@ class Btb
     const BtbConfig &config() const { return config_; }
 
     /**
-     * Attach an event-trace buffer for JTE-eviction events. The owner of
-     * the cycle stamp (the timing model) shares the same buffer; only
-     * SCD_TRACE=ON builds emit anything.
+     * Attach an event-trace buffer for JTE-eviction and false-hit events.
+     * The owner of the cycle stamp (the timing model) shares the same
+     * buffer; only SCD_TRACE=ON builds emit anything.
      */
     void setTrace(obs::TraceBuffer *trace) { trace_ = trace; }
 
@@ -145,48 +207,41 @@ class Btb
   private:
     struct Entry
     {
-        uint64_t key = 0;
+        uint64_t key = 0; ///< full key (simulator-side truth)
         uint64_t target = 0;
         uint64_t lastUse = 0;
+        uint32_t tag = 0; ///< partial tag, tagOf(key); 0 with full tags
         EntryKind kind = EntryKind::Branch;
         bool valid = false;
     };
 
-    // B entries index with the word-aligned PC; VBBI keys are pre-hashed.
-    unsigned
-    branchSetOf(uint64_t key) const
+    /** The XOR-folded partial tag of @p key (0 with full tags): every
+     *  13-bit stripe of the key folds in, then the result truncates to
+     *  the tag width. Keys whose folded images agree are
+     *  indistinguishable. */
+    uint32_t
+    tagOf(uint64_t key) const
     {
-        if (numSets_ == 1)
+        if (tagBits_ == 0)
             return 0;
-        return static_cast<unsigned>((key >> 2) & (numSets_ - 1));
+        uint64_t h =
+            key ^ (key >> 13) ^ (key >> 26) ^ (key >> 39) ^ (key >> 52);
+        return uint32_t(h & ((uint64_t(1) << tagBits_) - 1));
     }
 
-    // JTEs index with the opcode, XOR-folded with the branch-ID (bank) so
-    // the multi-table extension's entries spread across sets instead of
-    // aliasing (a few XOR gates on the index path).
-    unsigned
-    jteSetOf(uint64_t key) const
+    /** What the hardware compares: the full key, or the partial tag
+     *  (equal keys always have equal tags). */
+    bool
+    matches(const Entry &e, EntryKind kind, uint64_t key, uint32_t tag) const
     {
-        if (numSets_ == 1)
-            return 0;
-        uint64_t bank = key >> 40;
-        return static_cast<unsigned>(((key & 0xFF) ^ (bank * 29)) &
-                                     (numSets_ - 1));
+        return e.valid && e.kind == kind &&
+               (e.key == key || (tagBits_ != 0 && e.tag == tag));
     }
 
-    unsigned setOf(EntryKind kind, uint64_t key) const;
-    Entry *find(EntryKind kind, uint64_t key, unsigned set);
-    std::optional<uint64_t> lookup(EntryKind kind, uint64_t key);
-    void insert(EntryKind kind, uint64_t key, uint64_t target);
-
-    /** Compose the tag key for a JTE. */
-    static uint64_t
-    jteKey(uint8_t bank, uint64_t opcode)
-    {
-        return opcode | (uint64_t(bank) + 1) << 40;
-    }
+    Entry *find(EntryKind kind, uint64_t key, uint32_t tag, unsigned set);
 
     BtbConfig config_;
+    unsigned tagBits_;
     obs::TraceBuffer *trace_ = nullptr;
     unsigned numSets_;
     std::vector<Entry> entries_;
@@ -196,6 +251,7 @@ class Btb
     unsigned jteHighWater_ = 0;
     uint64_t jteEvictedBranch_ = 0;
     uint64_t branchInsertDropped_ = 0;
+    uint64_t jteAliased_ = 0;
 
     // Adaptive-cap state.
     void adaptTick();

@@ -1,6 +1,5 @@
 #include "frontend.hh"
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "common/bitutil.hh"
@@ -117,88 +116,17 @@ frontendFromSpec(const std::string &spec)
 
 MultiLevelBtb::MultiLevelBtb(const FrontendConfig &config,
                              const BtbConfig &btb)
-    : config_(config), btbConfig_(btb)
+    : config_(config), main_(btb, config.partialTagBits)
 {
     validateFrontendConfig(config, btb);
-    numSets_ = btb.entries / btb.associativity;
-    setBits_ = 0;
-    while ((1u << setBits_) < numSets_)
-        ++setBits_;
-    main_.resize(btb.entries);
     micro_.resize(config.microEntries);
-    rrNext_.resize(numSets_, 0);
-}
-
-uint64_t
-MultiLevelBtb::partialTag(uint64_t key) const
-{
-    // XOR-folded partial tag (the organization the Arm reverse-engineering
-    // work documents): every 13-bit stripe of the key folds into the tag,
-    // then the result truncates to the configured width. Two keys whose
-    // folded images agree on the low partialTagBits bits are
-    // indistinguishable to the hardware — the aliasing under study.
-    uint64_t h = key ^ (key >> 13) ^ (key >> 26) ^ (key >> 39) ^ (key >> 52);
-    return h & ((uint64_t(1) << config_.partialTagBits) - 1);
-}
-
-unsigned
-MultiLevelBtb::setOf(EntryKind kind, uint64_t key) const
-{
-    if (numSets_ == 1)
-        return 0;
-    if (kind == EntryKind::Jte) {
-        uint64_t bank = key >> 40;
-        return static_cast<unsigned>(((key & 0xFF) ^ (bank * 29)) &
-                                     (numSets_ - 1));
-    }
-    return static_cast<unsigned>((key >> 2) & (numSets_ - 1));
-}
-
-unsigned
-MultiLevelBtb::bankOf(unsigned set) const
-{
-    return set & (config_.mainBanks - 1);
-}
-
-uint64_t
-MultiLevelBtb::jteKey(uint8_t bank, uint64_t opcode)
-{
-    return opcode | (uint64_t(bank) + 1) << 40;
-}
-
-unsigned
-MultiLevelBtb::effectiveJteCap() const
-{
-    if (btbConfig_.adaptiveJteCap)
-        return adaptiveCap_;
-    return btbConfig_.jteCap;
-}
-
-void
-MultiLevelBtb::adaptTick()
-{
-    if (++epochLookups_ < btbConfig_.adaptEpoch)
-        return;
-    epochLookups_ = 0;
-    uint64_t pressure =
-        (jteEvictedBranch_ + branchInsertDropped_) - epochPressureBase_;
-    epochPressureBase_ = jteEvictedBranch_ + branchInsertDropped_;
-    if (pressure > btbConfig_.adaptEpoch / 512) {
-        unsigned current = adaptiveCap_ ? adaptiveCap_ : jteCount_;
-        adaptiveCap_ = std::max(8u, current / 2);
-    } else if (pressure == 0 && adaptiveCap_ != 0) {
-        adaptiveCap_ *= 2;
-        if (adaptiveCap_ >= btbConfig_.entries)
-            adaptiveCap_ = 0;
-    }
 }
 
 FrontendProbe
 MultiLevelBtb::probe(EntryKind kind, uint64_t key)
 {
     ++useClock_;
-    unsigned set = setOf(kind, key);
-    unsigned bank = bankOf(set);
+    unsigned bank = main_.setOf(kind, key) & (config_.mainBanks - 1);
     unsigned bubbles = 0;
     // The SCD overlay dual-probes the structure (a bop's JTE probe
     // alongside the next fetch-direction probe); banking keeps that
@@ -213,7 +141,7 @@ MultiLevelBtb::probe(EntryKind kind, uint64_t key)
     lastProbeKind_ = kind;
 
     // Micro-BTB: fully associative, full tags, zero-bubble hits.
-    for (Entry &e : micro_) {
+    for (MicroEntry &e : micro_) {
         if (e.valid && e.kind == kind && e.key == key) {
             e.lastUse = useClock_;
             ++microHits_;
@@ -223,38 +151,30 @@ MultiLevelBtb::probe(EntryKind kind, uint64_t key)
 
     // Main BTB: the hardware matches only the folded partial tag, so an
     // aliased entry hits as if it were our own.
-    uint64_t tag = partialTag(key);
-    Entry *base = &main_[set * btbConfig_.associativity];
-    for (unsigned w = 0; w < btbConfig_.associativity; ++w) {
-        Entry &e = base[w];
-        if (e.valid && e.kind == kind && e.tag == tag) {
-            e.lastUse = useClock_;
-            bubbles += config_.mainHitBubbles;
-            if (e.key != key) {
-                if (kind == EntryKind::Jte)
-                    ++falseHitsJte_;
-                else
-                    ++falseHitsBranch_;
-                SCD_TRACE_HOOK(trace_,
-                               obs::TraceEventKind::FrontendFalseHit, key,
-                               e.key, 0,
-                               kind == EntryKind::Jte ? 1 : 0);
-                return {e.target, true, bubbles};
-            }
-            ++mainHits_;
-            promote(e);
-            return {e.target, false, bubbles};
-        }
+    bool falseHit = false;
+    std::optional<uint64_t> target = main_.lookup(kind, key, &falseHit);
+    if (!target) {
+        ++misses_;
+        return {std::nullopt, false, bubbles};
     }
-    ++misses_;
-    return {std::nullopt, false, bubbles};
+    bubbles += config_.mainHitBubbles;
+    if (falseHit) {
+        if (kind == EntryKind::Jte)
+            ++falseHitsJte_;
+        else
+            ++falseHitsBranch_;
+        return {target, true, bubbles};
+    }
+    ++mainHits_;
+    promote(kind, key, *target);
+    return {target, false, bubbles};
 }
 
 void
-MultiLevelBtb::promote(const Entry &e)
+MultiLevelBtb::promote(EntryKind kind, uint64_t key, uint64_t target)
 {
-    Entry *victim = &micro_[0];
-    for (Entry &m : micro_) {
+    MicroEntry *victim = &micro_[0];
+    for (MicroEntry &m : micro_) {
         if (!m.valid) {
             victim = &m;
             break;
@@ -262,8 +182,7 @@ MultiLevelBtb::promote(const Entry &e)
         if (m.lastUse < victim->lastUse)
             victim = &m;
     }
-    *victim = e;
-    victim->lastUse = useClock_;
+    *victim = {key, target, useClock_, kind, true};
 }
 
 void
@@ -272,120 +191,20 @@ MultiLevelBtb::insert(EntryKind kind, uint64_t key, uint64_t target)
     ++useClock_;
 
     // Keep any promoted micro copy coherent with the new target.
-    for (Entry &e : micro_) {
+    for (MicroEntry &e : micro_) {
         if (e.valid && e.kind == kind && e.key == key) {
             e.target = target;
             e.lastUse = useClock_;
             break;
         }
     }
-
-    unsigned set = setOf(kind, key);
-    uint64_t tag = partialTag(key);
-    Entry *base = &main_[set * btbConfig_.associativity];
-
-    // Tag-visible refresh: the hardware cannot tell an aliased entry from
-    // its own, so a matching partial tag is overwritten in place. When the
-    // full keys differ this silently displaces the previous owner — the
-    // aliasing half of the false-hit ping-pong the sweep measures.
-    for (unsigned w = 0; w < btbConfig_.associativity; ++w) {
-        Entry &e = base[w];
-        if (e.valid && e.kind == kind && e.tag == tag) {
-            if (e.key != key && kind == EntryKind::Jte)
-                ++jteAliased_;
-            e.key = key;
-            e.target = target;
-            e.lastUse = useClock_;
-            return;
-        }
-    }
-
-    unsigned cap = effectiveJteCap();
-    if (kind == EntryKind::Jte && cap != 0 && jteCount_ >= cap) {
-        // At the cap a new JTE may only displace another JTE in its set.
-        Entry *victim = nullptr;
-        for (unsigned w = 0; w < btbConfig_.associativity; ++w) {
-            Entry &e = base[w];
-            if (e.valid && e.kind == EntryKind::Jte &&
-                (!victim || e.lastUse < victim->lastUse)) {
-                victim = &e;
-            }
-        }
-        if (!victim)
-            return;
-        victim->key = key;
-        victim->tag = tag;
-        victim->target = target;
-        victim->lastUse = useClock_;
-        return;
-    }
-
-    for (unsigned w = 0; w < btbConfig_.associativity; ++w) {
-        Entry &e = base[w];
-        if (!e.valid) {
-            e.valid = true;
-            e.kind = kind;
-            e.key = key;
-            e.tag = tag;
-            e.target = target;
-            e.lastUse = useClock_;
-            if (kind == EntryKind::Jte) {
-                ++jteCount_;
-                jteHighWater_ = std::max(jteHighWater_, jteCount_);
-            }
-            return;
-        }
-    }
-
-    // JTE replacement priority carries over from the single-level design:
-    // a B entry may never evict a JTE.
-    Entry *victim = nullptr;
-    if (btbConfig_.lruReplacement) {
-        for (unsigned w = 0; w < btbConfig_.associativity; ++w) {
-            Entry &e = base[w];
-            if (kind == EntryKind::Branch && e.kind == EntryKind::Jte)
-                continue;
-            if (!victim || e.lastUse < victim->lastUse)
-                victim = &e;
-        }
-    } else {
-        unsigned start = rrNext_[set];
-        for (unsigned n = 0; n < btbConfig_.associativity; ++n) {
-            unsigned w = (start + n) % btbConfig_.associativity;
-            Entry &e = base[w];
-            if (kind == EntryKind::Branch && e.kind == EntryKind::Jte)
-                continue;
-            victim = &e;
-            rrNext_[set] = (w + 1) % btbConfig_.associativity;
-            break;
-        }
-    }
-
-    if (!victim) {
-        ++branchInsertDropped_;
-        return;
-    }
-
-    if (kind == EntryKind::Jte && victim->kind == EntryKind::Branch) {
-        ++jteEvictedBranch_;
-        ++jteCount_;
-        jteHighWater_ = std::max(jteHighWater_, jteCount_);
-        SCD_TRACE_HOOK(trace_, obs::TraceEventKind::JteEvict, key,
-                       victim->key);
-    }
-    victim->valid = true;
-    victim->kind = kind;
-    victim->key = key;
-    victim->tag = tag;
-    victim->target = target;
-    victim->lastUse = useClock_;
+    main_.insert(kind, key, target);
 }
 
 FrontendProbe
 MultiLevelBtb::probePc(uint64_t pc)
 {
-    if (btbConfig_.adaptiveJteCap)
-        adaptTick();
+    main_.tickAdaptiveCap();
     return probe(EntryKind::Branch, pc);
 }
 
@@ -398,27 +217,23 @@ MultiLevelBtb::insertPc(uint64_t pc, uint64_t target)
 FrontendProbe
 MultiLevelBtb::probeJte(uint8_t bank, uint64_t opcode)
 {
-    return probe(EntryKind::Jte, jteKey(bank, opcode));
+    return probe(EntryKind::Jte, Btb::jteKey(bank, opcode));
 }
 
 void
 MultiLevelBtb::insertJte(uint8_t bank, uint64_t opcode, uint64_t target)
 {
-    insert(EntryKind::Jte, jteKey(bank, opcode), target);
+    insert(EntryKind::Jte, Btb::jteKey(bank, opcode), target);
 }
 
 void
 MultiLevelBtb::flushJtes()
 {
-    for (Entry &e : main_) {
+    main_.flushJtes();
+    for (MicroEntry &e : micro_) {
         if (e.valid && e.kind == EntryKind::Jte)
             e.valid = false;
     }
-    for (Entry &e : micro_) {
-        if (e.valid && e.kind == EntryKind::Jte)
-            e.valid = false;
-    }
-    jteCount_ = 0;
 }
 
 std::optional<uint64_t>
@@ -441,11 +256,9 @@ MultiLevelBtb::exportStats(StatGroup &group) const
     group.counter("frontend.misses") = misses_;
     group.counter("frontend.falseHits.branch") = falseHitsBranch_;
     group.counter("frontend.falseHits.jte") = falseHitsJte_;
-    group.counter("frontend.jteAliased") = jteAliased_;
+    group.counter("frontend.jteAliased") = main_.jteAliased();
     group.counter("frontend.bankConflicts") = bankConflicts_;
-    group.counter("btb.jteHighWater") = jteHighWater_;
-    group.counter("btb.jteEvictedBranch") = jteEvictedBranch_;
-    group.counter("btb.branchInsertDropped") = branchInsertDropped_;
+    main_.exportStats(group, "btb");
 }
 
 // ---------------------------------------------------------------------------

@@ -217,7 +217,8 @@ class IdealBtb final : public FrontendModel
     void
     updateHashed(uint64_t key, uint64_t target) override
     {
-        // Exactly branch::Vbbi::update() over the raw structure.
+        // Refresh in place, else insert: the same operations as
+        // insertHashed, with the hit path inlined.
         if (!btb_.tryRefreshBranchKey(key, target))
             btb_.insertHashed(key, target);
     }
@@ -236,7 +237,11 @@ class IdealBtb final : public FrontendModel
     Btb btb_;
 };
 
-/** Micro-BTB + banked partial-tag main BTB; see the file comment. */
+/**
+ * Micro-BTB + banked partial-tag main BTB; see the file comment. The main
+ * array is a branch::Btb with partial tags, so the JTE-overlay policy
+ * (priority, cap, adaptive cap, flush) is the single-level one.
+ */
 class MultiLevelBtb final : public FrontendModel
 {
   public:
@@ -249,48 +254,31 @@ class MultiLevelBtb final : public FrontendModel
     void flushJtes() override;
     std::optional<uint64_t> lookupHashed(uint64_t key) override;
     void updateHashed(uint64_t key, uint64_t target) override;
-    unsigned jteCount() const override { return jteCount_; }
-    void setTrace(obs::TraceBuffer *trace) override { trace_ = trace; }
+    unsigned jteCount() const override { return main_.jteCount(); }
+    void setTrace(obs::TraceBuffer *trace) override { main_.setTrace(trace); }
     void exportStats(StatGroup &group) const override;
 
   private:
-    struct Entry
+    struct MicroEntry
     {
-        uint64_t key = 0;    ///< full key (simulator-side truth)
-        uint64_t tag = 0;    ///< XOR-folded partial tag (what hw matches)
+        uint64_t key = 0;
         uint64_t target = 0;
         uint64_t lastUse = 0;
         EntryKind kind = EntryKind::Branch;
         bool valid = false;
     };
 
-    /** XOR-fold @p key down to the configured partial tag width. */
-    uint64_t partialTag(uint64_t key) const;
-    unsigned setOf(EntryKind kind, uint64_t key) const;
-    unsigned bankOf(unsigned set) const;
-
     /** Probe micro then main; shared by probePc/probeJte/lookupHashed. */
     FrontendProbe probe(EntryKind kind, uint64_t key);
-    /** Insert/refresh in the main BTB (partial-tag match rules). */
+    /** Insert/refresh in the main BTB, keeping micro copies coherent. */
     void insert(EntryKind kind, uint64_t key, uint64_t target);
     /** Promote a truly-hit main entry into the micro-BTB. */
-    void promote(const Entry &e);
-
-    unsigned effectiveJteCap() const;
-    void adaptTick();
-
-    static uint64_t jteKey(uint8_t bank, uint64_t opcode);
+    void promote(EntryKind kind, uint64_t key, uint64_t target);
 
     FrontendConfig config_;
-    BtbConfig btbConfig_;
-    obs::TraceBuffer *trace_ = nullptr;
-    unsigned numSets_;
-    unsigned setBits_;
-    std::vector<Entry> main_;  ///< numSets_ x associativity
-    std::vector<Entry> micro_; ///< fully associative, full tags
-    std::vector<unsigned> rrNext_;
-    uint64_t useClock_ = 0;
-    unsigned jteCount_ = 0;
+    Btb main_;                      ///< partial tags, numSets x ways
+    std::vector<MicroEntry> micro_; ///< fully associative, full tags
+    uint64_t useClock_ = 0;         ///< micro-BTB LRU stamps
 
     // Bank-conflict model: the SCD overlay dual-probes the structure (a
     // bop's JTE probe alongside the fetch-direction probe); banking makes
@@ -307,17 +295,7 @@ class MultiLevelBtb final : public FrontendModel
     uint64_t misses_ = 0;
     uint64_t falseHitsBranch_ = 0;
     uint64_t falseHitsJte_ = 0;
-    uint64_t jteAliased_ = 0;        ///< JTE insert overwrote aliased JTE
-    uint64_t jteEvictedBranch_ = 0;  ///< JTE insert displaced a B entry
-    uint64_t branchInsertDropped_ = 0;
     uint64_t bankConflicts_ = 0;
-    unsigned jteHighWater_ = 0;
-
-    // Adaptive-cap state (the same policy as branch::Btb, driven by this
-    // organization's own pressure counters).
-    unsigned adaptiveCap_ = 0; ///< 0 = currently unlimited
-    uint64_t epochLookups_ = 0;
-    uint64_t epochPressureBase_ = 0;
 };
 
 /** Decoupled fetch-target-queue prefetcher over another organization. */

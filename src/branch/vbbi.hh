@@ -16,18 +16,22 @@
 #include <cstdint>
 #include <optional>
 
-#include "btb.hh"
 #include "common/bitutil.hh"
 #include "frontend.hh"
 
 namespace scd::branch
 {
 
-/** VBBI prediction layer over a shared BTB. */
-class Vbbi
+/**
+ * VBBI over the FrontendModel interface: the storage is whatever frontend
+ * organization the timing model fetches through, so VBBI entries suffer
+ * the same partial-tag aliasing and multi-level placement as every other
+ * B entry. Over IdealBtb this is exactly VBBI over the paper's BTB.
+ */
+class FrontendVbbi
 {
   public:
-    explicit Vbbi(Btb &btb) : btb_(btb) {}
+    explicit FrontendVbbi(FrontendModel &frontend) : frontend_(frontend) {}
 
     static uint64_t
     key(uint64_t pc, uint64_t hint)
@@ -41,47 +45,14 @@ class Vbbi
     std::optional<uint64_t>
     predict(uint64_t pc, uint64_t hint)
     {
-        return btb_.lookupHashed(key(pc, hint));
+        return frontend_.lookupHashed(key(pc, hint));
     }
 
     /** Train with the resolved target. */
     void
     update(uint64_t pc, uint64_t hint, uint64_t target)
     {
-        uint64_t k = key(pc, hint);
-        if (!btb_.tryRefreshBranchKey(k, target))
-            btb_.insertHashed(k, target);
-    }
-
-  private:
-    Btb &btb_;
-};
-
-/**
- * VBBI re-homed onto the FrontendModel interface: the same composite
- * key and training policy as Vbbi, but the storage is whatever frontend
- * organization the timing model fetches through — so VBBI entries suffer
- * the same partial-tag aliasing and multi-level placement as every other
- * B entry. Over the ideal frontend this is operation-for-operation
- * identical to Vbbi over the raw Btb.
- */
-class FrontendVbbi
-{
-  public:
-    explicit FrontendVbbi(FrontendModel &frontend) : frontend_(frontend) {}
-
-    /** Predict the target of a marked indirect jump. */
-    std::optional<uint64_t>
-    predict(uint64_t pc, uint64_t hint)
-    {
-        return frontend_.lookupHashed(Vbbi::key(pc, hint));
-    }
-
-    /** Train with the resolved target. */
-    void
-    update(uint64_t pc, uint64_t hint, uint64_t target)
-    {
-        frontend_.updateHashed(Vbbi::key(pc, hint), target);
+        frontend_.updateHashed(key(pc, hint), target);
     }
 
   private:

@@ -38,20 +38,10 @@ enum class BopStallPolicy
     FallThrough, ///< proceed down the slow path, no fast dispatch
 };
 
-/** Which timing model the core composes with its functional executor. */
-enum class TimingKind
-{
-    InOrder,     ///< scoreboarded in-order pipeline (paper default)
-    WideInOrder, ///< same pipeline, width taken as an explicit parameter
-};
-
 /** Full microarchitectural configuration. */
 struct CoreConfig
 {
     std::string name = "minor";
-
-    // Timing model selection (see cpu/timing_model.hh).
-    TimingKind timingKind = TimingKind::InOrder;
 
     // Pipeline shape.
     unsigned issueWidth = 1;

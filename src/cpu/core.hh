@@ -62,13 +62,6 @@ class Core
         functional_.setDispatchMeta(meta);
     }
 
-    /** Optional per-instruction hook (pc, instruction), for tracing. */
-    using TraceHook = FunctionalCore::TraceHook;
-    void setTraceHook(TraceHook hook)
-    {
-        functional_.setTraceHook(std::move(hook));
-    }
-
     /** Arm the per-point wall-clock watchdog (<= 0 disarms). */
     void armWatchdog(double seconds) { functional_.armWatchdog(seconds); }
 

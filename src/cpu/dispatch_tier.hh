@@ -20,8 +20,6 @@
 #define SCD_CPU_DISPATCH_TIER_HH
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 namespace scd::cpu
 {
@@ -30,28 +28,8 @@ namespace scd::cpu
 enum class DispatchTier : uint8_t
 {
     Switch,   ///< the reference switch-dispatched step loop
-    Threaded, ///< pre-decoded threaded code (computed goto / portable)
+    Threaded, ///< pre-decoded threaded code (computed goto); the default
 };
-
-/** Stable lower-case name ("switch" / "threaded"). */
-const char *dispatchTierName(DispatchTier tier);
-
-/** Parse a tier name; nullopt on anything else. */
-std::optional<DispatchTier> parseDispatchTier(std::string_view name);
-
-/**
- * The process-wide default tier: $SCD_DISPATCH_TIER ("switch" or
- * "threaded") when set and valid, else Threaded. Read once and
- * cached; an invalid value warns and falls back to the default.
- */
-DispatchTier defaultDispatchTier();
-
-/**
- * True when this build dispatches threaded slots with GNU computed
- * gotos; false when it uses the portable switch-over-slots fallback
- * (compiler support missing or -DSCD_PORTABLE_DISPATCH=ON).
- */
-bool threadedTierUsesComputedGoto();
 
 } // namespace scd::cpu
 

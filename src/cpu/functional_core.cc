@@ -225,9 +225,6 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
     const Instruction &inst = slot.inst;
     const uint32_t flags = slot.flags;
 
-    if (trace_)
-        trace_(pc, inst);
-
     uint64_t nextPc = pc + 4;
     LatClass lat = LatClass::Alu;
     bool writesInt = (flags & isa::FlagWritesRd) && inst.rd != 0;
@@ -564,9 +561,7 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
 size_t
 FunctionalCore::runRecorded(RetireInfo *out, size_t cap)
 {
-    // Tracing wants the per-instruction hook probe; keep it on the
-    // reference interpreter, whose semantics the trace documents.
-    if (tier_ != DispatchTier::Switch && !trace_)
+    if (tier_ != DispatchTier::Switch)
         return ensureThreaded().runRecorded(out, cap);
     HotState hs{pc_, retired_, dispatchInstructions_};
     size_t n = 0;

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -69,15 +68,11 @@ class FunctionalCore
 
     /**
      * Select the execution tier used by runRecorded() (default:
-     * defaultDispatchTier()). step() always runs the reference
-     * interpreter; the tiers retire bit-identical streams either way.
+     * Threaded). step() always runs the reference interpreter; the
+     * tiers retire bit-identical streams either way.
      */
     void setDispatchTier(DispatchTier tier) { tier_ = tier; }
     DispatchTier dispatchTier() const { return tier_; }
-
-    /** Optional per-instruction hook (pc, instruction), for tracing. */
-    using TraceHook = std::function<void(uint64_t, const isa::Instruction &)>;
-    void setTraceHook(TraceHook hook) { trace_ = std::move(hook); }
 
     /**
      * Execute one instruction on the reference interpreter and fill @p ri
@@ -276,14 +271,13 @@ class FunctionalCore
     std::string output_;
     bool exited_ = false;
     int exitCode_ = 0;
-    TraceHook trace_;
     Watchdog watchdog_;
 
     // The threaded execution tier (src/cpu/threaded_tier.hh), built
     // lazily on first threaded run and discarded on loadProgram(). The
     // tier reads and writes the architectural state above directly.
     friend class ThreadedTier;
-    DispatchTier tier_ = defaultDispatchTier();
+    DispatchTier tier_ = DispatchTier::Threaded;
     std::unique_ptr<ThreadedTier> threaded_;
     ThreadedTier &ensureThreaded();
 };

@@ -362,12 +362,4 @@ InOrderTiming::exportStats(StatGroup &group) const
     }
 }
 
-WideInOrderTiming::WideInOrderTiming(const CoreConfig &config,
-                                     unsigned width)
-    : InOrderTiming(config)
-{
-    SCD_ASSERT(width >= 1, "issue width must be at least 1");
-    setIssueWidth(width);
-}
-
 } // namespace scd::cpu

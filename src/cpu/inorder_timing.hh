@@ -50,7 +50,7 @@ class InOrderTiming : public TimingModel
     /**
      * Batched retirement for the replay consumer path: one virtual call
      * per bop-free span, with the per-instruction retire() devirtualized
-     * inside the loop (WideInOrderTiming shares the same retire body).
+     * inside the loop.
      */
     void
     consume(const RetireInfo *ri, size_t n) override
@@ -66,13 +66,6 @@ class InOrderTiming : public TimingModel
 
     /** The frontend organization this pipeline fetches through. */
     branch::FrontendModel &frontend() { return *frontend_; }
-
-    /** Effective issue width (slots per cycle). */
-    unsigned issueWidth() const { return width_; }
-
-  protected:
-    /** Issue-width override hook for WideInOrderTiming. */
-    void setIssueWidth(unsigned width) { width_ = width; }
 
   private:
     /** Insert/refresh a JTE (a retiring jru with a pending insert). */
@@ -143,19 +136,6 @@ class InOrderTiming : public TimingModel
     uint64_t ropStallCycles_ = 0;
     uint64_t loadUseStalls_ = 0;
     uint64_t jteFalseResteers_ = 0; ///< false JTE hits resteered (non-ideal)
-};
-
-/**
- * The higher-end wide in-order pipeline (Section VI-C2): identical
- * scoreboard semantics, parameterized on issue width instead of taking
- * it from the machine configuration. Width 2 reproduces the dual-issue
- * Cortex-A8-like core; other widths support front-end sensitivity
- * studies without cloning machine configs.
- */
-class WideInOrderTiming : public InOrderTiming
-{
-  public:
-    WideInOrderTiming(const CoreConfig &config, unsigned width);
 };
 
 } // namespace scd::cpu

@@ -5,10 +5,9 @@
  * A replay group executes one FunctionalCore per unique functional key
  * and fans the retired-instruction stream out to every timing model in
  * the group. The stream never exists in full: the producer fills one
- * RetireChunk at a time from a small bounded ring (RetireStream), each
- * consumer drains it, and the chunk is reused — memory stays flat however
- * long the run is, and a chunk is small enough to stay cache-resident
- * while every consumer walks it.
+ * RetireChunk, each consumer drains it, and the chunk is refilled —
+ * memory stays flat however long the run is, and a chunk is small enough
+ * to stay cache-resident while every consumer walks it.
  *
  * The single timing-to-functional feedback edge is bop's mid-instruction
  * JTE probe, whose outcome depends on each consumer's own JTE state. The
@@ -29,7 +28,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "common/stats.hh"
 #include "retire_info.hh"
@@ -49,33 +47,6 @@ struct RetireChunk
 
     RetireInfo entries[kCapacity];
     size_t count = 0;
-};
-
-/**
- * The bounded chunk ring between one producer and its consumers. The
- * group scheduler runs producer and consumers in lockstep inside one
- * task (produce a chunk, let every live consumer drain it, reuse it), so
- * the ring needs no synchronization — it exists to bound memory and to
- * keep the hand-off pattern explicit.
- */
-class RetireStream
-{
-  public:
-    explicit RetireStream(size_t chunks = 2) : chunks_(chunks) {}
-
-    /** The chunk to fill next; overwrites the oldest slot. */
-    RetireChunk &
-    produceSlot()
-    {
-        RetireChunk &chunk = chunks_[next_];
-        next_ = (next_ + 1) % chunks_.size();
-        chunk.count = 0;
-        return chunk;
-    }
-
-  private:
-    std::vector<RetireChunk> chunks_;
-    size_t next_ = 0;
 };
 
 /**

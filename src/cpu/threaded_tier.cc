@@ -3,16 +3,9 @@
  * Threaded-code executor of the FunctionalCore (see threaded_tier.hh for
  * the design). The file has three parts: the slot representation, its
  * lowering and the process-global translation cache; the handler-threaded
- * executor (ThreadedTier::exec, one handler per opcode, written once and
- * compiled in both computed-goto and switch forms); and the run loop that
- * bursts the executor between budget boundaries and retranslation
- * pauses.
- *
- * SCD_COMPUTED_GOTO is defined (to 1) by the build system when the
- * compiler supports GNU address-of-label / computed goto and
- * -DSCD_PORTABLE_DISPATCH=ON was not given; otherwise the executor
- * compiles as a switch over slot handler indices inside a loop — same
- * handlers, one shared dispatch site.
+ * executor (ThreadedTier::exec, one handler per opcode, chained with GNU
+ * computed gotos); and the run loop that bursts the executor between
+ * budget boundaries and retranslation pauses.
  */
 
 #include "threaded_tier.hh"
@@ -32,20 +25,10 @@
 #include "isa/instruction.hh"
 #include "isa/opcode.hh"
 
-#ifndef SCD_COMPUTED_GOTO
-#define SCD_COMPUTED_GOTO 0
-#endif
-
 namespace scd::cpu
 {
 
 using isa::Opcode;
-
-bool
-threadedTierUsesComputedGoto()
-{
-    return SCD_COMPUTED_GOTO != 0;
-}
 
 /**
  * Handler index of a translated slot. Real opcodes map by identity (the
@@ -225,7 +208,6 @@ resetThreadedCache()
 ThreadedTier::ExecStatus
 ThreadedTier::exec(Cursor &cur, RetireInfo *ri, uint64_t budget)
 {
-#if SCD_COMPUTED_GOTO
     // One label per handler, in HOp order; slots token-thread through it.
     static const void *const kLabels[] = {
 #define SCD_HOP_LABEL(name, mnem, fmt, flags) &&L_##name,
@@ -235,7 +217,6 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, uint64_t budget)
         &&L_BadPc,
     };
     static_assert(std::size(kLabels) == size_t(HOp::NumHops));
-#endif
 
     FunctionalCore &c = core_;
     const TProgram &p = prog();
@@ -251,13 +232,8 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, uint64_t budget)
 // when an instruction actually needs one.
 #define SCD_PC() (tb + (uint64_t(ip - base) << 2))
 
-#if SCD_COMPUTED_GOTO
 #define SCD_CASE(name) L_##name:
 #define SCD_DISPATCH() goto *const_cast<void *>(kLabels[ip->hop])
-#else
-#define SCD_CASE(name) case HOp::name:
-#define SCD_DISPATCH() goto portable_dispatch
-#endif
 
 // Retire accounting, identical to the reference interpreter's tail.
 #define SCD_ACCOUNT()                                                        \
@@ -421,12 +397,7 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, uint64_t budget)
 
     // ---- handlers ---------------------------------------------------------
 
-#if SCD_COMPUTED_GOTO
     SCD_DISPATCH();
-#else
-  portable_dispatch:
-    switch (HOp(ip->hop)) {
-#endif
 
     SCD_H_INTOP(ADD, LatClass::Alu, urs1 + urs2)
     SCD_H_INTOP(SUB, LatClass::Alu, urs1 - urs2)
@@ -633,12 +604,6 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, uint64_t budget)
     SCD_CASE(BadPc) {
         c.badFetch(cur.pendingBadPc);
     }
-
-#if !SCD_COMPUTED_GOTO
-      default:
-        panic("corrupt threaded slot (hop=", unsigned(ip->hop), ")");
-    }
-#endif
 
   pause_budget:
     cur.idx = size_t(ip - base);

@@ -12,9 +12,9 @@
  * Execution then chains handlers with GNU computed gotos
  * (`goto *kLabels[ip->hop]`), replacing the reference interpreter's
  * fetch/bounds-check/switch per instruction with one indirect jump per
- * instruction from a per-opcode dispatch site. A portable
- * switch-over-slots fallback is selected automatically when the compiler
- * lacks computed gotos, or explicitly with -DSCD_PORTABLE_DISPATCH=ON.
+ * instruction from a per-opcode dispatch site. The tree already relies
+ * on GNU extensions (__int128, __builtin_memcpy), so every compiler that
+ * builds it has labels-as-values too.
  *
  * The tier contract: a threaded run retires the bit-identical RetireInfo
  * stream — same architectural effects, same traps, same SCD-bank updates,

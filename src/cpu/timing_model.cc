@@ -1,6 +1,5 @@
 #include "timing_model.hh"
 
-#include "common/logging.hh"
 #include "config.hh"
 #include "inorder_timing.hh"
 
@@ -26,14 +25,7 @@ TimingModel::~TimingModel() = default;
 std::unique_ptr<TimingModel>
 makeTimingModel(const CoreConfig &config)
 {
-    switch (config.timingKind) {
-      case TimingKind::InOrder:
-        return std::make_unique<InOrderTiming>(config);
-      case TimingKind::WideInOrder:
-        return std::make_unique<WideInOrderTiming>(config,
-                                                   config.issueWidth);
-    }
-    ::scd::panic("bad timing kind ", int(config.timingKind));
+    return std::make_unique<InOrderTiming>(config);
 }
 
 } // namespace scd::cpu

@@ -85,12 +85,12 @@ class TimingModel
     /**
      * Attach a pipeline event-trace buffer (src/obs/trace.hh). Models
      * without trace hooks ignore the call; hook emission additionally
-     * requires an SCD_TRACE=ON build (obs::kTraceHooksCompiled).
+     * requires an SCD_TRACE=ON build (obs::kTraceCompiledIn).
      */
     virtual void attachTrace(obs::TraceBuffer *) {}
 };
 
-/** Build the timing model selected by @p config (config.timingKind). */
+/** Build the timing model for @p config (the in-order pipeline). */
 std::unique_ptr<TimingModel> makeTimingModel(const CoreConfig &config);
 
 } // namespace scd::cpu

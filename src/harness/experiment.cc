@@ -149,7 +149,7 @@ runPlan(const ExperimentPlan &plan, const RunOptions &options)
         journal.open(opts.journalPath, /*truncate=*/!opts.resume);
 
     auto planStart = clock::now();
-    if (replayEnabled(opts))
+    if (opts.replay)
         runPlanReplay(set, pending, opts, &journal);
     else
         runPlanDirect(set, pending, opts, &journal);

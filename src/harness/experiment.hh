@@ -150,8 +150,8 @@ struct RunOptions
      * Execute-once, time-many: points sharing a functional key run one
      * FunctionalCore and replay its retired-instruction stream through
      * every timing model (src/harness/replay.hh). Results are
-     * bit-identical to direct execution. Setting SCD_NO_REPLAY in the
-     * environment also disables it (the CLI escape hatch --no-replay).
+     * bit-identical to direct execution. The CLI escape hatch
+     * --no-replay turns it off.
      */
     bool replay = true;
 
@@ -166,10 +166,10 @@ struct RunOptions
      * Execution tier of replay's shared producer (direct points always
      * step the reference interpreter). Host-speed only — results are
      * bit-identical across tiers (cpu/dispatch_tier.hh) — so it is not
-     * part of the replay grouping key or the resume journal key. CLI:
-     * --dispatch-tier=..., default $SCD_DISPATCH_TIER, else threaded.
+     * part of the replay grouping key or the resume journal key. Tests
+     * pin Switch as the reference.
      */
-    cpu::DispatchTier dispatchTier = cpu::defaultDispatchTier();
+    cpu::DispatchTier dispatchTier = cpu::DispatchTier::Threaded;
 
     /**
      * Crash-safe journal of completed points (src/harness/journal.hh).

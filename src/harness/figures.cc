@@ -101,29 +101,6 @@ gridFromSet(const ExperimentSet &set)
     return grid;
 }
 
-Grid
-runGrid(const cpu::CoreConfig &machine, InputSize size,
-        const std::vector<VmKind> &vms,
-        const std::vector<core::Scheme> &schemes, bool verbose,
-        unsigned jobs, bool replay)
-{
-    return runGridSet(machine, size, vms, schemes, verbose, jobs, replay)
-        .grid;
-}
-
-GridRun
-runGridSet(const cpu::CoreConfig &machine, InputSize size,
-           const std::vector<VmKind> &vms,
-           const std::vector<core::Scheme> &schemes, bool verbose,
-           unsigned jobs, bool replay)
-{
-    RunOptions options;
-    options.jobs = jobs;
-    options.verbose = verbose;
-    options.replay = replay;
-    return runGridSet(machine, size, vms, schemes, options);
-}
-
 GridRun
 runGridSet(const cpu::CoreConfig &machine, InputSize size,
            const std::vector<VmKind> &vms,

@@ -70,17 +70,6 @@ class Grid
     std::map<GridKey, ExperimentResult> cells_;
 };
 
-/**
- * Run the full grid for @p vms x @p schemes over all 11 workloads.
- * Points execute concurrently on @p jobs workers (0 = auto, see
- * resolveJobs()); the grid contents — and therefore every figure
- * rendered from it — are identical whatever the job count.
- */
-Grid runGrid(const cpu::CoreConfig &machine, InputSize size,
-             const std::vector<VmKind> &vms,
-             const std::vector<core::Scheme> &schemes,
-             bool verbose = false, unsigned jobs = 0, bool replay = true);
-
 /** An executed grid together with the raw set it was folded from. */
 struct GridRun
 {
@@ -89,19 +78,12 @@ struct GridRun
 };
 
 /**
- * runGrid() that also hands back the executed ExperimentSet, for
- * binaries that render figures *and* export the raw points to JSON
- * (harness/json_export.hh).
- */
-GridRun runGridSet(const cpu::CoreConfig &machine, InputSize size,
-                   const std::vector<VmKind> &vms,
-                   const std::vector<core::Scheme> &schemes,
-                   bool verbose = false, unsigned jobs = 0,
-                   bool replay = true);
-
-/**
- * runGridSet() with the full RunOptions (timeout, journal/resume, ...)
- * instead of the individual knobs.
+ * Run the full grid for @p vms x @p schemes over all 11 workloads and
+ * hand back both the Grid and the executed ExperimentSet (for binaries
+ * that render figures *and* export the raw points to JSON). Points
+ * execute concurrently on options.jobs workers; the grid contents — and
+ * therefore every figure rendered from it — are identical whatever the
+ * job count.
  */
 GridRun runGridSet(const cpu::CoreConfig &machine, InputSize size,
                    const std::vector<VmKind> &vms,

@@ -56,7 +56,6 @@ cortexA8Config()
 {
     cpu::CoreConfig c;
     c.name = "a8";
-    c.timingKind = cpu::TimingKind::WideInOrder;
     c.issueWidth = 2;
     c.mispredictPenalty = 6;
     c.btbMissTakenPenalty = 3;

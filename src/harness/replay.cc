@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -79,7 +78,6 @@ timingSignature(const cpu::CoreConfig &c)
         s += std::to_string(v);
         s += ',';
     };
-    add(uint64_t(c.timingKind));
     add(c.issueWidth);
     add(c.mispredictPenalty);
     add(c.btbMissTakenPenalty);
@@ -337,16 +335,17 @@ runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
         func.setDispatchTier(options.dispatchTier);
         func.armWatchdog(options.pointTimeout);
 
-        cpu::RetireStream stream;
+        // Producer and consumers run in lockstep inside this task: fill
+        // the chunk, let every live consumer drain it, refill.
+        auto chunk = std::make_unique<cpu::RetireChunk>();
         double producerSeconds = 0.0;
         bool exhausted = false;
         while (!exhausted) {
             SCD_FAULT_POINT("replay-ring");
-            cpu::RetireChunk &chunk = stream.produceSlot();
             auto fillStart = steady::now();
-            chunk.count = func.runRecorded(chunk.entries,
-                                           cpu::RetireChunk::kCapacity);
-            if (func.exited() || chunk.count == 0)
+            chunk->count = func.runRecorded(chunk->entries,
+                                            cpu::RetireChunk::kCapacity);
+            if (func.exited() || chunk->count == 0)
                 exhausted = true;
             producerSeconds += secondsSince(fillStart);
             // Cooperative cancellation, checked once per chunk (the
@@ -360,9 +359,9 @@ runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
                     continue;
                 auto drainStart = steady::now();
                 if (scdGroup)
-                    consumeScd(m, chunk);
+                    consumeScd(m, *chunk);
                 else
-                    m.timing->consume(chunk.entries, chunk.count);
+                    m.timing->consume(chunk->entries, chunk->count);
                 m.seconds += secondsSince(drainStart);
                 if (!m.fellBack)
                     anyLive = true;
@@ -454,12 +453,6 @@ runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
 }
 
 } // namespace
-
-bool
-replayEnabled(const RunOptions &options)
-{
-    return options.replay && std::getenv("SCD_NO_REPLAY") == nullptr;
-}
 
 /*
  * VM + interpreter binary (dispatch kind) + workload source pin the

@@ -10,8 +10,8 @@
  * every member's timing model, so a 16-machine sensitivity sweep pays
  * for one functional execution instead of sixteen. Results are
  * bit-identical to direct execution (tests/replay_test.cc); the
- * --no-replay escape hatch and the SCD_NO_REPLAY environment variable
- * select the direct path for cross-checking.
+ * --no-replay escape hatch (RunOptions::replay = false) selects the
+ * direct path for cross-checking.
  */
 
 #ifndef SCD_HARNESS_REPLAY_HH
@@ -23,9 +23,6 @@ namespace scd::harness
 {
 
 class RunJournal;
-
-/** Whether runPlan() should group-and-replay (options + environment). */
-bool replayEnabled(const RunOptions &options);
 
 /**
  * Execute one point directly (no replay), timing its wall clock.

@@ -134,6 +134,14 @@ compareRuns(const JsonValue &baseline, const JsonValue &current,
         result.failures.push_back(std::move(message));
     };
 
+    // A NaN tolerance would make every "delta > tolerance" test false.
+    if (!std::isfinite(options.tolerance) || options.tolerance < 0) {
+        failf("tolerance " + fmt(options.tolerance) +
+              " is not a finite non-negative number");
+        text = "bad tolerance — cannot compare\n";
+        return result;
+    }
+
     // ---- schema -----------------------------------------------------------
     if (baseline.stringOr("schema", "") != kStatsSchema)
         failf("baseline document is not " + std::string(kStatsSchema));

@@ -29,6 +29,7 @@ struct ReportOptions
      * regression. The simulator is deterministic, so a golden diff in CI
      * is exactly zero unless the modelled behaviour changed; the default
      * tolerates refactoring-scale noise while catching real shifts.
+     * A NaN, infinite or negative tolerance fails the comparison.
      */
     double tolerance = 0.02;
 

@@ -194,14 +194,14 @@ std::string profileReport(const TraceBuffer &trace,
     } while (0)
 namespace scd::obs
 {
-inline constexpr bool kTraceHooksCompiled = true;
+inline constexpr bool kTraceCompiledIn = true;
 }
 #else
 #define SCD_TRACE_HOOK(buffer, ...) ((void)0)
 #define SCD_TRACE_SET_CYCLE(buffer, c) ((void)0)
 namespace scd::obs
 {
-inline constexpr bool kTraceHooksCompiled = false;
+inline constexpr bool kTraceCompiledIn = false;
 }
 #endif
 

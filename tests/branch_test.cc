@@ -321,8 +321,8 @@ TEST(BtbAdaptiveCap, RelaxesBackToUnlimitedWhenContentionStops)
 
 TEST(Vbbi, DistinguishesTargetsByHintValue)
 {
-    Btb btb({256, 2, false, 0});
-    Vbbi vbbi(btb);
+    IdealBtb btb({256, 2, false, 0});
+    FrontendVbbi vbbi(btb);
     uint64_t jumpPc = 0x5000;
     for (uint64_t opcode = 0; opcode < 30; ++opcode)
         vbbi.update(jumpPc, opcode, 0x8000 + opcode * 0x40);

@@ -169,13 +169,15 @@ lockstepCompare(const guest::GuestProgram &program,
     EXPECT_EQ(refStats.all(), fastStats.all());
 }
 
-TEST(DispatchTier, ParseAndName)
+TEST(DispatchTier, RecordedRunsDefaultToTheThreadedTier)
 {
-    EXPECT_EQ(cpu::parseDispatchTier("switch"), DispatchTier::Switch);
-    EXPECT_EQ(cpu::parseDispatchTier("threaded"), DispatchTier::Threaded);
-    EXPECT_FALSE(cpu::parseDispatchTier("compiled").has_value());
-    EXPECT_STREQ(cpu::dispatchTierName(DispatchTier::Switch), "switch");
-    EXPECT_STREQ(cpu::dispatchTierName(DispatchTier::Threaded), "threaded");
+    harness::RunOptions options;
+    EXPECT_EQ(options.dispatchTier, DispatchTier::Threaded);
+    cpu::CoreConfig cfg;
+    mem::GuestMemory memory;
+    cpu::RecorderTiming recorder;
+    cpu::FunctionalCore core(cfg, memory, recorder);
+    EXPECT_EQ(core.dispatchTier(), DispatchTier::Threaded);
 }
 
 TEST(DispatchTier, LockstepStreamsMatchAcrossVmsSchemesAndWorkloads)
@@ -298,7 +300,7 @@ TEST(DispatchTier, SelfModifyingTextRetranslates)
     isa::Program prog = selfModifyingProgram();
     for (DispatchTier tier :
          {DispatchTier::Switch, DispatchTier::Threaded}) {
-        SCOPED_TRACE(cpu::dispatchTierName(tier));
+        SCOPED_TRACE(tier == DispatchTier::Switch ? "switch" : "threaded");
         TierRun run(prog, tier);
         EXPECT_EQ(run.run(10'000), 42);
         EXPECT_TRUE(run.core->exited());

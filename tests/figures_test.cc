@@ -21,10 +21,13 @@ using namespace scd::harness;
 const Grid &
 testGrid()
 {
-    static const Grid grid = runGrid(
-        minorConfig(), InputSize::Test, {VmKind::Rlua, VmKind::Sjs},
-        {core::Scheme::Baseline, core::Scheme::JumpThreading,
-         core::Scheme::Vbbi, core::Scheme::Scd});
+    static const Grid grid =
+        runGridSet(minorConfig(), InputSize::Test,
+                   {VmKind::Rlua, VmKind::Sjs},
+                   {core::Scheme::Baseline, core::Scheme::JumpThreading,
+                    core::Scheme::Vbbi, core::Scheme::Scd},
+                   RunOptions{})
+            .grid;
     return grid;
 }
 
@@ -114,8 +117,10 @@ TEST(FigureShapes, SmallBtbStillProfitsFromScd)
     // Figure 11(a): positive geomean speedup even at 64 BTB entries.
     cpu::CoreConfig machine = minorConfig();
     machine.btb.entries = 64;
-    Grid grid = runGrid(machine, InputSize::Test, {VmKind::Rlua},
-                        {core::Scheme::Baseline, core::Scheme::Scd});
+    Grid grid = runGridSet(machine, InputSize::Test, {VmKind::Rlua},
+                           {core::Scheme::Baseline, core::Scheme::Scd},
+                           RunOptions{})
+                    .grid;
     EXPECT_GT(grid.geomeanSpeedup(VmKind::Rlua, workloadNames(),
                                   core::Scheme::Scd),
               1.0);

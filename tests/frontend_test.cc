@@ -70,8 +70,8 @@ TEST(IdealBtbDifferential, MatchesRawBtbOnRandomOpSequences)
             break;
           }
           case 5: {
-            // updateHashed must behave exactly like Vbbi::update over the
-            // raw structure: refresh in place, else insert.
+            // updateHashed must behave exactly like refresh-in-place-else-
+            // insert over the raw structure.
             uint64_t key = r & 0xFFFF;
             if (!raw.tryRefreshBranchKey(key, r))
                 raw.insertHashed(key, r);

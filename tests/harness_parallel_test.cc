@@ -185,12 +185,15 @@ TEST(RunPlan, FigureOutputIsByteIdenticalAcrossJobCounts)
 {
     // The determinism guarantee: a figure rendered from a parallel grid
     // matches the serial run byte for byte.
-    Grid serial = runGrid(minorConfig(), InputSize::Test, {VmKind::Rlua},
-                          {core::Scheme::Baseline}, /*verbose=*/false,
-                          /*jobs=*/1);
-    Grid parallel = runGrid(minorConfig(), InputSize::Test, {VmKind::Rlua},
-                            {core::Scheme::Baseline}, /*verbose=*/false,
-                            /*jobs=*/4);
+    auto gridWithJobs = [](unsigned jobs) {
+        RunOptions options;
+        options.jobs = jobs;
+        return runGridSet(minorConfig(), InputSize::Test, {VmKind::Rlua},
+                          {core::Scheme::Baseline}, options)
+            .grid;
+    };
+    Grid serial = gridWithJobs(1);
+    Grid parallel = gridWithJobs(4);
     EXPECT_EQ(renderFig2(serial), renderFig2(parallel));
     EXPECT_EQ(renderFig3(serial), renderFig3(parallel));
 }

@@ -255,6 +255,23 @@ TEST(Report, ToleranceEdges)
     EXPECT_TRUE(compareRuns(baseline, moved, tight).regressed());
 }
 
+TEST(Report, NonFiniteOrNegativeToleranceFails)
+{
+    // A NaN tolerance makes every "delta > tolerance" test false, so a
+    // +50% move would pass; such tolerances must fail the gate instead.
+    JsonValue run = parseSink(makeSink(800));
+    JsonValue moved = parseSink(makeSink(1200));
+    for (double bad : {std::nan(""), double(INFINITY), -0.01}) {
+        ReportOptions options;
+        options.tolerance = bad;
+        EXPECT_TRUE(compareRuns(run, run, options).regressed()) << bad;
+        ReportResult result = compareRuns(run, moved, options);
+        EXPECT_TRUE(result.regressed()) << bad;
+        EXPECT_EQ(result.text.find("PASS"), std::string::npos)
+            << result.text;
+    }
+}
+
 TEST(Report, WinnerChangeIsAFailureEvenWithinTolerance)
 {
     // Two schemes 0.5% apart: a tiny move that swaps the winner must
