@@ -49,9 +49,9 @@ parseJobs(int argc, char **argv)
 {
     for (int n = 1; n < argc; ++n) {
         if (std::strncmp(argv[n], "--jobs=", 7) == 0) {
-            long v = std::strtol(argv[n] + 7, nullptr, 10);
-            if (v > 0)
-                return static_cast<unsigned>(v);
+            unsigned jobs = 0;
+            if (harness::parseJobCount(argv[n] + 7, jobs))
+                return jobs;
             std::fprintf(stderr, "ignoring bad --jobs value '%s'\n",
                          argv[n] + 7);
         }

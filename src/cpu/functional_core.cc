@@ -400,7 +400,6 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
             nextPc = pc + imm;
         ctrl = CtrlKind::Conditional;
         cls = BranchClass::Conditional;
-        countBranch(cls);
         break;
       }
 
@@ -410,7 +409,6 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
         nextPc = pc + imm;
         ctrl = CtrlKind::Jal;
         cls = BranchClass::DirectJump;
-        countBranch(cls);
         break;
 
       case Opcode::JALR: {
@@ -429,7 +427,6 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
         }
         nextPc = urs1 + imm;
         ctrl = CtrlKind::Jalr;
-        countBranch(cls);
         break;
       }
 
@@ -492,7 +489,6 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
         // fetch, and a miss falls through sequentially.
         ctrl = CtrlKind::Bop;
         cls = BranchClass::Bop;
-        countBranch(cls);
         break;
       }
 
@@ -501,7 +497,6 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
         nextPc = urs1;
         ctrl = CtrlKind::Jru;
         cls = BranchClass::IndirectDispatch;
-        countBranch(cls);
         break;
       }
 
@@ -523,9 +518,6 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
         x_[inst.rd] = intResult;
     if (writesFp)
         f_[inst.rd] = fpResult;
-    // Branchless: whether a pc is dispatch code flips constantly in
-    // interpreter workloads, so a conditional increment would mispredict.
-    hs.dispatchInstructions += (flags >> kDispatchRangeShift) & 1;
     ++hs.retired;
     hs.pc = nextPc;
 
@@ -554,7 +546,6 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
     ri->bopHit = bopHit;
     ri->jteInsert = jteIns;
     ri->jteOpcode = jteOpcode;
-    ri->jteTarget = nextPc;
     return !exited_;
 }
 
@@ -563,30 +554,20 @@ FunctionalCore::runRecorded(RetireInfo *out, size_t cap)
 {
     if (tier_ != DispatchTier::Switch)
         return ensureThreaded().runRecorded(out, cap);
-    HotState hs{pc_, retired_, dispatchInstructions_};
+    HotState hs{pc_, retired_};
     size_t n = 0;
     bool live = true;
     while (live && n < cap)
         live = stepImpl(&out[n++], hs);
     pc_ = hs.pc;
     retired_ = hs.retired;
-    dispatchInstructions_ = hs.dispatchInstructions;
     return n;
 }
 
 void
 FunctionalCore::exportStats(StatGroup &group) const
 {
-    group.counter("instructions") = retired_;
-    group.counter("dispatchInstructions") = dispatchInstructions_;
-    for (size_t c = 0; c < size_t(BranchClass::NumClasses); ++c) {
-        std::string name = branchClassName(BranchClass(c));
-        group.counter("branch." + name + ".count") = branchCount_[c];
-    }
-    group.counter("scd.bopFastHits") = bopFastHits_;
-    group.counter("scd.bopMisses") = bopMisses_;
     group.counter("scd.bopFallThroughForced") = bopFallThroughForced_;
-    group.counter("scd.jteInserts") = jteInserts_;
 }
 
 } // namespace scd::cpu

@@ -81,11 +81,10 @@ class FunctionalCore
     bool
     step(RetireInfo *ri)
     {
-        HotState hs{pc_, retired_, dispatchInstructions_};
+        HotState hs{pc_, retired_};
         bool live = stepImpl(ri, hs);
         pc_ = hs.pc;
         retired_ = hs.retired;
-        dispatchInstructions_ = hs.dispatchInstructions;
         return live;
     }
 
@@ -117,15 +116,20 @@ class FunctionalCore
     uint64_t readReg(unsigned r) const { return x_[r]; }
     double readFreg(unsigned r) const { return f_[r]; }
 
-    /** Fold the architectural counters into @p group. */
+    /**
+     * Fold the one counter the retired stream cannot show into @p group:
+     * scd.bopFallThroughForced. Everything countable from the stream
+     * (instructions, branch classes, bop hits/misses, JTE inserts) is
+     * counted by the timing model that retires it.
+     */
     void exportStats(StatGroup &group) const;
 
     /**
      * Per-slot flag word cached at load time so step() never consults
      * the opcodeInfo table: the low bits are the opcode's isa::OpFlags,
      * the high bits the core-private dispatch-metadata flags below. The
-     * word is exported verbatim in RetireInfo::flags; replay consumers
-     * reconstruct dispatchInstructions from PcFlagInDispatchRange.
+     * word is exported verbatim in RetireInfo::flags, where the timing
+     * model counts dispatchInstructions from PcFlagInDispatchRange.
      */
     static constexpr unsigned kDispatchRangeShift = 24;
     static constexpr unsigned kVbbiHintShift = 26;
@@ -160,7 +164,6 @@ class FunctionalCore
     {
         uint64_t pc;
         uint64_t retired;
-        uint64_t dispatchInstructions;
     };
 
     /** The step body: execute one instruction and fill @p ri. */
@@ -169,7 +172,6 @@ class FunctionalCore
     void handleSyscall();
     uint64_t loadValue(const isa::Instruction &inst, uint64_t addr);
     void storeValue(const isa::Instruction &inst, uint64_t addr);
-    void countBranch(BranchClass cls) { ++branchCount_[size_t(cls)]; }
 
     // ---- semantics helpers shared by both dispatch tiers ----------------
     // Defined inline in functional_core_inl.hh and included by both
@@ -179,7 +181,7 @@ class FunctionalCore
     inline bool jruConsume(uint8_t bank, uint64_t &jteOpcode);
     /**
      * The bop instruction minus control flow: eligibility, the JTE
-     * probe, counters, and the Rbop-pc update. @p retiredIdx is the
+     * probe, and the Rbop-pc update. @p retiredIdx is the
      * retire index of the bop itself. Returns the short-circuit target
      * on a hit.
      */
@@ -259,13 +261,9 @@ class FunctionalCore
     ScdBank banks_[kScdBanks];
     uint64_t retired_ = 0;
 
-    // Architectural statistics (timing-independent).
-    uint64_t dispatchInstructions_ = 0;
-    uint64_t branchCount_[size_t(BranchClass::NumClasses)] = {};
-    uint64_t bopFastHits_ = 0;
-    uint64_t bopMisses_ = 0;
+    // bops the Rop forwarding distance forced down the slow path. They
+    // retire like any ineligible bop, so only bopExec can count them.
     uint64_t bopFallThroughForced_ = 0;
-    uint64_t jteInserts_ = 0;
 
     // Guest interaction.
     std::string output_;

@@ -3,10 +3,10 @@
  * Shared semantic helper bodies of the FunctionalCore, included by both
  * the reference interpreter (functional_core.cc) and the threaded tier
  * (threaded_tier.cc). Every rule with tier-visible consequences — jru's
- * Rop consumption and bop's eligibility/probe/counter protocol — lives
- * here exactly once, so the
- * two tiers execute the same code and cannot drift apart. The bodies are
- * inline because they sit on both tiers' per-control-instruction paths.
+ * Rop consumption and bop's eligibility/probe protocol — lives here
+ * exactly once, so the two tiers execute the same code and cannot drift
+ * apart. The bodies are inline because they sit on both tiers'
+ * per-control-instruction paths.
  */
 
 #ifndef SCD_CPU_FUNCTIONAL_CORE_INL_HH
@@ -24,7 +24,6 @@ FunctionalCore::jruConsume(uint8_t bank, uint64_t &jteOpcode)
     ScdBank &b = banks_[bank];
     if (config_.scdEnabled && b.ropValid) {
         jteOpcode = b.ropData;
-        ++jteInserts_;
         b.ropValid = false;
         // The insertion itself happens when the timing model (or a replay
         // consumer) retires the jru, after the B entry.
@@ -64,12 +63,8 @@ FunctionalCore::bopExec(uint8_t bankIdx, uint64_t pc, uint64_t retiredIdx,
         target = timing_.jteLookup(bankIdx, bank.ropData);
         bopHit = target.has_value();
     }
-    if (target) {
+    if (target)
         bank.ropValid = false;
-        ++bopFastHits_;
-    } else {
-        ++bopMisses_;
-    }
     bank.rbopPc = pc;
     return target;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "functional_core.hh"
 #include "isa/instruction.hh"
 
 namespace scd::cpu
@@ -151,8 +152,9 @@ InOrderTiming::attachTrace(obs::TraceBuffer *trace)
 }
 
 void
-InOrderTiming::recordMiss(const RetireInfo &ri, bool mispredicted)
+InOrderTiming::recordBranch(const RetireInfo &ri, bool mispredicted)
 {
+    ++branchCount_[size_t(ri.cls)];
     if (mispredicted) {
         ++branchMisses_[size_t(ri.cls)];
         SCD_TRACE_HOOK(trace_, obs::TraceEventKind::Mispredict, ri.pc, 0,
@@ -163,6 +165,11 @@ InOrderTiming::recordMiss(const RetireInfo &ri, bool mispredicted)
 void
 InOrderTiming::retire(const RetireInfo &ri)
 {
+    ++instructions_;
+    // Branchless: whether a pc is dispatch code flips constantly in
+    // interpreter workloads, so a conditional increment would mispredict.
+    dispatchInstructions_ +=
+        (ri.flags >> FunctionalCore::kDispatchRangeShift) & 1;
     chargeFetch(ri.pc);
 
     // ---- issue ----------------------------------------------------------
@@ -245,7 +252,7 @@ InOrderTiming::retire(const RetireInfo &ri)
         direction_->update(ri.pc, ri.taken);
         if (ri.taken)
             fetchInsert(ri.pc, ri.nextPc);
-        recordMiss(ri, mispredict);
+        recordBranch(ri, mispredict);
         if (mispredict)
             redirect(config_.mispredictPenalty);
         break;
@@ -258,7 +265,7 @@ InOrderTiming::retire(const RetireInfo &ri)
         fetchInsert(ri.pc, ri.nextPc);
         if (ri.rd == isa::reg::ra)
             ras_->push(ri.pc + 4);
-        recordMiss(ri, !hit);
+        recordBranch(ri, !hit);
         if (!hit) {
             // An aliased hit fetched down a wrong path and costs a full
             // execute-stage redirect; a plain miss only the decode one.
@@ -288,15 +295,21 @@ InOrderTiming::retire(const RetireInfo &ri)
         }
         if (ri.rd == isa::reg::ra)
             ras_->push(ri.pc + 4);
-        recordMiss(ri, mispredict);
+        recordBranch(ri, mispredict);
         if (mispredict)
             redirect(config_.mispredictPenalty);
         break;
       }
 
       case CtrlKind::Bop:
-        // The fetch stage stalled until Rop became forwardable; the JTE
-        // probe itself happened architecturally (never a redirect).
+        // A bop never mispredicts: its JTE probe happened architecturally
+        // and a miss (or an ineligible bop) falls through sequentially.
+        recordBranch(ri, false);
+        if (ri.bopHit)
+            ++bopFastHits_;
+        else
+            ++bopMisses_;
+        // The fetch stage stalled until Rop became forwardable.
         cycle_ += ri.ropStall;
         ropStallCycles_ += ri.ropStall;
         if (ri.ropStall > 0) {
@@ -313,9 +326,10 @@ InOrderTiming::retire(const RetireInfo &ri)
         if (ri.jteInsert) {
             SCD_TRACE_HOOK(trace_, obs::TraceEventKind::JteInsert, ri.pc,
                            ri.jteOpcode, ri.op, uint8_t(ri.cls));
-            jteInsert(ri.bank, ri.jteOpcode, ri.jteTarget);
+            jteInsert(ri.bank, ri.jteOpcode, ri.nextPc);
+            ++jteInserts_;
         }
-        recordMiss(ri, mispredict);
+        recordBranch(ri, mispredict);
         if (mispredict)
             redirect(config_.mispredictPenalty);
         break;
@@ -338,10 +352,16 @@ InOrderTiming::retire(const RetireInfo &ri)
 void
 InOrderTiming::exportStats(StatGroup &group) const
 {
+    group.counter("instructions") = instructions_;
+    group.counter("dispatchInstructions") = dispatchInstructions_;
     for (size_t c = 0; c < size_t(BranchClass::NumClasses); ++c) {
         std::string name = branchClassName(BranchClass(c));
+        group.counter("branch." + name + ".count") = branchCount_[c];
         group.counter("branch." + name + ".mispredicted") = branchMisses_[c];
     }
+    group.counter("scd.bopFastHits") = bopFastHits_;
+    group.counter("scd.bopMisses") = bopMisses_;
+    group.counter("scd.jteInserts") = jteInserts_;
     group.counter("scd.ropStallCycles") = ropStallCycles_;
     group.counter("loadUseStalls") = loadUseStalls_;
     icache_->exportStats(group);

@@ -76,7 +76,8 @@ class InOrderTiming : public TimingModel
     void chargeFetch(uint64_t pc);
     uint64_t dataAccess(uint64_t addr, bool write);
     void redirect(unsigned penalty);
-    void recordMiss(const RetireInfo &ri, bool mispredicted);
+    /** Count a retired branch of class ri.cls and whether it missed. */
+    void recordBranch(const RetireInfo &ri, bool mispredicted);
 
     /**
      * B-entry port with the default organization devirtualized: when the
@@ -131,8 +132,16 @@ class InOrderTiming : public TimingModel
     cache::Tlb itlb_;
     cache::Tlb dtlb_;
 
-    // Statistics.
+    // Statistics. The counts of the retired stream itself live here too:
+    // this is the one place every retired instruction passes through, in
+    // direct runs and replay alike.
+    uint64_t instructions_ = 0;
+    uint64_t dispatchInstructions_ = 0;
+    uint64_t branchCount_[size_t(BranchClass::NumClasses)] = {};
     uint64_t branchMisses_[size_t(BranchClass::NumClasses)] = {};
+    uint64_t bopFastHits_ = 0;
+    uint64_t bopMisses_ = 0;
+    uint64_t jteInserts_ = 0;
     uint64_t ropStallCycles_ = 0;
     uint64_t loadUseStalls_ = 0;
     uint64_t jteFalseResteers_ = 0; ///< false JTE hits resteered (non-ideal)

@@ -226,7 +226,6 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, uint64_t budget)
     const uint64_t limit = uint64_t(p.nReal) * 4;
     const TSlot *ip = base + cur.idx;
     uint64_t retired = cur.retired;
-    uint64_t dispatch = cur.dispatch;
 
 // The architectural pc of the current slot — handlers only materialize it
 // when an instruction actually needs one.
@@ -238,7 +237,6 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, uint64_t budget)
 // Retire accounting, identical to the reference interpreter's tail.
 #define SCD_ACCOUNT()                                                        \
     do {                                                                     \
-        dispatch += (ip->flags >> FunctionalCore::kDispatchRangeShift) & 1;  \
         ++retired;                                                           \
         ++ri;                                                                \
     } while (0)
@@ -260,7 +258,6 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, uint64_t budget)
         *ri = RetireInfo{};                                                  \
         ri->pc = (pcv);                                                      \
         ri->nextPc = (nextv);                                                \
-        ri->jteTarget = ri->nextPc;                                          \
         ri->flags = ip->flags;                                               \
         ri->rd = ip->rd;                                                     \
         ri->rs1 = ip->rs1;                                                   \
@@ -385,7 +382,6 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, uint64_t budget)
         [[maybe_unused]] int64_t srs1 = int64_t(urs1);                       \
         [[maybe_unused]] int64_t srs2 = int64_t(urs2);                       \
         bool taken = (__VA_ARGS__);                                          \
-        c.countBranch(BranchClass::Conditional);                             \
         uint64_t pcv = SCD_PC();                                             \
         SCD_SET_RI(pcv, taken ? pcv + uint64_t(ip->imm) : pcv + 4);          \
         ri->ctrl = CtrlKind::Conditional;                                    \
@@ -450,7 +446,6 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, uint64_t budget)
     SCD_CASE(JAL) {
         uint64_t pcv = SCD_PC();
         uint64_t target = pcv + uint64_t(ip->imm);
-        c.countBranch(BranchClass::DirectJump);
         SCD_SET_RI(pcv, target);
         ri->ctrl = CtrlKind::Jal;
         ri->cls = BranchClass::DirectJump;
@@ -479,7 +474,6 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, uint64_t budget)
             if (hintReg >= 0)
                 hintValue = c.x_[hintReg];
         }
-        c.countBranch(cls);
         SCD_SET_RI(pcv, target);
         ri->ctrl = CtrlKind::Jalr;
         ri->cls = cls;
@@ -560,7 +554,6 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, uint64_t budget)
         uint64_t jteOpcode = 0;
         std::optional<uint64_t> target = c.bopExec(
             ip->bank, pcv, retired, ropStall, bopProbed, bopHit, jteOpcode);
-        c.countBranch(BranchClass::Bop);
         SCD_SET_RI(pcv, target ? *target : pcv + 4);
         ri->ctrl = CtrlKind::Bop;
         ri->cls = BranchClass::Bop;
@@ -578,7 +571,6 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, uint64_t budget)
         uint64_t target = c.x_[ip->rs1];
         uint64_t jteOpcode = 0;
         bool jteIns = c.jruConsume(ip->bank, jteOpcode);
-        c.countBranch(BranchClass::IndirectDispatch);
         SCD_SET_RI(pcv, target);
         ri->ctrl = CtrlKind::Jru;
         ri->cls = BranchClass::IndirectDispatch;
@@ -608,19 +600,16 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, uint64_t budget)
   pause_budget:
     cur.idx = size_t(ip - base);
     cur.retired = retired;
-    cur.dispatch = dispatch;
     return ExecStatus::Budget;
 
   pause_exited:
     cur.idx = size_t(ip - base);
     cur.retired = retired;
-    cur.dispatch = dispatch;
     return ExecStatus::Exited;
 
   pause_retranslate:
     cur.idx = size_t(ip - base);
     cur.retired = retired;
-    cur.dispatch = dispatch;
     return ExecStatus::Retranslate;
 
 #undef SCD_H_BR
@@ -767,7 +756,6 @@ ThreadedTier::makeCursor() const
     const TProgram &p = prog();
     Cursor cur{};
     cur.retired = core_.retired_;
-    cur.dispatch = core_.dispatchInstructions_;
     uint64_t off = core_.pc_ - p.textBase;
     if (off < uint64_t(p.nReal) * 4 && (off & 3) == 0) {
         cur.idx = size_t(off >> 2);
@@ -785,7 +773,6 @@ ThreadedTier::syncCore(const Cursor &cur)
 {
     const TProgram &p = prog();
     core_.retired_ = cur.retired;
-    core_.dispatchInstructions_ = cur.dispatch;
     core_.pc_ = cur.idx == p.nReal + 1 ? cur.pendingBadPc
                                        : p.textBase + uint64_t(cur.idx) * 4;
 }

@@ -107,7 +107,6 @@ class ThreadedTier
     {
         size_t idx;            ///< current slot index (== (pc-base)/4)
         uint64_t retired;
-        uint64_t dispatch;
         uint64_t pendingBadPc; ///< pc to report when idx = bad trampoline
     };
 

@@ -16,7 +16,10 @@
  *
  *  - The timing port: retire() consumes one RetireInfo per retired
  *    instruction and accounts cycles, predictions, and memory-system
- *    effects; cycles() and exportStats() report the result.
+ *    effects; cycles() and exportStats() report the result. A timed
+ *    model also counts what the retired stream implies (instructions,
+ *    branch classes, SCD events): it is the one consumer every retired
+ *    instruction reaches, in direct runs and replay alike.
  */
 
 #ifndef SCD_CPU_TIMING_MODEL_HH

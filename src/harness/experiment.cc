@@ -1,6 +1,8 @@
 #include "experiment.hh"
 
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <thread>
@@ -89,15 +91,28 @@ ExperimentPlan::addGrid(const cpu::CoreConfig &machine, InputSize size,
     }
 }
 
+bool
+parseJobCount(const char *text, unsigned &jobs)
+{
+    char *end = nullptr;
+    errno = 0;
+    long v = std::strtol(text, &end, 10);
+    if (end == text || *end != '\0' || errno != 0 || v <= 0 ||
+        v > long(UINT_MAX))
+        return false;
+    jobs = unsigned(v);
+    return true;
+}
+
 unsigned
 resolveJobs(unsigned requested)
 {
     if (requested > 0)
         return requested;
     if (const char *env = std::getenv("SCD_JOBS")) {
-        long v = std::strtol(env, nullptr, 10);
-        if (v > 0)
-            return unsigned(v);
+        unsigned jobs = 0;
+        if (parseJobCount(env, jobs))
+            return jobs;
         warn("ignoring SCD_JOBS='", env, "' (want a positive integer)");
     }
     unsigned hw = std::thread::hardware_concurrency();
@@ -149,10 +164,7 @@ runPlan(const ExperimentPlan &plan, const RunOptions &options)
         journal.open(opts.journalPath, /*truncate=*/!opts.resume);
 
     auto planStart = clock::now();
-    if (opts.replay)
-        runPlanReplay(set, pending, opts, &journal);
-    else
-        runPlanDirect(set, pending, opts, &journal);
+    runPlanReplay(set, pending, opts, &journal);
     set.executed = pending.size();
     set.totalSeconds =
         std::chrono::duration<double>(clock::now() - planStart).count();

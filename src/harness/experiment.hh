@@ -183,6 +183,13 @@ struct RunOptions
 };
 
 /**
+ * Parse a worker count (--jobs=N, $SCD_JOBS): true, with @p jobs set,
+ * iff @p text is a whole positive decimal integer that fits an
+ * unsigned; "2x", "", "0" and "-3" leave @p jobs untouched.
+ */
+bool parseJobCount(const char *text, unsigned &jobs);
+
+/**
  * Resolve a requested job count: a positive @p requested wins, then a
  * positive integer in $SCD_JOBS, then the hardware concurrency (>= 1).
  */

@@ -158,33 +158,8 @@ struct Member
     uint64_t skipTarget = 0;
     unsigned skipLen = 0;
 
-    // Reconstructed functional statistics (SCD groups only; other
-    // groups consume every entry and share the producer's counters).
-    uint64_t retired = 0;
-    uint64_t dispatch = 0;
-    uint64_t branchCount[size_t(cpu::BranchClass::NumClasses)] = {};
-    uint64_t bopFastHits = 0;
-    uint64_t bopMisses = 0;
-    uint64_t jteInserts = 0;
-
     double seconds = 0.0; ///< consumption wall time of this member
 };
-
-/** Functional-statistics accumulation for one consumed stream entry. */
-inline void
-accumulate(Member &m, const cpu::RetireInfo &ri)
-{
-    using cpu::CtrlKind;
-    ++m.retired;
-    m.dispatch += (ri.flags >> cpu::FunctionalCore::kDispatchRangeShift) & 1;
-    if (ri.ctrl == CtrlKind::None || ri.ctrl == CtrlKind::JteFlush)
-        return;
-    ++m.branchCount[size_t(ri.cls)];
-    if (ri.ctrl == CtrlKind::Bop)
-        ++m.bopMisses; // ineligible bop: recorded and replayed as a miss
-    else if (ri.ctrl == CtrlKind::Jru && ri.jteInsert)
-        ++m.jteInserts;
-}
 
 /**
  * Skipped entries must be the dispatch slow path and nothing else: pure
@@ -200,17 +175,19 @@ constexpr uint32_t kSkipGuardFlags =
 constexpr unsigned kMaxSkipSpan = 64;
 
 /**
- * Feed one chunk of an SCD group's stream to @p m. At every recorded
- * probe the member performs the real JTE lookup against its own timing
- * model — the same virtual call, at the same point in the retire order,
- * as direct execution's mid-instruction probe. A hit retires a
- * synthesized hit-bop and skips the slow path the producer recorded
- * (always-miss superset stream); a miss retires the recorded entries
- * unchanged. Bop-free spans flow through TimingModel::consume() in one
- * virtual call so the per-instruction retire devirtualizes.
+ * Feed one chunk of a group's stream to @p m. At every recorded probe
+ * the member performs the real JTE lookup against its own timing model
+ * — the same virtual call, at the same point in the retire order, as
+ * direct execution's mid-instruction probe. A hit retires a synthesized
+ * hit-bop and skips the slow path the producer recorded (always-miss
+ * superset stream); a miss retires the recorded entries unchanged.
+ * Probe-free spans flow through TimingModel::consume() in one virtual
+ * call so the per-instruction retire devirtualizes; a non-SCD stream
+ * has no probes, so each chunk is one such span. The member's timing
+ * model counts what it retires.
  */
 void
-consumeScd(Member &m, const cpu::RetireChunk &chunk)
+consume(Member &m, const cpu::RetireChunk &chunk)
 {
     using cpu::CtrlKind;
     const cpu::RetireInfo *e = chunk.entries;
@@ -237,13 +214,10 @@ consumeScd(Member &m, const cpu::RetireChunk &chunk)
             continue;
         }
 
-        // Scan ahead to the next probed bop, folding the functional
-        // statistics into the same pass over the entries.
+        // Scan ahead to the next probed bop.
         size_t start = i;
-        while (i < n && !(e[i].ctrl == CtrlKind::Bop && e[i].bopProbed)) {
-            accumulate(m, e[i]);
+        while (i < n && !(e[i].ctrl == CtrlKind::Bop && e[i].bopProbed))
             ++i;
-        }
         if (i > start)
             m.timing->consume(e + start, i - start);
         if (i == n)
@@ -251,23 +225,16 @@ consumeScd(Member &m, const cpu::RetireChunk &chunk)
 
         const cpu::RetireInfo &bop = e[i];
         auto target = m.timing->jteLookup(bop.bank, bop.jteOpcode);
-        ++m.retired;
-        m.dispatch +=
-            (bop.flags >> cpu::FunctionalCore::kDispatchRangeShift) & 1;
-        ++m.branchCount[size_t(cpu::BranchClass::Bop)];
         if (target) {
             cpu::RetireInfo hit = bop;
             hit.nextPc = *target;
             hit.bopHit = true;
-            hit.jteTarget = *target;
             m.timing->retire(hit);
-            ++m.bopFastHits;
             m.skipping = true;
             m.skipTarget = *target;
             m.skipLen = 0;
         } else {
             m.timing->retire(bop);
-            ++m.bopMisses;
         }
         ++i;
     }
@@ -290,7 +257,6 @@ runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
     try {
         SCD_FAULT_POINT("point-oom");
         const ExperimentPoint &first = points[indices[0]];
-        const bool scdGroup = first.scheme == core::Scheme::Scd;
 
         // Build every member before creating any timing model: the
         // models hold references into their member's CoreConfig, so the
@@ -358,10 +324,7 @@ runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
                 if (m.copyOf >= 0 || m.fellBack)
                     continue;
                 auto drainStart = steady::now();
-                if (scdGroup)
-                    consumeScd(m, *chunk);
-                else
-                    m.timing->consume(chunk->entries, chunk->count);
+                consume(m, *chunk);
                 m.seconds += secondsSince(drainStart);
                 if (!m.fellBack)
                     anyLive = true;
@@ -379,6 +342,10 @@ runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
                 m.fellBack = true; // stream ended inside a skip span
         }
 
+        // The producer's only counter, scd.bopFallThroughForced, is
+        // decided by the .op-to-bop distance, which hit-path skipping
+        // never changes (both sit inside one handler body) — so it is
+        // every member's count.
         StatGroup funcStats;
         func.exportStats(funcStats);
         size_t liveCount = 0;
@@ -398,34 +365,13 @@ runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
                 continue;
             }
             ExperimentResult r;
+            r.stats = funcStats;
+            r.stats.counter("cycles") = m.timing->cycles();
+            m.timing->exportStats(r.stats);
             r.run.exitCode = func.exitCode();
             r.run.exited = func.exited();
-            r.run.instructions = scdGroup ? m.retired : func.retired();
+            r.run.instructions = r.stats.get("instructions");
             r.run.cycles = m.timing->cycles();
-            if (scdGroup) {
-                r.stats.counter("instructions") = m.retired;
-                r.stats.counter("dispatchInstructions") = m.dispatch;
-                for (size_t c = 0;
-                     c < size_t(cpu::BranchClass::NumClasses); ++c) {
-                    std::string name =
-                        cpu::branchClassName(cpu::BranchClass(c));
-                    r.stats.counter("branch." + name + ".count") =
-                        m.branchCount[c];
-                }
-                r.stats.counter("scd.bopFastHits") = m.bopFastHits;
-                r.stats.counter("scd.bopMisses") = m.bopMisses;
-                // Forced fall-throughs are decided by the .op-to-bop
-                // distance, which hit-path skipping never changes (both
-                // sit inside one handler body) — path-independent, so
-                // the producer's count is every member's count.
-                r.stats.counter("scd.bopFallThroughForced") =
-                    funcStats.get("scd.bopFallThroughForced");
-                r.stats.counter("scd.jteInserts") = m.jteInserts;
-            } else {
-                r.stats = funcStats;
-            }
-            r.stats.counter("cycles") = r.run.cycles;
-            m.timing->exportStats(r.stats);
             r.output = func.output();
             r.interpreterTextBytes = program->textBytes();
             r.simSeconds = m.seconds + producerShare;
@@ -565,40 +511,20 @@ batchRanges(size_t count, unsigned jobs)
 }
 
 void
-runPlanDirect(ExperimentSet &set, const std::vector<size_t> &pending,
-              const RunOptions &options, RunJournal *journal)
-{
-    set.jobs = resolveJobs(options.jobs);
-    // No point spinning up more workers than there are simulations.
-    if (pending.size() < set.jobs)
-        set.jobs = pending.empty() ? 1 : unsigned(pending.size());
-
-    auto ranges = batchRanges(pending.size(), set.jobs);
-    parallelFor(set.jobs, ranges.size(), [&](size_t b) {
-        for (size_t n = ranges[b].first; n < ranges[b].second; ++n) {
-            size_t i = pending[n];
-            set.runs[i] = runPointContained(set.points[i], options);
-            if (journal)
-                journal->append(pointKey(set.points[i]), set.runs[i]);
-        }
-    });
-}
-
-void
 runPlanReplay(ExperimentSet &set, const std::vector<size_t> &pending,
               const RunOptions &options, RunJournal *journal)
 {
     // Group pending points by functional key. Instruction-limited runs
     // (their stop point depends on the member's own retire count) cannot
     // share a stream and run direct as singleton tasks, as do groups of
-    // one.
+    // one and, with options.replay off, every point.
     std::map<std::string, std::vector<size_t>> byKey;
     std::vector<std::vector<size_t>> tasks;
     std::vector<size_t> singles;
     for (size_t i : pending) {
         const ExperimentPoint &p = set.points[i];
         SCD_ASSERT(p.workload, "experiment point without a workload");
-        if (p.maxInstructions != 0) {
+        if (!options.replay || p.maxInstructions != 0) {
             singles.push_back(i);
             continue;
         }
@@ -613,27 +539,25 @@ runPlanReplay(ExperimentSet &set, const std::vector<size_t> &pending,
 
     // Tasks [0, groupTasks) are replay groups (one producer, shared
     // stream); the rest are contiguous batches of direct-path singleton
-    // points, batched for the same task-overhead reason as
-    // runPlanDirect().
+    // points (see batchRanges()).
     const size_t groupTasks = tasks.size();
     set.jobs = resolveJobs(options.jobs);
     for (auto [lo, hi] : batchRanges(singles.size(), set.jobs)) {
         tasks.emplace_back(singles.begin() + ptrdiff_t(lo),
                            singles.begin() + ptrdiff_t(hi));
     }
+    // No point spinning up more workers than there are tasks.
     if (tasks.size() < set.jobs)
         set.jobs = tasks.empty() ? 1 : unsigned(tasks.size());
 
     parallelFor(set.jobs, tasks.size(), [&](size_t t) {
         const std::vector<size_t> &indices = tasks[t];
-        if (t < groupTasks) {
+        if (t < groupTasks)
             runGroup(indices, set, options);
-        } else {
-            for (size_t idx : indices)
+        for (size_t idx : indices) {
+            if (t >= groupTasks)
                 set.runs[idx] = runPointContained(set.points[idx], options);
-        }
-        if (journal) {
-            for (size_t idx : indices)
+            if (journal)
                 journal->append(pointKey(set.points[idx]), set.runs[idx]);
         }
     });

@@ -58,17 +58,14 @@ std::string pointKey(const ExperimentPoint &point);
 std::string replayGroupKey(const ExperimentPoint &point);
 
 /**
- * The replay-mode executor behind runPlan(): fills set.runs[i] for
- * every index in @p pending (a subset of the set's points, in plan
- * order). The caller has already restored non-pending runs from a
- * journal; completed points are appended to @p journal (may be null)
- * as they finish.
+ * The plan executor behind runPlan(): fills set.runs[i] for every index
+ * in @p pending (a subset of the set's points, in plan order). Points
+ * sharing a replay group key run as one replay group; the rest — and,
+ * with options.replay off, every point — run direct. The caller has
+ * already restored non-pending runs from a journal; completed points
+ * are appended to @p journal (may be null) as they finish.
  */
 void runPlanReplay(ExperimentSet &set, const std::vector<size_t> &pending,
-                   const RunOptions &options, RunJournal *journal);
-
-/** The direct-mode executor behind runPlan(), same contract. */
-void runPlanDirect(ExperimentSet &set, const std::vector<size_t> &pending,
                    const RunOptions &options, RunJournal *journal);
 
 } // namespace scd::harness

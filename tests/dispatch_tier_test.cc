@@ -120,14 +120,15 @@ expectSameRetire(const cpu::RetireInfo &a, const cpu::RetireInfo &b)
     EXPECT_EQ(a.bopHit, b.bopHit);
     EXPECT_EQ(a.jteInsert, b.jteInsert);
     EXPECT_EQ(a.jteOpcode, b.jteOpcode);
-    EXPECT_EQ(a.jteTarget, b.jteTarget);
 }
 
 /**
  * Run @p program on both tiers in recorded-chunk lockstep and compare
  * the streams entry by entry. The odd chunk size forces the threaded
  * tier to pause and resume at arbitrary instruction boundaries, not
- * just at its own burst-sized ones.
+ * just at its own burst-sized ones. Entries compare as whole records
+ * (RetireInfo::operator==, so a field added later is compared too);
+ * only the first mismatch pays for the per-field report.
  */
 void
 lockstepCompare(const guest::GuestProgram &program,
@@ -144,11 +145,13 @@ lockstepCompare(const guest::GuestProgram &program,
         ASSERT_EQ(na, nb) << "tiers disagree on chunk length at retire "
                           << ref.core->retired();
         for (size_t i = 0; i < na; ++i) {
+            if (a[i] == b[i]) [[likely]]
+                continue;
             SCOPED_TRACE("entry " + std::to_string(i) + " of chunk at " +
                          std::to_string(ref.core->retired() - na));
             expectSameRetire(a[i], b[i]);
-            if (::testing::Test::HasFailure())
-                return; // one divergence floods thousands; stop early
+            // One divergence floods thousands; stop at the first.
+            FAIL() << "retire streams diverge";
         }
         if (ref.core->exited() || na == 0)
             break;

@@ -13,6 +13,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -126,8 +127,27 @@ TEST(ResolveJobs, PrecedenceRequestThenEnvThenHardware)
     ASSERT_EQ(setenv("SCD_JOBS", "5", 1), 0);
     EXPECT_EQ(resolveJobs(0), 5u);
     EXPECT_EQ(resolveJobs(2), 2u); // explicit request beats the env
+    // Trailing garbage is a bad value, not a prefix to keep: it falls
+    // back to the hardware count, which also answers an unset env.
     ASSERT_EQ(unsetenv("SCD_JOBS"), 0);
-    EXPECT_GE(resolveJobs(0), 1u);
+    unsigned hardware = resolveJobs(0);
+    EXPECT_GE(hardware, 1u);
+    // The second count differs from the hardware's on any host, so a
+    // parser that kept the numeric prefix fails here.
+    for (std::string garbled : {std::string("4x"),
+                                std::to_string(hardware + 3) + "x"}) {
+        ASSERT_EQ(setenv("SCD_JOBS", garbled.c_str(), 1), 0);
+        EXPECT_EQ(resolveJobs(0), hardware) << garbled;
+    }
+    ASSERT_EQ(unsetenv("SCD_JOBS"), 0);
+
+    // The same parser reads --jobs=N.
+    unsigned jobs = 7;
+    for (const char *bad : {"2x", "", "0", "-3", " ", "4294967296"})
+        EXPECT_FALSE(parseJobCount(bad, jobs)) << '"' << bad << '"';
+    EXPECT_EQ(jobs, 7u);
+    EXPECT_TRUE(parseJobCount("12", jobs));
+    EXPECT_EQ(jobs, 12u);
 }
 
 /** A small two-workload plan used by the equivalence tests. */
