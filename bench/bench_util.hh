@@ -1,19 +1,25 @@
 /**
  * @file
- * Small shared helpers for the figure/table bench binaries: input-size
- * flag parsing and progress reporting.
+ * Small shared helpers for the figure/table bench binaries: command-line
+ * flag parsing. A flag value that cannot be honoured either falls back
+ * with a warning (--size, --jobs) or ends the binary with exit code 2
+ * and the reason on stderr (--frontend, scd_trace's --events).
  */
 
 #ifndef SCD_BENCH_BENCH_UTIL_HH
 #define SCD_BENCH_BENCH_UTIL_HH
 
+#include <cctype>
+#include <cerrno>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-
 #include <utility>
 
+#include "branch/frontend.hh"
+#include "common/logging.hh"
 #include "harness/experiment.hh"
 #include "harness/machines.hh"
 #include "harness/workloads.hh"
@@ -80,15 +86,47 @@ parseFrontend(int argc, char **argv)
 
 /**
  * Apply a --frontend= flag to an already-built machine configuration
- * (harness::withFrontend); a missing flag leaves it untouched.
+ * (harness::withFrontend); a missing flag leaves it untouched. A spec
+ * that does not parse, or names an organization that cannot be built on
+ * the machine's BTB, prints the reason and exits 2 before any point runs.
  */
 inline cpu::CoreConfig
 applyFrontendFlag(int argc, char **argv, cpu::CoreConfig config)
 {
     std::string spec = parseFrontend(argc, argv);
-    if (!spec.empty())
+    if (spec.empty())
+        return config;
+    try {
         config = harness::withFrontend(std::move(config), spec);
+        branch::validateFrontendConfig(config.frontend, config.btb);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "bad --frontend value '%s': %s\n",
+                     spec.c_str(), e.what());
+        std::exit(2);
+    }
     return config;
+}
+
+/** Largest trace window scd_trace accepts (32-byte events: 512 MiB). */
+constexpr size_t kMaxTraceEvents = size_t(1) << 24;
+
+/**
+ * Parse the value of scd_trace's --events=N: a whole positive decimal no
+ * larger than kMaxTraceEvents, with no sign, space or trailing
+ * characters ("64k"). Returns false otherwise.
+ */
+inline bool
+parseTraceEvents(const char *text, size_t &events)
+{
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text, &end, 10);
+    if (*end != '\0' || errno != 0 || v == 0 || v > kMaxTraceEvents)
+        return false;
+    events = size_t(v);
+    return true;
 }
 
 /**

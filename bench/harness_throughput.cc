@@ -14,8 +14,11 @@
  * per-experiment wall time, the total wall times, the parallel speedup,
  * the timed and producer instruction throughput (instructions/sec), and
  * the threaded tier's producer speedup over the switch tier
- * (producer_threaded_speedup) — the number the CI bench-regression gate
- * watches. Each mode's throughput is the best of its two passes per
+ * (producer_threaded_speedup). The timed path gets the same treatment:
+ * every point runs through Core::run() twice per tier, interleaved, and
+ * timed_threaded_speedup is the fused threaded path's speedup over the
+ * switch step()-then-retire loop. The CI bench-regression gate watches
+ * both ratios. Each mode's throughput is the best of its two passes per
  * experiment — the runs are short enough that scheduler noise on a
  * shared machine swings single measurements by >10%, and the
  * per-experiment minimum is the usual noise-robust estimator of the
@@ -40,6 +43,7 @@
 #include "branch/btb.hh"
 #include "branch/frontend.hh"
 #include "core/scheme.hh"
+#include "cpu/core.hh"
 #include "cpu/dispatch_tier.hh"
 #include "cpu/functional_core.hh"
 #include "cpu/retire_stream.hh"
@@ -81,8 +85,8 @@ instructionsPerSecond(const scd::harness::ExperimentSet &first,
                           : 0.0;
 }
 
-/** One replay-producer pass over a plan on one dispatch tier. */
-struct ProducerPass
+/** One replay-producer (or timed) pass over a plan on one tier. */
+struct TierPass
 {
     std::vector<double> seconds; ///< per point, guest compile excluded
     uint64_t instructions = 0;   ///< retired over the whole plan
@@ -93,12 +97,12 @@ struct ProducerPass
  * the guest to exit through FunctionalCore::runRecorded() against
  * RecorderTiming, one RetireChunk-sized fill at a time.
  */
-ProducerPass
+TierPass
 producerPass(const scd::harness::ExperimentPlan &plan,
              scd::cpu::DispatchTier tier)
 {
     using namespace scd;
-    ProducerPass pass;
+    TierPass pass;
     std::vector<cpu::RetireInfo> chunk(cpu::RetireChunk::kCapacity);
     for (const harness::ExperimentPoint &p : plan.points()) {
         auto program = harness::compileGuest(
@@ -123,9 +127,38 @@ producerPass(const scd::harness::ExperimentPlan &plan,
     return pass;
 }
 
-/** Instructions per second of the per-point best of two producer passes. */
+/**
+ * Run every point of @p plan through the timed path, Core::run() on
+ * @p tier, exactly as the harness runs a direct point.
+ */
+TierPass
+timedPass(const scd::harness::ExperimentPlan &plan,
+          scd::cpu::DispatchTier tier)
+{
+    using namespace scd;
+    TierPass pass;
+    for (const harness::ExperimentPoint &p : plan.points()) {
+        auto program = harness::compileGuest(
+            p.vm, p.workload->text(p.size),
+            harness::dispatchForScheme(p.scheme));
+        mem::GuestMemory memory;
+        program->loadInto(memory);
+        cpu::Core core(core::withScheme(p.machine, p.scheme), memory);
+        core.loadProgram(program->text);
+        core.setDispatchMeta(program->meta);
+        core.setDispatchTier(tier);
+        auto t0 = std::chrono::steady_clock::now();
+        pass.instructions += core.run().instructions;
+        pass.seconds.push_back(std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count());
+    }
+    return pass;
+}
+
+/** Instructions per second of the per-point best of two passes. */
 double
-producerIps(const ProducerPass &first, const ProducerPass &second)
+tierIps(const TierPass &first, const TierPass &second)
 {
     double seconds = 0.0;
     for (size_t i = 0; i < first.seconds.size(); ++i)
@@ -293,15 +326,21 @@ main(int argc, char **argv)
                  "harness_throughput: %zu points (%s), producer pass "
                  "(threaded)...\n",
                  plan.size(), bench::sizeName(size));
-    ProducerPass threaded = producerPass(plan, cpu::DispatchTier::Threaded);
+    TierPass threaded = producerPass(plan, cpu::DispatchTier::Threaded);
     std::fprintf(stderr, "harness_throughput: producer pass (switch)...\n");
-    ProducerPass reference = producerPass(plan, cpu::DispatchTier::Switch);
+    TierPass reference = producerPass(plan, cpu::DispatchTier::Switch);
     std::fprintf(stderr,
                  "harness_throughput: producer pass 2 (threaded)...\n");
-    ProducerPass threaded2 = producerPass(plan, cpu::DispatchTier::Threaded);
+    TierPass threaded2 = producerPass(plan, cpu::DispatchTier::Threaded);
     std::fprintf(stderr,
                  "harness_throughput: producer pass 2 (switch)...\n");
-    ProducerPass reference2 = producerPass(plan, cpu::DispatchTier::Switch);
+    TierPass reference2 = producerPass(plan, cpu::DispatchTier::Switch);
+    std::fprintf(stderr, "harness_throughput: timed passes (threaded, "
+                         "switch, threaded, switch)...\n");
+    TierPass timedThreaded = timedPass(plan, cpu::DispatchTier::Threaded);
+    TierPass timedSwitch = timedPass(plan, cpu::DispatchTier::Switch);
+    TierPass timedThreaded2 = timedPass(plan, cpu::DispatchTier::Threaded);
+    TierPass timedSwitch2 = timedPass(plan, cpu::DispatchTier::Switch);
 
     // The serial/parallel pair also interleaves, and the speedup is
     // taken over each mode's best total: on a loaded (or single-CPU)
@@ -354,9 +393,13 @@ main(int argc, char **argv)
     double speedup =
         parallelSeconds > 0 ? serialSeconds / parallelSeconds : 0.0;
     double timedIps = instructionsPerSecond(serial, parallel);
-    double switchIps = producerIps(reference, reference2);
-    double threadedIps = producerIps(threaded, threaded2);
+    double switchIps = tierIps(reference, reference2);
+    double threadedIps = tierIps(threaded, threaded2);
     double threadedSpeedup = switchIps > 0 ? threadedIps / switchIps : 0.0;
+    double timedSwitchIps = tierIps(timedSwitch, timedSwitch2);
+    double timedThreadedIps = tierIps(timedThreaded, timedThreaded2);
+    double timedSpeedup =
+        timedSwitchIps > 0 ? timedThreadedIps / timedSwitchIps : 0.0;
 
     const char *path = jsonPath.c_str();
     std::FILE *f = std::fopen(path, "w");
@@ -384,6 +427,9 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"producer_threaded_ips\": %.0f,\n", threadedIps);
     std::fprintf(f, "  \"producer_threaded_speedup\": %.3f,\n",
                  threadedSpeedup);
+    std::fprintf(f, "  \"timed_switch_ips\": %.0f,\n", timedSwitchIps);
+    std::fprintf(f, "  \"timed_threaded_ips\": %.0f,\n", timedThreadedIps);
+    std::fprintf(f, "  \"timed_threaded_speedup\": %.3f,\n", timedSpeedup);
     std::fprintf(f, "  \"frontend_overhead\": %.3f,\n", frontendOverhead);
     std::fprintf(f, "  \"experiments\": [\n");
     for (size_t i = 0; i < parallel.points.size(); ++i) {
@@ -401,10 +447,12 @@ main(int argc, char **argv)
 
     std::printf("harness throughput: %zu points, serial %.2fs, %u jobs "
                 "%.2fs, speedup %.2fx, timed %.0f Minst/s, producer "
-                "threaded %.0f Minst/s (%.2fx switch), fig11 replay %.2fx, "
+                "threaded %.0f Minst/s (%.2fx switch), timed threaded "
+                "%.0f Minst/s (%.2fx switch), fig11 replay %.2fx, "
                 "frontend overhead %.3fx -> %s\n",
                 plan.size(), serialSeconds, parallel.jobs, parallelSeconds,
                 speedup, timedIps / 1e6, threadedIps / 1e6, threadedSpeedup,
+                timedThreadedIps / 1e6, timedSpeedup,
                 fig11Replay > 0 ? fig11Direct / fig11Replay : 0.0,
                 frontendOverhead, path);
     return reportTroubledPoints({&serial, &serial2, &parallel, &parallel2});

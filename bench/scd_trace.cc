@@ -58,6 +58,17 @@ main(int argc, char **argv)
     using namespace scd;
     using namespace scd::harness;
 
+    // Flag errors are reported in every build, before the trace check.
+    std::string eventsFlag = stringFlag(argc, argv, "--events=", "65536");
+    size_t events = 0;
+    if (!bench::parseTraceEvents(eventsFlag.c_str(), events)) {
+        std::fprintf(stderr,
+                     "bad --events value '%s' (want a whole number of "
+                     "events in [1, %zu])\n",
+                     eventsFlag.c_str(), bench::kMaxTraceEvents);
+        return 2;
+    }
+
     if (!obs::kTraceCompiledIn) {
         std::fprintf(stderr,
                      "scd_trace: this build has the trace hooks compiled "
@@ -72,9 +83,6 @@ main(int argc, char **argv)
         stringFlag(argc, argv, "--workload=", "fibo");
     std::string schemeName = stringFlag(argc, argv, "--scheme=", "scd");
     std::string outPath = stringFlag(argc, argv, "--out=", "");
-    unsigned long events =
-        std::strtoul(stringFlag(argc, argv, "--events=", "65536").c_str(),
-                     nullptr, 10);
 
     VmKind vm;
     if (vmFlag == "rlua") {
@@ -100,13 +108,13 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::fprintf(stderr, "scd_trace: %s/%s/%s (%s), %lu-event window\n",
+    std::fprintf(stderr, "scd_trace: %s/%s/%s (%s), %zu-event window\n",
                  vmFlag.c_str(), workloadName.c_str(), schemeName.c_str(),
                  bench::sizeName(size), events);
 
     cpu::CoreConfig machine =
         bench::applyFrontendFlag(argc, argv, minorConfig());
-    obs::TraceBuffer trace(events ? events : 1);
+    obs::TraceBuffer trace(events);
     ExperimentResult result =
         runWorkload(vm, workload(workloadName), size, scheme, machine,
                     /*maxInstructions=*/0, &trace);

@@ -6,55 +6,10 @@
 namespace scd::branch
 {
 
-namespace
-{
-
-/** Saturating 2-bit counter update. */
-inline void
-train(uint8_t &counter, bool taken)
-{
-    if (taken) {
-        if (counter < 3)
-            ++counter;
-    } else {
-        if (counter > 0)
-            --counter;
-    }
-}
-
-inline bool
-takenOf(uint8_t counter)
-{
-    return counter >= 2;
-}
-
-} // namespace
-
 GsharePredictor::GsharePredictor(unsigned entries)
     : table_(entries, 1), histBits_(floorLog2(entries))
 {
     SCD_ASSERT(isPowerOf2(entries), "gshare entries must be a power of two");
-}
-
-unsigned
-GsharePredictor::index(uint64_t pc) const
-{
-    return static_cast<unsigned>(((pc >> 2) ^ history_) &
-                                 (table_.size() - 1));
-}
-
-bool
-GsharePredictor::predict(uint64_t pc)
-{
-    return takenOf(table_[index(pc)]);
-}
-
-void
-GsharePredictor::update(uint64_t pc, bool taken)
-{
-    train(table_[index(pc)], taken);
-    history_ = ((history_ << 1) | (taken ? 1 : 0)) &
-               ((uint64_t(1) << histBits_) - 1);
 }
 
 TournamentPredictor::TournamentPredictor(unsigned globalEntries,
@@ -68,53 +23,6 @@ TournamentPredictor::TournamentPredictor(unsigned globalEntries,
 {
     SCD_ASSERT(isPowerOf2(globalEntries) && isPowerOf2(localEntries),
                "tournament table sizes must be powers of two");
-}
-
-unsigned
-TournamentPredictor::localIndex(uint64_t pc) const
-{
-    return static_cast<unsigned>((pc >> 2) & (localHistory_.size() - 1));
-}
-
-unsigned
-TournamentPredictor::globalIndex() const
-{
-    return static_cast<unsigned>(globalHistory_ &
-                                 (globalCounters_.size() - 1));
-}
-
-bool
-TournamentPredictor::predict(uint64_t pc)
-{
-    unsigned li = localIndex(pc);
-    unsigned lpat = localHistory_[li] & (localCounters_.size() - 1);
-    bool localTaken = takenOf(localCounters_[lpat]);
-    bool globalTaken = takenOf(globalCounters_[globalIndex()]);
-    bool useGlobal = takenOf(chooser_[globalIndex()]);
-    return useGlobal ? globalTaken : localTaken;
-}
-
-void
-TournamentPredictor::update(uint64_t pc, bool taken)
-{
-    unsigned li = localIndex(pc);
-    unsigned lpat = localHistory_[li] & (localCounters_.size() - 1);
-    unsigned gi = globalIndex();
-
-    bool localTaken = takenOf(localCounters_[lpat]);
-    bool globalTaken = takenOf(globalCounters_[gi]);
-    // Train the chooser toward the component that was right (only when
-    // they disagree).
-    if (localTaken != globalTaken)
-        train(chooser_[gi], globalTaken == taken);
-    train(localCounters_[lpat], taken);
-    train(globalCounters_[gi], taken);
-
-    localHistory_[li] = static_cast<uint16_t>(
-        ((localHistory_[li] << 1) | (taken ? 1 : 0)) &
-        ((1u << localHistBits_) - 1));
-    globalHistory_ = ((globalHistory_ << 1) | (taken ? 1 : 0)) &
-                     ((uint64_t(1) << globalBits_) - 1);
 }
 
 } // namespace scd::branch

@@ -29,17 +29,62 @@ class DirectionPredictor
     virtual void update(uint64_t pc, bool taken) = 0;
 };
 
-/** Global-history XOR PC indexed 2-bit counter predictor. */
-class GsharePredictor : public DirectionPredictor
+namespace detail
+{
+
+/** Saturating 2-bit counter update. */
+inline void
+train(uint8_t &counter, bool taken)
+{
+    if (taken) {
+        if (counter < 3)
+            ++counter;
+    } else {
+        if (counter > 0)
+            --counter;
+    }
+}
+
+inline bool
+takenOf(uint8_t counter)
+{
+    return counter >= 2;
+}
+
+} // namespace detail
+
+/**
+ * Global-history XOR PC indexed 2-bit counter predictor. The concrete
+ * predictors are final with inline bodies: the timing model holds the
+ * configured one by its concrete type, so the per-conditional-branch
+ * predict/update pair compiles to straight-line code there.
+ */
+class GsharePredictor final : public DirectionPredictor
 {
   public:
     explicit GsharePredictor(unsigned entries);
 
-    bool predict(uint64_t pc) override;
-    void update(uint64_t pc, bool taken) override;
+    bool
+    predict(uint64_t pc) override
+    {
+        return detail::takenOf(table_[index(pc)]);
+    }
+
+    void
+    update(uint64_t pc, bool taken) override
+    {
+        detail::train(table_[index(pc)], taken);
+        history_ = ((history_ << 1) | (taken ? 1 : 0)) &
+                   ((uint64_t(1) << histBits_) - 1);
+    }
 
   private:
-    unsigned index(uint64_t pc) const;
+    unsigned
+    index(uint64_t pc) const
+    {
+        return static_cast<unsigned>(((pc >> 2) ^ history_) &
+                                     (table_.size() - 1));
+    }
 
     std::vector<uint8_t> table_;
     uint64_t history_ = 0;
@@ -47,7 +92,7 @@ class GsharePredictor : public DirectionPredictor
 };
 
 /** Local + global + chooser tournament predictor (gem5-style). */
-class TournamentPredictor : public DirectionPredictor
+class TournamentPredictor final : public DirectionPredictor
 {
   public:
     /**
@@ -56,12 +101,53 @@ class TournamentPredictor : public DirectionPredictor
      */
     TournamentPredictor(unsigned globalEntries, unsigned localEntries);
 
-    bool predict(uint64_t pc) override;
-    void update(uint64_t pc, bool taken) override;
+    bool
+    predict(uint64_t pc) override
+    {
+        unsigned li = localIndex(pc);
+        unsigned lpat = localHistory_[li] & (localCounters_.size() - 1);
+        bool localTaken = detail::takenOf(localCounters_[lpat]);
+        bool globalTaken = detail::takenOf(globalCounters_[globalIndex()]);
+        bool useGlobal = detail::takenOf(chooser_[globalIndex()]);
+        return useGlobal ? globalTaken : localTaken;
+    }
+
+    void
+    update(uint64_t pc, bool taken) override
+    {
+        unsigned li = localIndex(pc);
+        unsigned lpat = localHistory_[li] & (localCounters_.size() - 1);
+        unsigned gi = globalIndex();
+
+        bool localTaken = detail::takenOf(localCounters_[lpat]);
+        bool globalTaken = detail::takenOf(globalCounters_[gi]);
+        // Train the chooser toward the component that was right (only
+        // when they disagree).
+        if (localTaken != globalTaken)
+            detail::train(chooser_[gi], globalTaken == taken);
+        detail::train(localCounters_[lpat], taken);
+        detail::train(globalCounters_[gi], taken);
+
+        localHistory_[li] = static_cast<uint16_t>(
+            ((localHistory_[li] << 1) | (taken ? 1 : 0)) &
+            ((1u << localHistBits_) - 1));
+        globalHistory_ = ((globalHistory_ << 1) | (taken ? 1 : 0)) &
+                         ((uint64_t(1) << globalBits_) - 1);
+    }
 
   private:
-    unsigned localIndex(uint64_t pc) const;
-    unsigned globalIndex() const;
+    unsigned
+    localIndex(uint64_t pc) const
+    {
+        return static_cast<unsigned>((pc >> 2) & (localHistory_.size() - 1));
+    }
+
+    unsigned
+    globalIndex() const
+    {
+        return static_cast<unsigned>(globalHistory_ &
+                                     (globalCounters_.size() - 1));
+    }
 
     std::vector<uint16_t> localHistory_;
     std::vector<uint8_t> localCounters_;

@@ -1,5 +1,8 @@
 #include "frontend.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 
 #include "common/bitutil.hh"
@@ -77,11 +80,18 @@ frontendFromSpec(const std::string &spec)
         if (end == std::string::npos)
             end = spec.size();
         std::string tok = spec.substr(pos, end - pos);
+        // A whole decimal that fits the unsigned field: no sign, no
+        // trailing characters, nothing that would wrap on conversion.
         auto numberAfter = [&tok](size_t prefixLen) {
+            const char *digits = tok.c_str() + prefixLen;
             char *endp = nullptr;
-            long v = std::strtol(tok.c_str() + prefixLen, &endp, 10);
-            if (endp == tok.c_str() + prefixLen || *endp != '\0' || v < 0)
-                fatal("bad frontend spec token '", tok, "'");
+            errno = 0;
+            unsigned long long v = std::strtoull(digits, &endp, 10);
+            if (!std::isdigit(static_cast<unsigned char>(*digits)) ||
+                *endp != '\0' || errno != 0 || v > UINT_MAX) {
+                fatal("bad frontend spec token '", tok,
+                      "' (want a decimal number up to ", UINT_MAX, ")");
+            }
             return unsigned(v);
         };
         if (tok.empty() || tok == "ideal") {

@@ -20,33 +20,9 @@ Cache::Cache(const CacheConfig &config) : config_(config)
     rrNext_.resize(numSets_, 0);
 }
 
-unsigned
-Cache::setIndex(uint64_t addr) const
+void
+Cache::fill(Way *base, unsigned set, uint64_t tag)
 {
-    return static_cast<unsigned>((addr >> blockShift_) & (numSets_ - 1));
-}
-
-uint64_t
-Cache::tagOf(uint64_t addr) const
-{
-    return addr >> blockShift_;
-}
-
-bool
-Cache::access(uint64_t addr, bool write)
-{
-    (void)write; // write-allocate: identical placement behaviour
-    ++accesses_;
-    ++useClock_;
-    unsigned set = setIndex(addr);
-    uint64_t tag = tagOf(addr);
-    Way *base = &ways_[set * config_.associativity];
-    for (unsigned w = 0; w < config_.associativity; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            base[w].lastUse = useClock_;
-            return true;
-        }
-    }
     ++misses_;
     // Choose a victim: invalid way first, else policy.
     unsigned victim = 0;
@@ -75,7 +51,6 @@ Cache::access(uint64_t addr, bool write)
     base[victim].valid = true;
     base[victim].tag = tag;
     base[victim].lastUse = useClock_;
-    return false;
 }
 
 bool

@@ -46,8 +46,28 @@ class Cache
      * Access the block containing @p addr.
      * @param write true for stores (write-allocate).
      * @return true on hit.
+     *
+     * The hit scan is inline (the timing model calls it per fetch block
+     * and per memory operation); victim selection stays out of line.
      */
-    bool access(uint64_t addr, bool write = false);
+    bool
+    access(uint64_t addr, bool write = false)
+    {
+        (void)write; // write-allocate: identical placement behaviour
+        ++accesses_;
+        ++useClock_;
+        unsigned set = setIndex(addr);
+        uint64_t tag = tagOf(addr);
+        Way *base = &ways_[set * config_.associativity];
+        for (unsigned w = 0; w < config_.associativity; ++w) {
+            if (base[w].valid && base[w].tag == tag) {
+                base[w].lastUse = useClock_;
+                return true;
+            }
+        }
+        fill(base, set, tag);
+        return false;
+    }
 
     /** True if the block containing @p addr is resident (no side effect). */
     bool probe(uint64_t addr) const;
@@ -75,8 +95,16 @@ class Cache
         uint64_t lastUse = 0;
     };
 
-    unsigned setIndex(uint64_t addr) const;
-    uint64_t tagOf(uint64_t addr) const;
+    unsigned
+    setIndex(uint64_t addr) const
+    {
+        return static_cast<unsigned>((addr >> blockShift_) & (numSets_ - 1));
+    }
+
+    uint64_t tagOf(uint64_t addr) const { return addr >> blockShift_; }
+
+    /** Miss path of access(): count it and install @p tag in @p set. */
+    void fill(Way *base, unsigned set, uint64_t tag);
 
     CacheConfig config_;
     unsigned numSets_;

@@ -1,5 +1,7 @@
 #include "core.hh"
 
+#include <algorithm>
+
 #include "branch/btb.hh"
 #include "common/logging.hh"
 
@@ -7,9 +9,7 @@ namespace scd::cpu
 {
 
 Core::Core(const CoreConfig &config, mem::GuestMemory &memory)
-    : config_(config),
-      timing_(makeTimingModel(config_)),
-      functional_(config_, memory, *timing_)
+    : config_(config), timing_(config_), functional_(config_, memory, timing_)
 {
 }
 
@@ -17,18 +17,21 @@ RunResult
 Core::run(uint64_t maxInstructions)
 {
     const Watchdog &watchdog = functional_.watchdog();
-    RetireInfo ri;
     while (!functional_.exited()) {
-        if (maxInstructions != 0 && functional_.retired() >= maxInstructions)
-            break;
-        functional_.step(&ri);
-        timing_->retire(ri);
-        watchdog.maybeExpire(functional_.retired());
+        uint64_t burst = Watchdog::kCheckInterval;
+        if (maxInstructions != 0) {
+            uint64_t retired = functional_.retired();
+            if (retired >= maxInstructions)
+                break;
+            burst = std::min(burst, maxInstructions - retired);
+        }
+        watchdog.expire();
+        functional_.runTimed(timing_, burst);
     }
     RunResult result;
     result.exitCode = functional_.exitCode();
     result.instructions = functional_.retired();
-    result.cycles = timing_->cycles();
+    result.cycles = timing_.cycles();
     result.exited = functional_.exited();
     return result;
 }
@@ -38,15 +41,15 @@ Core::collectStats() const
 {
     StatGroup group;
     functional_.exportStats(group);
-    group.counter("cycles") = timing_->cycles();
-    timing_->exportStats(group);
+    group.counter("cycles") = timing_.cycles();
+    timing_.exportStats(group);
     return group;
 }
 
 branch::Btb &
 Core::btb()
 {
-    branch::Btb *btb = timing_->btb();
+    branch::Btb *btb = timing_.btb();
     SCD_ASSERT(btb, "timing model '", config_.name, "' has no BTB ",
                "(non-ideal frontend?)");
     return *btb;

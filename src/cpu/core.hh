@@ -1,34 +1,29 @@
 /**
  * @file
  * The simulated core: a thin façade composing a FunctionalCore (SRV64 +
- * SCD architectural execution) with a pluggable TimingModel (scoreboard
- * pipeline or wide pipeline). The split keeps the
- * architecturally-visible microarchitectural state — the jump-table
- * entries consumed by bop (paper §III-B) — consistent through the timing
- * model's JTE port while everything purely cycle-related stays behind
- * the TimingModel interface. See docs/SIMULATOR.md ("Architecture").
+ * SCD architectural execution) with the InOrderTiming scoreboard
+ * pipeline. The split keeps the architecturally-visible
+ * microarchitectural state — the jump-table entries consumed by bop
+ * (paper §III-B) — consistent through the timing model's JTE port while
+ * everything purely cycle-related stays in the timing model. run() is
+ * the fused timed path: the functional core retires every instruction
+ * straight into the concrete timing model. See docs/SIMULATOR.md
+ * ("Architecture").
  */
 
 #ifndef SCD_CPU_CORE_HH
 #define SCD_CPU_CORE_HH
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
 
 #include "common/stats.hh"
 #include "config.hh"
 #include "functional_core.hh"
+#include "inorder_timing.hh"
 #include "isa/program.hh"
 #include "mem/memory.hh"
 #include "retire_info.hh"
-#include "timing_model.hh"
-
-namespace scd::branch
-{
-class Btb;
-}
 
 namespace scd::cpu
 {
@@ -43,7 +38,7 @@ struct RunResult
 };
 
 /** The simulated core. */
-class Core
+class Core final
 {
   public:
     Core(const CoreConfig &config, mem::GuestMemory &memory);
@@ -66,9 +61,9 @@ class Core
     void armWatchdog(double seconds) { functional_.armWatchdog(seconds); }
 
     /**
-     * Select the execution tier of recorded runs (see
-     * cpu/dispatch_tier.hh); run() always steps the reference
-     * interpreter.
+     * Select the execution tier of run() (see cpu/dispatch_tier.hh;
+     * default Threaded). Switch steps the reference interpreter; both
+     * tiers retire the same stream into the same timing model.
      */
     void
     setDispatchTier(DispatchTier tier)
@@ -79,7 +74,8 @@ class Core
 
     /**
      * Run until the guest exits or @p maxInstructions retire
-     * (0 = unlimited).
+     * (0 = unlimited), in bursts of at most Watchdog::kCheckInterval
+     * instructions with a watchdog check between bursts.
      */
     RunResult run(uint64_t maxInstructions = 0);
 
@@ -93,7 +89,7 @@ class Core
     branch::Btb &btb();
 
     /** The composed timing model. */
-    TimingModel &timing() { return *timing_; }
+    InOrderTiming &timing() { return timing_; }
 
     const CoreConfig &config() const { return config_; }
 
@@ -103,7 +99,7 @@ class Core
 
   private:
     CoreConfig config_;
-    std::unique_ptr<TimingModel> timing_;
+    InOrderTiming timing_;
     FunctionalCore functional_;
 };
 

@@ -11,6 +11,12 @@
  * retire bit-identical instruction streams (enforced by
  * tests/dispatch_tier_test.cc); the tier only changes host speed.
  *
+ * The tier drives both run loops: Core::run's timed path
+ * (FunctionalCore::runTimed, which retires each instruction into the
+ * core's InOrderTiming before the next one executes) and the replay
+ * producer (FunctionalCore::runRecorded). FunctionalCore::step() is
+ * always the reference interpreter.
+ *
  * The tier is deliberately NOT part of CoreConfig: replay grouping keys
  * and the run journal hash timing-relevant config fields, and the tier is
  * timing-irrelevant by contract.
@@ -24,7 +30,7 @@
 namespace scd::cpu
 {
 
-/** Which execution engine FunctionalCore::runRecorded() uses. */
+/** Which engine FunctionalCore::runTimed() and runRecorded() use. */
 enum class DispatchTier : uint8_t
 {
     Switch,   ///< the reference switch-dispatched step loop

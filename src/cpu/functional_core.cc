@@ -9,6 +9,7 @@
 #include "common/bitutil.hh"
 #include "common/logging.hh"
 #include "functional_core_inl.hh"
+#include "inorder_timing.hh"
 #include "syscalls.hh"
 #include "threaded_tier.hh"
 
@@ -561,6 +562,22 @@ FunctionalCore::runRecorded(RetireInfo *out, size_t cap)
         live = stepImpl(&out[n++], hs);
     pc_ = hs.pc;
     retired_ = hs.retired;
+    return n;
+}
+
+size_t
+FunctionalCore::runTimed(InOrderTiming &timing, size_t cap)
+{
+    SCD_ASSERT(static_cast<TimingModel *>(&timing) == &timing_,
+               "runTimed must retire into the core's own JTE port");
+    if (tier_ != DispatchTier::Switch)
+        return ensureThreaded().runTimed(timing, cap);
+    RetireInfo ri;
+    size_t n = 0;
+    for (; n < cap && !exited_; ++n) {
+        step(&ri);
+        timing.retire(ri);
+    }
     return n;
 }
 

@@ -3,8 +3,9 @@
  * The functional half of the simulated core: architectural state (integer
  * and FP register files, the SCD register banks Rop/Rmask/Rbop-pc, guest
  * memory, syscalls) and one-instruction execution. Each step emits a
- * compact RetireInfo record for the attached TimingModel or, through
- * runRecorded(), for a replay group's timing consumers.
+ * compact RetireInfo record: runTimed() retires each one straight into
+ * the core's InOrderTiming, runRecorded() fills a buffer for a replay
+ * group's timing consumers.
  */
 
 #ifndef SCD_CPU_FUNCTIONAL_CORE_HH
@@ -31,6 +32,7 @@
 namespace scd::cpu
 {
 
+class InOrderTiming;
 class TimingModel;
 class ThreadedTier;
 
@@ -67,9 +69,9 @@ class FunctionalCore
     void setDispatchMeta(const DispatchMeta &meta);
 
     /**
-     * Select the execution tier used by runRecorded() (default:
-     * Threaded). step() always runs the reference interpreter; the
-     * tiers retire bit-identical streams either way.
+     * Select the execution tier used by runTimed() and runRecorded()
+     * (default: Threaded). step() always runs the reference
+     * interpreter; the tiers retire bit-identical streams either way.
      */
     void setDispatchTier(DispatchTier tier) { tier_ = tier; }
     DispatchTier dispatchTier() const { return tier_; }
@@ -97,6 +99,17 @@ class FunctionalCore
      * replay's execute-once producers fast.
      */
     size_t runRecorded(RetireInfo *out, size_t cap);
+
+    /**
+     * Execute and retire: run up to @p cap instructions on the selected
+     * tier, retiring each into @p timing before the next one executes,
+     * and return the number retired. Stops early only when the guest
+     * exits. On Switch this is the reference step()-then-retire loop; on
+     * Threaded the executor calls timing.retire() between slots. @p
+     * timing must be the model whose JTE port the core was built with,
+     * so a bop probes the JTEs that earlier retires inserted.
+     */
+    size_t runTimed(InOrderTiming &timing, size_t cap);
 
     bool exited() const { return exited_; }
     int exitCode() const { return exitCode_; }

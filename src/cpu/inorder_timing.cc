@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bitutil.hh"
 #include "common/logging.hh"
 #include "functional_core.hh"
 #include "isa/instruction.hh"
@@ -17,6 +18,8 @@ static_assert(uint8_t(BranchClass::IndirectDispatch) ==
 InOrderTiming::InOrderTiming(const CoreConfig &config)
     : config_(config),
       width_(config.issueWidth),
+      fetchBlockShift_(floorLog2(config.icache.blockBytes)),
+      direction_(makeDirection(config)),
       itlb_(config.itlbEntries),
       dtlb_(config.dtlbEntries)
 {
@@ -34,19 +37,24 @@ InOrderTiming::InOrderTiming(const CoreConfig &config)
     }
     if (config.ittageEnabled)
         ittage_ = std::make_unique<branch::Ittage>();
-    if (config.predictor == PredictorKind::Tournament) {
-        direction_ = std::make_unique<branch::TournamentPredictor>(
-            config.globalPredictorEntries, config.localPredictorEntries);
-    } else {
-        direction_ =
-            std::make_unique<branch::GsharePredictor>(config.gshareEntries);
-    }
     ras_ = std::make_unique<branch::ReturnAddressStack>(config.rasDepth);
     vbbi_ = std::make_unique<branch::FrontendVbbi>(*frontend_);
     icache_ = std::make_unique<cache::Cache>(config.icache);
     dcache_ = std::make_unique<cache::Cache>(config.dcache);
     if (config.hasL2)
         l2cache_ = std::make_unique<cache::Cache>(config.l2cache);
+}
+
+InOrderTiming::Direction
+InOrderTiming::makeDirection(const CoreConfig &config)
+{
+    if (config.predictor == PredictorKind::Tournament) {
+        return Direction(std::in_place_type<branch::TournamentPredictor>,
+                         config.globalPredictorEntries,
+                         config.localPredictorEntries);
+    }
+    return Direction(std::in_place_type<branch::GsharePredictor>,
+                     config.gshareEntries);
 }
 
 std::optional<uint64_t>
@@ -96,7 +104,7 @@ InOrderTiming::jteFlush()
 void
 InOrderTiming::chargeFetch(uint64_t pc)
 {
-    uint64_t block = pc / config_.icache.blockBytes;
+    uint64_t block = pc >> fetchBlockShift_;
     if (block == lastFetchBlock_)
         return;
     lastFetchBlock_ = block;
@@ -236,7 +244,7 @@ InOrderTiming::retire(const RetireInfo &ri)
         break;
 
       case CtrlKind::Conditional: {
-        bool predTaken = direction_->predict(ri.pc);
+        bool predTaken = predictTaken(ri.pc);
         bool effectiveTaken = false;
         bool falseTarget = false;
         if (predTaken) {
@@ -249,7 +257,7 @@ InOrderTiming::retire(const RetireInfo &ri)
         // target: wrong even when the direction guess was right.
         bool mispredict =
             effectiveTaken != ri.taken || (effectiveTaken && falseTarget);
-        direction_->update(ri.pc, ri.taken);
+        trainDirection(ri.pc, ri.taken);
         if (ri.taken)
             fetchInsert(ri.pc, ri.nextPc);
         recordBranch(ri, mispredict);

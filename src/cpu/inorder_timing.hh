@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <variant>
 
 #include "branch/btb.hh"
 #include "branch/direction.hh"
@@ -37,8 +38,12 @@
 namespace scd::cpu
 {
 
-/** Scoreboard timing for a (possibly multi-issue) in-order pipeline. */
-class InOrderTiming : public TimingModel
+/**
+ * Scoreboard timing for a (possibly multi-issue) in-order pipeline.
+ * Final, so the fused timed loop (Core::run through
+ * FunctionalCore::runTimed) and consume() call retire() directly.
+ */
+class InOrderTiming final : public TimingModel
 {
   public:
     explicit InOrderTiming(const CoreConfig &config);
@@ -103,8 +108,35 @@ class InOrderTiming : public TimingModel
             frontend_->insertPc(pc, target);
     }
 
+    /**
+     * The configured direction predictor, held by its concrete (final)
+     * type so predict/update inline instead of crossing a virtual call
+     * per conditional branch.
+     */
+    using Direction =
+        std::variant<branch::TournamentPredictor, branch::GsharePredictor>;
+    static Direction makeDirection(const CoreConfig &config);
+
+    bool
+    predictTaken(uint64_t pc)
+    {
+        if (auto *t = std::get_if<branch::TournamentPredictor>(&direction_))
+            return t->predict(pc);
+        return std::get_if<branch::GsharePredictor>(&direction_)->predict(pc);
+    }
+    void
+    trainDirection(uint64_t pc, bool taken)
+    {
+        if (auto *t = std::get_if<branch::TournamentPredictor>(&direction_))
+            t->update(pc, taken);
+        else
+            std::get_if<branch::GsharePredictor>(&direction_)->update(pc,
+                                                                     taken);
+    }
+
     const CoreConfig &config_;
     unsigned width_;
+    unsigned fetchBlockShift_; ///< log2(icache block bytes)
     obs::TraceBuffer *trace_ = nullptr;
 
     // Cycle accounting.
@@ -122,7 +154,7 @@ class InOrderTiming : public TimingModel
     std::unique_ptr<branch::FrontendModel> frontend_;
     branch::Btb *idealFast_ = nullptr; ///< non-null iff ideal, no FDIP
     std::unique_ptr<branch::JteTable> dedicatedJtes_;
-    std::unique_ptr<branch::DirectionPredictor> direction_;
+    Direction direction_;
     std::unique_ptr<branch::ReturnAddressStack> ras_;
     std::unique_ptr<branch::FrontendVbbi> vbbi_;
     std::unique_ptr<branch::Ittage> ittage_;

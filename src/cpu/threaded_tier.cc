@@ -22,6 +22,7 @@
 
 #include "common/logging.hh"
 #include "functional_core_inl.hh"
+#include "inorder_timing.hh"
 #include "isa/instruction.hh"
 #include "isa/opcode.hh"
 
@@ -205,8 +206,10 @@ resetThreadedCache()
 // The executor.
 // ---------------------------------------------------------------------------
 
+template <bool kTimed>
 ThreadedTier::ExecStatus
-ThreadedTier::exec(Cursor &cur, RetireInfo *ri, uint64_t budget)
+ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
+                   uint64_t budget)
 {
     // One label per handler, in HOp order; slots token-thread through it.
     static const void *const kLabels[] = {
@@ -234,11 +237,17 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, uint64_t budget)
 #define SCD_CASE(name) L_##name:
 #define SCD_DISPATCH() goto *const_cast<void *>(kLabels[ip->hop])
 
-// Retire accounting, identical to the reference interpreter's tail.
+// Retire accounting, identical to the reference interpreter's tail. The
+// timed executor retires the record before the next slot dispatches, so a
+// bop sees the JTE insert of the jru retired just before it, as in the
+// reference step()-then-retire loop.
 #define SCD_ACCOUNT()                                                        \
     do {                                                                     \
         ++retired;                                                           \
-        ++ri;                                                                \
+        if constexpr (kTimed)                                                \
+            timing->retire(*ri);                                             \
+        else                                                                 \
+            ++ri;                                                            \
     } while (0)
 
 // Retire the current instruction and chain into the slot at `slotp`.
@@ -777,15 +786,17 @@ ThreadedTier::syncCore(const Cursor &cur)
                                        : p.textBase + uint64_t(cur.idx) * 4;
 }
 
+template <bool kTimed>
 size_t
-ThreadedTier::runRecorded(RetireInfo *out, size_t cap)
+ThreadedTier::run(RetireInfo *out, InOrderTiming *timing, size_t cap)
 {
     Cursor cur = makeCursor();
     uint64_t start = cur.retired;
     try {
         while (cur.retired - start < cap) {
-            uint64_t budget = cap - (cur.retired - start);
-            ExecStatus st = exec(cur, out + (cur.retired - start), budget);
+            uint64_t done = cur.retired - start;
+            ExecStatus st = exec<kTimed>(cur, kTimed ? out : out + done,
+                                         timing, cap - done);
             if (st == ExecStatus::Exited)
                 break;
             if (st == ExecStatus::Retranslate)
@@ -797,6 +808,19 @@ ThreadedTier::runRecorded(RetireInfo *out, size_t cap)
     }
     syncCore(cur);
     return size_t(cur.retired - start);
+}
+
+size_t
+ThreadedTier::runRecorded(RetireInfo *out, size_t cap)
+{
+    return run<false>(out, nullptr, cap);
+}
+
+size_t
+ThreadedTier::runTimed(InOrderTiming &timing, size_t cap)
+{
+    RetireInfo ri;
+    return run<true>(&ri, &timing, cap);
 }
 
 } // namespace scd::cpu

@@ -16,6 +16,12 @@
  * on GNU extensions (__int128, __builtin_memcpy), so every compiler that
  * builds it has labels-as-values too.
  *
+ * One handler body, two instantiations of the executor: recording
+ * (runRecorded) appends one RetireInfo per slot to a buffer for replay
+ * consumers; timed (runTimed, behind Core::run) retires each slot's
+ * record straight into a concrete InOrderTiming before the next slot
+ * dispatches, so a bop's JTE probe sees the previous retire's insert.
+ *
  * The tier contract: a threaded run retires the bit-identical RetireInfo
  * stream — same architectural effects, same traps, same SCD-bank updates,
  * same stats counters — as the reference switch tier (enforced by
@@ -46,6 +52,7 @@ namespace scd::cpu
 {
 
 class FunctionalCore;
+class InOrderTiming;
 
 // Defined in threaded_tier.cc; opaque here.
 struct TProgram; ///< a translated text segment (slots + sentinels)
@@ -81,6 +88,13 @@ class ThreadedTier
     size_t runRecorded(RetireInfo *out, size_t cap);
 
     /**
+     * Tier-equivalent of the step()-and-retire loop; see
+     * FunctionalCore::runTimed. Each slot retires straight into
+     * @p timing, before the next slot dispatches.
+     */
+    size_t runTimed(InOrderTiming &timing, size_t cap);
+
+    /**
      * Invalidate the translation of slots [first, last) after a guest
      * text write (called by FunctionalCore::textWritten with the slots
      * already re-decoded). Safe mid-run: the executor observes the
@@ -111,11 +125,24 @@ class ThreadedTier
     };
 
     /**
-     * The handler-threaded executor: runs from cur.idx, filling one
-     * RetireInfo per instruction into @p ri, until @p budget instructions
-     * retired or the status says why it stopped.
+     * The handler-threaded executor: runs from cur.idx until @p budget
+     * instructions retired or the status says why it stopped. Each
+     * instruction fills a RetireInfo at @p ri. Recording (kTimed false)
+     * advances @p ri per instruction; timed (kTimed true) reuses the one
+     * record and retires it into @p timing on the spot.
      */
-    ExecStatus exec(Cursor &cur, RetireInfo *ri, uint64_t budget);
+    template <bool kTimed>
+    ExecStatus exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
+                    uint64_t budget);
+
+    /**
+     * The burst loop shared by runRecorded and runTimed: run exec
+     * until @p cap instructions retired or the guest exited, pausing
+     * for retranslation, and fold the cursor back into the core (also
+     * when a handler throws).
+     */
+    template <bool kTimed>
+    size_t run(RetireInfo *out, InOrderTiming *timing, size_t cap);
 
     /** Translate (or fetch from the global cache) the core's slots. */
     static std::shared_ptr<const TProgram>

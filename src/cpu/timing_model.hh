@@ -2,9 +2,11 @@
  * @file
  * The pluggable timing-model interface of the simulated core.
  *
- * A Core composes one FunctionalCore (architectural state and execution)
- * with one TimingModel (cycles, predictors, memory hierarchy). The
- * interface has two ports:
+ * A FunctionalCore (architectural state and execution) runs against one
+ * TimingModel (cycles, predictors, memory hierarchy). Core holds its
+ * InOrderTiming by the concrete type so the timed path calls retire()
+ * directly; replay groups and tools drive models through this
+ * interface. It has two ports:
  *
  *  - The architectural JTE port (jteLookup). Jump-table entries are
  *    microarchitectural storage with architectural consequences (paper

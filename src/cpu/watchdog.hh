@@ -3,12 +3,12 @@
  * Cooperative per-point wall-clock watchdog. The simulator has no
  * preemption, so runaway points (an accidentally-quadratic workload at
  * --size=ref, a guest stuck in an interpreter loop) are cancelled
- * cooperatively: the step loops call maybeExpire() once every
+ * cooperatively: the run loops call expire() between bursts of at most
  * kCheckInterval retired instructions, and an expired deadline throws
  * TimeoutError, which the harness classifies as PointStatus::TimedOut.
  *
- * Disarmed cost is one bool test; armed cost is one steady_clock read
- * per 64 Ki instructions.
+ * Disarmed cost is one bool test per burst; armed cost is one
+ * steady_clock read per burst.
  */
 
 #ifndef SCD_CPU_WATCHDOG_HH
@@ -26,9 +26,8 @@ namespace scd::cpu
 class Watchdog
 {
   public:
-    /** Instruction period between wall-clock reads (power of two). */
+    /** Longest run of instructions between two expire() calls. */
     static constexpr uint64_t kCheckInterval = 1ull << 16;
-    static constexpr uint64_t kCheckMask = kCheckInterval - 1;
 
     /** Start the clock: expire @p seconds from now (<= 0 disarms). */
     void
@@ -55,14 +54,6 @@ class Watchdog
                 "point exceeded wall-clock limit of ", seconds_,
                 " seconds"));
         }
-    }
-
-    /** Cheap periodic check keyed on the retired-instruction count. */
-    void
-    maybeExpire(uint64_t retired) const
-    {
-        if (armed_ && (retired & kCheckMask) == 0)
-            expire();
     }
 
   private:

@@ -163,11 +163,11 @@ struct RunOptions
     double pointTimeout = 0.0;
 
     /**
-     * Execution tier of replay's shared producer (direct points always
-     * step the reference interpreter). Host-speed only — results are
-     * bit-identical across tiers (cpu/dispatch_tier.hh) — so it is not
-     * part of the replay grouping key or the resume journal key. Tests
-     * pin Switch as the reference.
+     * Execution tier of replay's shared producer (direct points run
+     * Core::run on its default, the threaded tier). Host-speed only —
+     * results are bit-identical across tiers (cpu/dispatch_tier.hh) — so
+     * it is not part of the replay grouping key or the resume journal
+     * key. Tests pin Switch as the reference.
      */
     cpu::DispatchTier dispatchTier = cpu::DispatchTier::Threaded;
 

@@ -10,7 +10,9 @@
  * recording caps that pause at arbitrary boundaries, guest text
  * self-modification (copy-on-write retranslation), the process-global
  * translation cache, and byte-identical exports when the replay
- * producer runs on the threaded tier.
+ * producer runs on the threaded tier. The timed path (Core::run, which
+ * retires each slot straight into the core's InOrderTiming) is compared
+ * on its results and counters, on machines whose JTE probes hit.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 
 #include "common/logging.hh"
 #include "core/scheme.hh"
+#include "cpu/core.hh"
 #include "cpu/dispatch_tier.hh"
 #include "cpu/functional_core.hh"
 #include "cpu/retire_stream.hh"
@@ -382,6 +385,162 @@ TEST(DispatchTier, FaultsMatchTheReferenceTier)
         EXPECT_NE(ref, "<no fatal>");
         EXPECT_EQ(ref, fast);
     }
+}
+
+/** One Core::run on one tier: the fused timed path. */
+struct TimedRun
+{
+    mem::GuestMemory memory;
+    cpu::Core core;
+
+    TimedRun(const guest::GuestProgram &program,
+             const cpu::CoreConfig &machine, DispatchTier tier)
+        : core(machine, memory)
+    {
+        program.loadInto(memory);
+        core.loadProgram(program.text);
+        core.setDispatchMeta(program.meta);
+        core.setDispatchTier(tier);
+    }
+
+    /** A bare assembled program (no guest data image or metadata). */
+    TimedRun(const isa::Program &program, const cpu::CoreConfig &machine,
+             DispatchTier tier)
+        : core(machine, memory)
+    {
+        core.loadProgram(program);
+        core.setDispatchTier(tier);
+    }
+};
+
+void
+expectSameRun(const cpu::RunResult &a, const cpu::RunResult &b)
+{
+    EXPECT_EQ(a.exitCode, b.exitCode);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.exited, b.exited);
+}
+
+/**
+ * Run @p ref (Switch) and @p fast (Threaded) to completion through
+ * Core::run, first in slices whose limits land inside the 64 Ki-
+ * instruction bursts and across a burst boundary, and compare every
+ * RunResult and the full collectStats() export at each stop. Returns
+ * the reference export.
+ */
+StatGroup
+timedCompare(TimedRun &ref, TimedRun &fast)
+{
+    for (uint64_t limit : {1ul, 4095ul, 65537ul, 0ul}) {
+        SCOPED_TRACE("run(" + std::to_string(limit) + ")");
+        cpu::RunResult a = ref.core.run(limit);
+        cpu::RunResult b = fast.core.run(limit);
+        expectSameRun(a, b);
+        EXPECT_EQ(ref.core.collectStats().all(),
+                  fast.core.collectStats().all());
+    }
+    EXPECT_EQ(ref.core.output(), fast.core.output());
+    for (unsigned r = 0; r < 32; ++r) {
+        EXPECT_EQ(ref.core.readReg(r), fast.core.readReg(r)) << "x" << r;
+        EXPECT_EQ(ref.core.readFreg(r), fast.core.readFreg(r)) << "f" << r;
+    }
+    return ref.core.collectStats();
+}
+
+/** The bare-program half of the timed comparison: text writes, faults. */
+void
+timedCompareBarePrograms()
+{
+    cpu::CoreConfig cfg;
+    cfg.name = "test";
+    {
+        isa::Program prog = selfModifyingProgram();
+        TimedRun ref(prog, cfg, DispatchTier::Switch);
+        TimedRun fast(prog, cfg, DispatchTier::Threaded);
+        timedCompare(ref, fast);
+        EXPECT_EQ(fast.core.run().exitCode, 42);
+    }
+
+    // Faults throw the same error after retiring the same instructions
+    // into the timing model.
+    const std::vector<std::string> programs = {
+        "li t0, 0x999000\njr t0\n",
+        "addi t0, t0, 1\naddi t0, t0, 2\n",
+        "nop\nebreak\n",
+    };
+    for (const std::string &text : programs) {
+        SCOPED_TRACE(text);
+        isa::Program prog = isa::assembleText(text);
+        TimedRun ref(prog, cfg, DispatchTier::Switch);
+        TimedRun fast(prog, cfg, DispatchTier::Threaded);
+        auto fatalOf = [](cpu::Core &core) -> std::string {
+            try {
+                core.run(10'000);
+            } catch (const FatalError &e) {
+                return e.what();
+            }
+            return "<no fatal>";
+        };
+        std::string a = fatalOf(ref.core);
+        EXPECT_NE(a, "<no fatal>");
+        EXPECT_EQ(a, fatalOf(fast.core));
+        EXPECT_EQ(ref.core.collectStats().all(),
+                  fast.core.collectStats().all());
+    }
+}
+
+TEST(DispatchTier, TimedRunsMatchTheReferenceTier)
+{
+    // Recorded runs bind RecorderTiming, whose JTE port never hits; only
+    // here does the threaded bop take its short-circuit branch. The
+    // machines cover the ideal overlay, partial-tag false hits, a fixed
+    // JTE cap and the adaptive cap.
+    cpu::CoreConfig capped = minorConfig();
+    capped.btb.entries = 64;
+    capped.btb.jteCap = 8;
+    cpu::CoreConfig adaptive = minorConfig();
+    adaptive.btb.entries = 64;
+    adaptive.btb.adaptiveJteCap = true;
+    cpu::CoreConfig aliased = withFrontend(minorConfig(), "mlbtb+tag4");
+    aliased.btb.entries = 64; // frontend_sensitivity's mlbtb-alias column
+    const std::vector<cpu::CoreConfig> machines = {minorConfig(), aliased,
+                                                   capped, adaptive};
+
+    timedCompareBarePrograms();
+    if (::testing::Test::HasFailure())
+        return;
+
+    uint64_t bopHits = 0, falseResteers = 0;
+    for (const char *name : {"fibo", "n-sieve", "binary-trees"}) {
+        for (VmKind vm : {VmKind::Rlua, VmKind::Sjs}) {
+            for (core::Scheme scheme : kSchemes) {
+                auto program = compileGuest(
+                    vm, workload(name).text(InputSize::Test),
+                    dispatchForScheme(scheme));
+                // The JTE-sensitive machines only matter where bop runs.
+                size_t nMachines =
+                    scheme == core::Scheme::Scd ? machines.size() : 1;
+                for (size_t m = 0; m < nMachines; ++m) {
+                    cpu::CoreConfig cfg =
+                        core::withScheme(machines[m], scheme);
+                    SCOPED_TRACE(std::string(vmName(vm)) + "/" + name +
+                                 "/" + core::schemeName(scheme) + " on " +
+                                 cfg.name);
+                    TimedRun ref(*program, cfg, DispatchTier::Switch);
+                    TimedRun fast(*program, cfg, DispatchTier::Threaded);
+                    StatGroup stats = timedCompare(ref, fast);
+                    bopHits += stats.get("scd.bopFastHits");
+                    falseResteers += stats.get("frontend.jteFalseResteers");
+                    if (::testing::Test::HasFailure())
+                        return;
+                }
+            }
+        }
+    }
+    // The comparison must have exercised what it exists for.
+    EXPECT_GT(bopHits, 0u);
+    EXPECT_GT(falseResteers, 0u);
 }
 
 TEST(DispatchTier, ReplayProducerOnThreadedTierIsByteIdentical)

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include <random>
 
 #include "branch/btb.hh"
@@ -346,6 +348,17 @@ TEST(FrontendSpec, RejectsUnknownAndMalformedTokens)
     EXPECT_THROW(frontendFromSpec("mlbtb+nope"), FatalError);
     EXPECT_THROW(frontendFromSpec("tagX"), FatalError);
     EXPECT_THROW(frontendFromSpec("mlbtb+tag"), FatalError);
+}
+
+TEST(FrontendSpec, RejectsNumbersThatDoNotFitTheField)
+{
+    // 2^32 + 4 used to wrap to tag4 on the long -> unsigned conversion.
+    EXPECT_THROW(frontendFromSpec("mlbtb+tag4294967300"), FatalError);
+    EXPECT_THROW(frontendFromSpec("mlbtb+micro99999999999999999999"),
+                 FatalError);
+    EXPECT_THROW(frontendFromSpec("mlbtb+tag-4"), FatalError);
+    EXPECT_THROW(frontendFromSpec("mlbtb+tag 4"), FatalError);
+    EXPECT_EQ(frontendFromSpec("mlbtb+ftq4294967295").ftqDepth, UINT_MAX);
 }
 
 TEST(FrontendValidation, RejectsUnbuildableConfigurations)
