@@ -164,18 +164,17 @@ parseNoReplay(int argc, char **argv)
 
 /**
  * Parse --point-timeout=SECONDS: the per-point wall-clock deadline
- * (RunOptions::pointTimeout). Returns 0 when absent — runPlan() then
- * honours $SCD_POINT_TIMEOUT, else runs unlimited.
+ * (RunOptions::pointTimeout, checked by harness::parsePointTimeout).
+ * Returns 0 (unlimited) when absent; a bad value warns and is ignored.
  */
 inline double
 parsePointTimeout(int argc, char **argv)
 {
     for (int n = 1; n < argc; ++n) {
         if (std::strncmp(argv[n], "--point-timeout=", 16) == 0) {
-            char *end = nullptr;
-            double v = std::strtod(argv[n] + 16, &end);
-            if (end && *end == '\0' && v > 0)
-                return v;
+            double seconds = 0.0;
+            if (harness::parsePointTimeout(argv[n] + 16, seconds))
+                return seconds;
             std::fprintf(stderr,
                          "ignoring bad --point-timeout value '%s'\n",
                          argv[n] + 16);
@@ -185,37 +184,8 @@ parsePointTimeout(int argc, char **argv)
 }
 
 /**
- * Parse --journal=<path> / --resume=<path> into RunOptions journal
- * fields. --journal starts a fresh crash-safe journal at <path>;
- * --resume reads <path> back first, skips every point already recorded
- * there, and keeps appending to the same file. The last of the two
- * flags on the command line wins.
- */
-inline void
-parseJournal(int argc, char **argv, harness::RunOptions &options)
-{
-    for (int n = 1; n < argc; ++n) {
-        if (std::strncmp(argv[n], "--journal=", 10) == 0) {
-            if (argv[n][10] != '\0') {
-                options.journalPath = argv[n] + 10;
-                options.resume = false;
-            } else {
-                std::fprintf(stderr, "ignoring empty --journal value\n");
-            }
-        } else if (std::strncmp(argv[n], "--resume=", 9) == 0) {
-            if (argv[n][9] != '\0') {
-                options.journalPath = argv[n] + 9;
-                options.resume = true;
-            } else {
-                std::fprintf(stderr, "ignoring empty --resume value\n");
-            }
-        }
-    }
-}
-
-/**
  * Assemble the RunOptions every figure driver shares: --jobs,
- * --no-replay, --point-timeout and --journal/--resume.
+ * --no-replay and --point-timeout.
  */
 inline harness::RunOptions
 parseRunOptions(int argc, char **argv)
@@ -224,7 +194,6 @@ parseRunOptions(int argc, char **argv)
     options.jobs = parseJobs(argc, argv);
     options.replay = !parseNoReplay(argc, argv);
     options.pointTimeout = parsePointTimeout(argc, argv);
-    parseJournal(argc, argv, options);
     return options;
 }
 

@@ -18,7 +18,7 @@
  * always the reference interpreter.
  *
  * The tier is deliberately NOT part of CoreConfig: replay grouping keys
- * and the run journal hash timing-relevant config fields, and the tier is
+ * and pointKey hash timing-relevant config fields, and the tier is
  * timing-irrelevant by contract.
  */
 

@@ -29,19 +29,29 @@ class Watchdog
     /** Longest run of instructions between two expire() calls. */
     static constexpr uint64_t kCheckInterval = 1ull << 16;
 
-    /** Start the clock: expire @p seconds from now (<= 0 disarms). */
+    /**
+     * Start the clock: expire @p seconds from now (<= 0 or NaN disarms). A
+     * deadline past what steady_clock can hold (inf, 1e10 s) is clamped
+     * to the latest time point it can: converting it to integer ticks
+     * would overflow and land the deadline in the past.
+     */
     void
     arm(double seconds)
     {
-        if (seconds <= 0.0) {
+        using clock = std::chrono::steady_clock;
+        if (!(seconds > 0.0)) {
             armed_ = false;
             return;
         }
         seconds_ = seconds;
-        deadline_ = std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(seconds));
+        const auto now = clock::now();
+        const std::chrono::duration<double> headroom =
+            clock::time_point::max() - now;
+        // The 1 s margin absorbs the rounding of the double conversions.
+        deadline_ = seconds >= headroom.count() - 1.0
+                        ? clock::time_point::max()
+                        : now + std::chrono::duration_cast<clock::duration>(
+                                    std::chrono::duration<double>(seconds));
         armed_ = true;
     }
 

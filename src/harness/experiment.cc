@@ -5,10 +5,10 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 
 #include "common/logging.hh"
-#include "journal.hh"
 #include "pool.hh"
 #include "replay.hh"
 
@@ -119,20 +119,21 @@ resolveJobs(unsigned requested)
     return hw > 0 ? hw : 1;
 }
 
-double
-resolvePointTimeout(double requested)
+bool
+parsePointTimeout(const char *text, double &seconds)
 {
-    if (requested > 0.0)
-        return requested;
-    if (const char *env = std::getenv("SCD_POINT_TIMEOUT")) {
-        char *end = nullptr;
-        double v = std::strtod(env, &end);
-        if (end && end != env && *end == '\0' && v > 0.0)
-            return v;
-        warn("ignoring SCD_POINT_TIMEOUT='", env,
-             "' (want a positive number of seconds)");
-    }
-    return 0.0;
+    // strtod alone would also take "inf", "nan", hex floats and leading
+    // blanks; only plain decimal notation is a deadline. Overflow
+    // ("1e999") sets ERANGE.
+    if (text[std::strspn(text, "0123456789.eE+-")] != '\0')
+        return false;
+    char *end = nullptr;
+    errno = 0;
+    double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno != 0 || v <= 0.0)
+        return false;
+    seconds = v;
+    return true;
 }
 
 ExperimentSet
@@ -140,32 +141,12 @@ runPlan(const ExperimentPlan &plan, const RunOptions &options)
 {
     using clock = std::chrono::steady_clock;
 
-    RunOptions opts = options;
-    opts.pointTimeout = resolvePointTimeout(options.pointTimeout);
-
     ExperimentSet set;
     set.points = plan.points();
     set.runs.resize(set.points.size());
 
-    // Restore journaled points before anything runs: a resumed point
-    // never touches the pool, the replay grouper, or the guest compile
-    // cache.
-    RunJournal journal;
-    std::vector<size_t> pending;
-    pending.reserve(set.points.size());
-    if (!opts.journalPath.empty() && opts.resume) {
-        set.resumed =
-            restoreJournaledPoints(set, opts.journalPath, pending);
-    } else {
-        for (size_t i = 0; i < set.points.size(); ++i)
-            pending.push_back(i);
-    }
-    if (!opts.journalPath.empty())
-        journal.open(opts.journalPath, /*truncate=*/!opts.resume);
-
     auto planStart = clock::now();
-    runPlanReplay(set, pending, opts, &journal);
-    set.executed = pending.size();
+    runPlanReplay(set, options);
     set.totalSeconds =
         std::chrono::duration<double>(clock::now() - planStart).count();
     return set;

@@ -102,8 +102,6 @@ struct ExperimentSet
     std::vector<ExperimentRun> runs; ///< parallel array to points
     unsigned jobs = 1;               ///< worker count actually used
     double totalSeconds = 0.0;       ///< wall time of the whole plan
-    size_t executed = 0; ///< points simulated by this process
-    size_t resumed = 0;  ///< points restored from a --resume journal
 
     const ExperimentResult &
     at(size_t i) const
@@ -156,9 +154,9 @@ struct RunOptions
     bool replay = true;
 
     /**
-     * Per-point wall-clock deadline in seconds; expired points are
-     * classified TimedOut instead of aborting the plan. 0 = no deadline
-     * requested here, fall back to $SCD_POINT_TIMEOUT, else unlimited.
+     * Per-point wall-clock deadline in seconds (--point-timeout=, see
+     * parsePointTimeout()); expired points are classified TimedOut
+     * instead of aborting the plan. 0 = unlimited.
      */
     double pointTimeout = 0.0;
 
@@ -166,20 +164,10 @@ struct RunOptions
      * Execution tier of replay's shared producer (direct points run
      * Core::run on its default, the threaded tier). Host-speed only —
      * results are bit-identical across tiers (cpu/dispatch_tier.hh) — so
-     * it is not part of the replay grouping key or the resume journal
-     * key. Tests pin Switch as the reference.
+     * it is not part of the replay grouping key or pointKey(). Tests pin
+     * Switch as the reference.
      */
     cpu::DispatchTier dispatchTier = cpu::DispatchTier::Threaded;
-
-    /**
-     * Crash-safe journal of completed points (src/harness/journal.hh).
-     * Non-empty: every finished point is appended as it completes. With
-     * resume=true the journal is first read back and every point found
-     * in it is restored instead of re-run (--resume=<path>); otherwise
-     * the file is truncated (--journal=<path>).
-     */
-    std::string journalPath;
-    bool resume = false;
 };
 
 /**
@@ -196,10 +184,12 @@ bool parseJobCount(const char *text, unsigned &jobs);
 unsigned resolveJobs(unsigned requested);
 
 /**
- * Resolve the per-point deadline: a positive @p requested wins, then a
- * positive number in $SCD_POINT_TIMEOUT, else 0 (unlimited).
+ * Parse a per-point deadline in seconds (--point-timeout=S): true, with
+ * @p seconds set, iff all of @p text is a finite positive number in
+ * decimal notation; "inf", "nan", "1e999", "5s", "" and "0" leave
+ * @p seconds untouched.
  */
-double resolvePointTimeout(double requested);
+bool parsePointTimeout(const char *text, double &seconds);
 
 /**
  * Execute every point of @p plan; results land in plan order. Point

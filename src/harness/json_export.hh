@@ -48,7 +48,7 @@ bool writeJsonIfRequested(const obs::StatsSink &sink,
  * export succeeded but some points degraded, failed, or timed out, and
  * kExitOk (0) otherwise. Keeping the precedence in one place is what
  * makes the codes mean the same thing across all drivers
- * (tests/resume_test.cc asserts them).
+ * (tests/fault_test.cc asserts them).
  */
 int finishRun(const obs::StatsSink &sink, const std::string &jsonPath,
               const std::vector<const ExperimentSet *> &sets);

@@ -17,7 +17,6 @@
 #include "cpu/timing_model.hh"
 #include "guest/guest_program.hh"
 #include "isa/opcode.hh"
-#include "journal.hh"
 #include "mem/memory.hh"
 #include "pool.hh"
 
@@ -511,17 +510,16 @@ batchRanges(size_t count, unsigned jobs)
 }
 
 void
-runPlanReplay(ExperimentSet &set, const std::vector<size_t> &pending,
-              const RunOptions &options, RunJournal *journal)
+runPlanReplay(ExperimentSet &set, const RunOptions &options)
 {
-    // Group pending points by functional key. Instruction-limited runs
-    // (their stop point depends on the member's own retire count) cannot
-    // share a stream and run direct as singleton tasks, as do groups of
-    // one and, with options.replay off, every point.
+    // Group points by functional key. Instruction-limited runs (their
+    // stop point depends on the member's own retire count) cannot share a
+    // stream and run direct as singleton tasks, as do groups of one and,
+    // with options.replay off, every point.
     std::map<std::string, std::vector<size_t>> byKey;
     std::vector<std::vector<size_t>> tasks;
     std::vector<size_t> singles;
-    for (size_t i : pending) {
+    for (size_t i = 0; i < set.points.size(); ++i) {
         const ExperimentPoint &p = set.points[i];
         SCD_ASSERT(p.workload, "experiment point without a workload");
         if (!options.replay || p.maxInstructions != 0) {
@@ -552,14 +550,12 @@ runPlanReplay(ExperimentSet &set, const std::vector<size_t> &pending,
 
     parallelFor(set.jobs, tasks.size(), [&](size_t t) {
         const std::vector<size_t> &indices = tasks[t];
-        if (t < groupTasks)
+        if (t < groupTasks) {
             runGroup(indices, set, options);
-        for (size_t idx : indices) {
-            if (t >= groupTasks)
-                set.runs[idx] = runPointContained(set.points[idx], options);
-            if (journal)
-                journal->append(pointKey(set.points[idx]), set.runs[idx]);
+            return;
         }
+        for (size_t idx : indices)
+            set.runs[idx] = runPointContained(set.points[idx], options);
     });
 }
 

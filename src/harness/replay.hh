@@ -22,8 +22,6 @@
 namespace scd::harness
 {
 
-class RunJournal;
-
 /**
  * Execute one point directly (no replay), timing its wall clock.
  * Failures propagate as exceptions; runPlan() wraps this in the
@@ -44,9 +42,9 @@ ExperimentRun runPointContained(const ExperimentPoint &point,
 
 /**
  * Stable identity of a point's full configuration — label, input size,
- * instruction limit, and the timing-relevant machine fields — used as
- * the journal key. Two points with equal keys deterministically produce
- * equal results.
+ * instruction limit, and the timing-relevant machine fields. Two points
+ * with equal keys deterministically produce equal results, so a caller
+ * can run one and reuse its result for the other.
  */
 std::string pointKey(const ExperimentPoint &point);
 
@@ -58,15 +56,11 @@ std::string pointKey(const ExperimentPoint &point);
 std::string replayGroupKey(const ExperimentPoint &point);
 
 /**
- * The plan executor behind runPlan(): fills set.runs[i] for every index
- * in @p pending (a subset of the set's points, in plan order). Points
- * sharing a replay group key run as one replay group; the rest — and,
- * with options.replay off, every point — run direct. The caller has
- * already restored non-pending runs from a journal; completed points
- * are appended to @p journal (may be null) as they finish.
+ * The plan executor behind runPlan(): fills set.runs[i] for every point
+ * of @p set. Points sharing a replay group key run as one replay group;
+ * the rest — and, with options.replay off, every point — run direct.
  */
-void runPlanReplay(ExperimentSet &set, const std::vector<size_t> &pending,
-                   const RunOptions &options, RunJournal *journal);
+void runPlanReplay(ExperimentSet &set, const RunOptions &options);
 
 } // namespace scd::harness
 

@@ -2,14 +2,16 @@
  * @file
  * Flag parsing shared by the bench binaries (bench/bench_util.hh): a
  * malformed --frontend spec ends the binary with exit code 2 and the
- * reason instead of an uncaught FatalError, and scd_trace's --events
- * accepts only a whole positive decimal within the window limit.
+ * reason instead of an uncaught FatalError, scd_trace's --events
+ * accepts only a whole positive decimal within the window limit, and
+ * --point-timeout accepts only a finite positive decimal.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
@@ -20,16 +22,25 @@ namespace
 
 using namespace scd;
 
-/** Call applyFrontendFlag with a bench-binary-style argv. */
-cpu::CoreConfig
-applyFlags(std::vector<std::string> args)
+/** Call @p parse with a bench-binary-style argv holding @p args. */
+template <typename Parse>
+auto
+withArgv(std::vector<std::string> args, Parse parse)
 {
     args.insert(args.begin(), "fig07_10_overall");
     std::vector<char *> argv;
     for (std::string &a : args)
         argv.push_back(a.data());
-    return bench::applyFrontendFlag(int(argv.size()), argv.data(),
-                                    harness::minorConfig());
+    return parse(int(argv.size()), argv.data());
+}
+
+/** Call applyFrontendFlag with a bench-binary-style argv. */
+cpu::CoreConfig
+applyFlags(std::vector<std::string> args)
+{
+    return withArgv(std::move(args), [](int argc, char **argv) {
+        return bench::applyFrontendFlag(argc, argv, harness::minorConfig());
+    });
 }
 
 TEST(BenchFlags, FrontendFlagAppliesAValidSpec)
@@ -77,6 +88,37 @@ TEST(BenchFlags, TraceEventsAcceptOnlyWholePositiveDecimals)
     }
     EXPECT_FALSE(bench::parseTraceEvents(
         std::to_string(bench::kMaxTraceEvents + 1).c_str(), events));
+}
+
+TEST(BenchFlags, PointTimeoutAcceptsOnlyFinitePositiveDecimals)
+{
+    double seconds = 0.0;
+    for (auto [text, want] :
+         {std::pair{"60", 60.0}, std::pair{"0.5", 0.5},
+          std::pair{"2.5e-3", 2.5e-3}, std::pair{"1E10", 1e10}}) {
+        EXPECT_TRUE(harness::parsePointTimeout(text, seconds)) << text;
+        EXPECT_EQ(seconds, want) << text;
+    }
+
+    for (const char *bad :
+         {"inf", "INF", "infinity", "-inf", "nan", "1e999", "1e-999", "0",
+          "-5", "", "5s", " 5", "0x10", "e"}) {
+        seconds = 7.0;
+        EXPECT_FALSE(harness::parsePointTimeout(bad, seconds))
+            << '"' << bad << '"';
+        EXPECT_EQ(seconds, 7.0) << '"' << bad << '"';
+    }
+
+    // The driver flag warns on a bad value and skips it; the first good
+    // value wins, and no good value means no deadline.
+    EXPECT_EQ(withArgv({}, bench::parsePointTimeout), 0.0);
+    EXPECT_EQ(withArgv({"--point-timeout=inf"}, bench::parsePointTimeout),
+              0.0);
+    EXPECT_EQ(withArgv({"--point-timeout=30"}, bench::parsePointTimeout),
+              30.0);
+    EXPECT_EQ(withArgv({"--point-timeout=nan", "--point-timeout=30"},
+                       bench::parsePointTimeout),
+              30.0);
 }
 
 } // namespace

@@ -9,11 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/fault_inject.hh"
 #include "common/logging.hh"
+#include "cpu/watchdog.hh"
 #include "harness/experiment.hh"
 #include "harness/json_export.hh"
 #include "harness/machines.hh"
@@ -125,6 +130,53 @@ TEST(FaultContainment, TimeoutClassifiedAsTimedOut)
     EXPECT_NE(set.runs[0].error.find("wall-clock"), std::string::npos);
 }
 
+/**
+ * A deadline longer than steady_clock can hold is clamped, never
+ * wrapped into the past: such a watchdog must not fire at its first
+ * check. A tiny deadline still fires, and NaN disarms.
+ */
+TEST(Watchdog, HugeDeadlinesNeverExpire)
+{
+    for (double seconds :
+         {std::numeric_limits<double>::infinity(), 1e10, 1e300}) {
+        cpu::Watchdog dog;
+        dog.arm(seconds);
+        EXPECT_NO_THROW(dog.expire()) << seconds;
+    }
+
+    cpu::Watchdog nan;
+    nan.arm(std::numeric_limits<double>::quiet_NaN());
+    EXPECT_NO_THROW(nan.expire());
+
+    cpu::Watchdog tiny;
+    tiny.arm(1e-9);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_THROW(tiny.expire(), TimeoutError);
+}
+
+/** A huge per-point deadline leaves every point Ok, direct and replay. */
+TEST(FaultContainment, HugePointTimeoutFinishesOk)
+{
+    // Two machines, one functional key: a replay group with replay on.
+    ExperimentPlan plan;
+    plan.add(point(workload("fibo"), core::Scheme::Baseline,
+                   minorConfig()));
+    plan.add(point(workload("fibo"), core::Scheme::Baseline,
+                   rocketConfig()));
+
+    for (bool replay : {false, true}) {
+        RunOptions options;
+        options.jobs = 1;
+        options.replay = replay;
+        options.pointTimeout = 1e10;
+        ExperimentSet set = runPlan(plan, options);
+        ASSERT_EQ(set.runs.size(), 2u);
+        for (const ExperimentRun &run : set.runs)
+            EXPECT_EQ(run.status, PointStatus::Ok)
+                << "replay=" << replay << ": " << run.error;
+    }
+}
+
 /** Failed points vanish from the export's points[] but are named in
  *  the failure manifest; a clean set renders without a manifest. */
 TEST(FaultContainment, FailureManifestInExport)
@@ -158,6 +210,41 @@ TEST(FaultContainment, FailureManifestInExport)
     exportSet(clean, "clean", cleanSet);
     EXPECT_EQ(clean.render().find("\"failures\""), std::string::npos);
     EXPECT_EQ(reportTroubledPoints({&cleanSet}), 0);
+}
+
+/**
+ * finishRun's exit-code precedence: an export failure outranks troubled
+ * points, which outrank a clean run.
+ */
+TEST(ExitCodes, FinishRunPrecedence)
+{
+    ExperimentPlan plan;
+    plan.add(point(workload("fibo"), core::Scheme::Baseline,
+                   minorConfig()));
+
+    ExperimentSet clean;
+    clean.points = plan.points();
+    clean.runs.resize(1);
+
+    ExperimentSet troubled = clean;
+    troubled.runs[0].status = PointStatus::Failed;
+    troubled.runs[0].error = "synthetic";
+
+    obs::StatsSink sink("fault_test", "test");
+    exportSet(sink, "clean", clean);
+
+    std::string good = ::testing::TempDir() + "exitcodes.json";
+    EXPECT_EQ(finishRun(sink, good, {&clean}), kExitOk);
+    EXPECT_EQ(finishRun(sink, good, {&troubled}), kExitTroubled);
+    // An unwritable path is kExitExportFailure even when points are
+    // troubled too: the lost document is the more urgent signal.
+    std::string bad = "/nonexistent-dir/exitcodes.json";
+    EXPECT_EQ(finishRun(sink, bad, {&troubled}), kExitExportFailure);
+    EXPECT_EQ(finishRun(sink, bad, {&clean}), kExitExportFailure);
+    // No export requested: only the points decide.
+    EXPECT_EQ(finishRun(sink, "", {&troubled}), kExitTroubled);
+    EXPECT_EQ(finishRun(sink, "", {&clean}), kExitOk);
+    std::remove(good.c_str());
 }
 
 /** The pool reports every worker failure, not just the first. */

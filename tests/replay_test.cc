@@ -19,6 +19,7 @@
 #include "harness/experiment.hh"
 #include "harness/json_export.hh"
 #include "harness/machines.hh"
+#include "harness/replay.hh"
 #include "harness/runner.hh"
 #include "obs/stats_sink.hh"
 
@@ -165,6 +166,27 @@ TEST(GuestCache, OneCompilePerVmWorkloadDispatchKind)
     GuestCacheStats second = guestCacheStats();
     EXPECT_EQ(second.compiles, unique.size());
     EXPECT_GT(second.hits, first.hits);
+}
+
+/** Point keys are unique across a sweep that reuses machine names. */
+TEST(PointKey, DistinguishesTimingVariants)
+{
+    ExperimentPoint a;
+    a.vm = VmKind::Rlua;
+    a.workload = &workload("fibo");
+    a.size = InputSize::Test;
+    a.scheme = core::Scheme::Scd;
+    a.machine = minorConfig();
+
+    ExperimentPoint b = a;
+    b.machine.btb.entries = 64; // same name, different timing
+
+    ExperimentPoint c = a;
+    c.maxInstructions = 100000;
+
+    EXPECT_NE(pointKey(a), pointKey(b));
+    EXPECT_NE(pointKey(a), pointKey(c));
+    EXPECT_EQ(pointKey(a), pointKey(a));
 }
 
 } // namespace
