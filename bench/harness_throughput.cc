@@ -167,14 +167,13 @@ tierIps(const TierPass &first, const TierPass &second)
 }
 
 /**
- * The frontend-refactor indirection cost on the default path: the same
- * deterministic probe/insert mix driven once against a raw branch::Btb
- * and once against the identical organization behind a FrontendModel
- * pointer (branch::IdealBtb), accessed the way the timing members do —
- * through the cached idealBtb() fast path that devirtualizes the
- * default organization. Returns the best-of-reps wall-time ratio
- * (interface / raw); the CI bench-regression gate keeps it <= 1.05 so
- * the abstraction stays free for every ideal-frontend simulation.
+ * The frontend port's cost on the default path: the same deterministic
+ * probe/insert mix driven once against a raw branch::Btb and once
+ * through a default-config branch::Frontend, the way InOrderTiming
+ * fetches — every organization through the same non-virtual port, which
+ * tests the ideal BTB first. Returns the best-of-reps wall-time ratio
+ * (port / raw); the CI bench-regression gate keeps it <= 1.05 so the
+ * closed-set port stays free for every ideal-frontend simulation.
  */
 double
 frontendOverheadRatio()
@@ -225,12 +224,7 @@ frontendOverheadRatio()
         auto t1 = std::chrono::steady_clock::now();
         return std::chrono::duration<double>(t1 - t0).count();
     };
-    auto viaPass = [&](branch::FrontendModel &via) {
-        // Mirror InOrderTiming's access pattern exactly: the timing
-        // members cache idealBtb() at construction and only cross the
-        // virtual boundary on non-ideal organizations, so the default
-        // path pays one well-predicted null check per frontend op.
-        branch::Btb *ideal = via.idealBtb();
+    auto viaPass = [&](branch::Frontend &via) {
         uint64_t x = 0x9e3779b97f4a7c15ull;
         auto t0 = std::chrono::steady_clock::now();
         for (unsigned i = 0; i < kOps; ++i) {
@@ -241,28 +235,18 @@ frontendOverheadRatio()
               case 1:
               case 2:
               case 3:
-                sink += ideal ? ideal->lookupPc(pc).value_or(0)
-                              : via.probePc(pc).target.value_or(0);
+                sink += via.probePc(pc).target.value_or(0);
                 break;
               case 4:
-                if (ideal)
-                    ideal->insertPc(pc, pc + 8);
-                else
-                    via.insertPc(pc, pc + 8);
+                via.insertPc(pc, pc + 8);
                 break;
               case 5:
               case 6:
-                sink += ideal
-                            ? ideal->lookupJte(uint8_t((r >> 8) & 3), r & 0xFF)
-                                  .value_or(0)
-                            : via.probeJte(uint8_t((r >> 8) & 3), r & 0xFF)
-                                  .target.value_or(0);
+                sink += via.probeJte(uint8_t((r >> 8) & 3), r & 0xFF)
+                            .target.value_or(0);
                 break;
               default:
-                if (ideal)
-                    ideal->insertJte(uint8_t((r >> 8) & 3), r & 0xFF, pc);
-                else
-                    via.insertJte(uint8_t((r >> 8) & 3), r & 0xFF, pc);
+                via.insertJte(uint8_t((r >> 8) & 3), r & 0xFF, pc);
                 break;
             }
         }
@@ -274,16 +258,15 @@ frontendOverheadRatio()
     for (int rep = 0; rep < kReps; ++rep) {
         branch::BtbConfig config;
         branch::Btb raw(config);
-        std::unique_ptr<branch::FrontendModel> via =
-            branch::makeFrontendModel(branch::FrontendConfig{}, config);
+        branch::Frontend via(branch::FrontendConfig{}, config);
         // Alternate which side runs first so frequency/thermal drift
         // within a rep cannot systematically penalize one of them.
         if (rep & 1) {
-            viaBest = std::min(viaBest, viaPass(*via));
+            viaBest = std::min(viaBest, viaPass(via));
             rawBest = std::min(rawBest, rawPass(raw));
         } else {
             rawBest = std::min(rawBest, rawPass(raw));
-            viaBest = std::min(viaBest, viaPass(*via));
+            viaBest = std::min(viaBest, viaPass(via));
         }
     }
     // Keep the accumulated targets observable so neither loop folds away.

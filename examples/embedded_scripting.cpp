@@ -88,13 +88,13 @@ main()
                     (unsigned long long)(hits - lastHits),
                     (unsigned long long)misses,
                     (unsigned long long)(misses - lastMisses),
-                    core.btb().jteCount());
+                    core.timing().jteCount());
         lastHits = hits;
         lastMisses = misses;
         if (result.exited)
             break;
         // Context switch: the OS flushes the jump-table entries.
-        core.btb().flushJtes();
+        core.timing().jteFlush();
         ++slice;
         if (slice > 40)
             break;

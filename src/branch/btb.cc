@@ -47,44 +47,6 @@ Btb::Btb(const BtbConfig &config, unsigned partialTagBits)
     rrNext_.resize(numSets_, 0);
 }
 
-Btb::Entry *
-Btb::find(EntryKind kind, uint64_t key, uint32_t tag, unsigned set)
-{
-    Entry *base = &entries_[set * config_.associativity];
-    for (unsigned w = 0; w < config_.associativity; ++w) {
-        Entry &e = base[w];
-        if (matches(e, kind, key, tag))
-            return &e;
-    }
-    return nullptr;
-}
-
-std::optional<uint64_t>
-Btb::lookup(EntryKind kind, uint64_t key, bool *falseHit)
-{
-    ++useClock_;
-    Entry *e = find(kind, key, tagOf(key), setOf(kind, key));
-    if (!e)
-        return std::nullopt;
-    e->lastUse = useClock_;
-    if (e->key != key) {
-        // A partial-tag alias: the hardware returns the resident entry's
-        // target as if it were the probed key's own.
-        if (falseHit)
-            *falseHit = true;
-        SCD_TRACE_HOOK(trace_, obs::TraceEventKind::FrontendFalseHit, key,
-                       e->key, 0, kind == EntryKind::Jte ? 1 : 0);
-    }
-    return e->target;
-}
-
-std::optional<uint64_t>
-Btb::lookupPc(uint64_t pc)
-{
-    tickAdaptiveCap();
-    return lookup(EntryKind::Branch, pc);
-}
-
 unsigned
 Btb::effectiveJteCap() const
 {
@@ -114,36 +76,10 @@ Btb::adaptTick()
     }
 }
 
-std::optional<uint64_t>
-Btb::lookupJte(uint8_t bank, uint64_t opcode)
-{
-    return lookup(EntryKind::Jte, jteKey(bank, opcode));
-}
-
-std::optional<uint64_t>
-Btb::lookupHashed(uint64_t hashKey)
-{
-    return lookup(EntryKind::Branch, hashKey);
-}
-
 void
-Btb::insert(EntryKind kind, uint64_t key, uint64_t target)
+Btb::insertMiss(EntryKind kind, uint64_t key, uint64_t target, uint32_t tag,
+                unsigned set)
 {
-    ++useClock_;
-    unsigned set = setOf(kind, key);
-    uint32_t tag = tagOf(key);
-    if (Entry *e = find(kind, key, tag, set)) {
-        // Tag-visible refresh: the hardware cannot tell an aliased entry
-        // from its own, so a partial-tag match is overwritten in place,
-        // silently displacing its previous owner.
-        if (e->key != key && kind == EntryKind::Jte)
-            ++jteAliased_;
-        e->key = key;
-        e->target = target;
-        e->lastUse = useClock_;
-        return;
-    }
-
     Entry *base = &entries_[set * config_.associativity];
 
     unsigned cap = effectiveJteCap();
@@ -223,24 +159,6 @@ Btb::insert(EntryKind kind, uint64_t key, uint64_t target)
         panic("B entry evicting a JTE");
     }
     *victim = {key, target, useClock_, tag, kind, true};
-}
-
-void
-Btb::insertPc(uint64_t pc, uint64_t target)
-{
-    insert(EntryKind::Branch, pc, target);
-}
-
-void
-Btb::insertJte(uint8_t bank, uint64_t opcode, uint64_t target)
-{
-    insert(EntryKind::Jte, jteKey(bank, opcode), target);
-}
-
-void
-Btb::insertHashed(uint64_t hashKey, uint64_t target)
-{
-    insert(EntryKind::Branch, hashKey, target);
 }
 
 void

@@ -77,31 +77,78 @@ class Btb
     /** @p partialTagBits = 0 selects full tags. */
     explicit Btb(const BtbConfig &config, unsigned partialTagBits = 0);
 
-    /** Look up a conventional PC-keyed target prediction. */
-    std::optional<uint64_t> lookupPc(uint64_t pc);
+    // ---- inline hit paths ------------------------------------------------
+    // Every frontend organization probes through these on each control-
+    // flow instruction, so they live in the header; only an insert that
+    // misses and must fill or evict a way falls out of line.
+
+    /** Look up a conventional PC-keyed target prediction; counts one PC
+     *  lookup toward the adaptive cap's epoch. */
+    std::optional<uint64_t>
+    lookupPc(uint64_t pc)
+    {
+        tickAdaptiveCap();
+        return lookup(EntryKind::Branch, pc);
+    }
 
     /** Look up a JTE by (bank, opcode); the fast-path probe of bop. */
-    std::optional<uint64_t> lookupJte(uint8_t bank, uint64_t opcode);
+    std::optional<uint64_t>
+    lookupJte(uint8_t bank, uint64_t opcode)
+    {
+        return lookup(EntryKind::Jte, jteKey(bank, opcode));
+    }
 
     /** Look up a VBBI hashed entry. */
-    std::optional<uint64_t> lookupHashed(uint64_t hashKey);
+    std::optional<uint64_t>
+    lookupHashed(uint64_t hashKey)
+    {
+        return lookup(EntryKind::Branch, hashKey);
+    }
 
     /** Insert/refresh a conventional entry (never evicts a JTE). */
-    void insertPc(uint64_t pc, uint64_t target);
+    void
+    insertPc(uint64_t pc, uint64_t target)
+    {
+        insert(EntryKind::Branch, pc, target);
+    }
 
     /** Insert/refresh a JTE (may evict a B entry; honours the cap). */
-    void insertJte(uint8_t bank, uint64_t opcode, uint64_t target);
+    void
+    insertJte(uint8_t bank, uint64_t opcode, uint64_t target)
+    {
+        insert(EntryKind::Jte, jteKey(bank, opcode), target);
+    }
 
     /** Insert/refresh a VBBI hashed entry (B-kind placement rules). */
-    void insertHashed(uint64_t hashKey, uint64_t target);
+    void
+    insertHashed(uint64_t hashKey, uint64_t target)
+    {
+        insert(EntryKind::Branch, hashKey, target);
+    }
 
     /**
      * Look up @p key of @p kind by its tag. A match whose full key
      * differs (possible only with partial tags) still returns that
      * entry's target and sets @p *falseHit.
      */
-    std::optional<uint64_t> lookup(EntryKind kind, uint64_t key,
-                                   bool *falseHit = nullptr);
+    std::optional<uint64_t>
+    lookup(EntryKind kind, uint64_t key, bool *falseHit = nullptr)
+    {
+        ++useClock_;
+        Entry *e = find(kind, key, tagOf(key), setOf(kind, key));
+        if (!e)
+            return std::nullopt;
+        e->lastUse = useClock_;
+        if (e->key != key) {
+            // A partial-tag alias: the hardware returns the resident
+            // entry's target as if it were the probed key's own.
+            if (falseHit)
+                *falseHit = true;
+            SCD_TRACE_HOOK(trace_, obs::TraceEventKind::FrontendFalseHit,
+                           key, e->key, 0, kind == EntryKind::Jte ? 1 : 0);
+        }
+        return e->target;
+    }
 
     /**
      * Insert/refresh @p key of @p kind under the Section III-B policy:
@@ -109,7 +156,25 @@ class Btb
      * by LRU/round-robin — a B entry never evicts a JTE, and at the cap a
      * JTE may only displace another JTE.
      */
-    void insert(EntryKind kind, uint64_t key, uint64_t target);
+    void
+    insert(EntryKind kind, uint64_t key, uint64_t target)
+    {
+        ++useClock_;
+        unsigned set = setOf(kind, key);
+        uint32_t tag = tagOf(key);
+        if (Entry *e = find(kind, key, tag, set)) {
+            // Tag-visible refresh: the hardware cannot tell an aliased
+            // entry from its own, so a partial-tag match is overwritten
+            // in place, silently displacing its previous owner.
+            if (e->key != key && kind == EntryKind::Jte)
+                ++jteAliased_;
+            e->key = key;
+            e->target = target;
+            e->lastUse = useClock_;
+            return;
+        }
+        insertMiss(kind, key, target, tag, set);
+    }
 
     /** Count one PC lookup toward the adaptive cap's epoch (no-op unless
      *  the cap is adaptive); lookupPc does this itself. */
@@ -165,34 +230,6 @@ class Btb
         return opcode | (uint64_t(bank) + 1) << 40;
     }
 
-    // ---- inline fast path ------------------------------------------------
-    // Behaviourally identical to the hit (refresh) path of insert(); kept
-    // in the header so the frontend's insert can inline the common case
-    // and only fall out of line on a miss.
-
-    /**
-     * Refresh an existing B entry in place (the hit path of insertPc /
-     * insertHashed). Returns false, with no state change, when the entry
-     * is absent and the out-of-line insert must run.
-     */
-    bool
-    tryRefreshBranchKey(uint64_t key, uint64_t target)
-    {
-        uint32_t tag = tagOf(key);
-        Entry *base =
-            &entries_[setOf(EntryKind::Branch, key) * config_.associativity];
-        for (unsigned w = 0; w < config_.associativity; ++w) {
-            Entry &e = base[w];
-            if (matches(e, EntryKind::Branch, key, tag)) {
-                e.key = key;
-                e.target = target;
-                e.lastUse = ++useClock_;
-                return true;
-            }
-        }
-        return false;
-    }
-
     const BtbConfig &config() const { return config_; }
 
     /**
@@ -238,7 +275,21 @@ class Btb
                (e.key == key || (tagBits_ != 0 && e.tag == tag));
     }
 
-    Entry *find(EntryKind kind, uint64_t key, uint32_t tag, unsigned set);
+    Entry *
+    find(EntryKind kind, uint64_t key, uint32_t tag, unsigned set)
+    {
+        Entry *base = &entries_[set * config_.associativity];
+        for (unsigned w = 0; w < config_.associativity; ++w) {
+            if (matches(base[w], kind, key, tag))
+                return &base[w];
+        }
+        return nullptr;
+    }
+
+    /** insert() without a tag match in @p set: fill an invalid way, else
+     *  evict under the JTE priority and cap rules. */
+    void insertMiss(EntryKind kind, uint64_t key, uint64_t target,
+                    uint32_t tag, unsigned set);
 
     BtbConfig config_;
     unsigned tagBits_;

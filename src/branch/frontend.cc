@@ -11,18 +11,6 @@
 namespace scd::branch
 {
 
-FrontendModel::~FrontendModel() = default;
-
-const char *
-frontendKindName(FrontendKind kind)
-{
-    switch (kind) {
-      case FrontendKind::Ideal: return "ideal";
-      case FrontendKind::MultiLevel: return "multilevel";
-    }
-    return "?";
-}
-
 std::string
 FrontendConfig::label() const
 {
@@ -43,6 +31,10 @@ validateFrontendConfig(const FrontendConfig &config, const BtbConfig &btb)
         }
         if (config.microEntries == 0)
             fatal("frontend microEntries must be at least 1");
+        if (config.microEntries > btb.entries) {
+            fatal("frontend microEntries (", config.microEntries,
+                  ") exceeds the BTB entry count (", btb.entries, ")");
+        }
         if (config.mainBanks == 0 || !isPowerOf2(config.mainBanks)) {
             fatal("frontend mainBanks must be a power of two, got ",
                   config.mainBanks);
@@ -51,23 +43,44 @@ validateFrontendConfig(const FrontendConfig &config, const BtbConfig &btb)
     if (config.fdip) {
         if (config.ftqDepth == 0)
             fatal("frontend ftqDepth must be at least 1");
+        if (config.ftqDepth > btb.entries) {
+            fatal("frontend ftqDepth (", config.ftqDepth,
+                  ") exceeds the BTB entry count (", btb.entries, ")");
+        }
         if (config.ftqTimelyDistance == 0)
             fatal("frontend ftqTimelyDistance must be at least 1");
     }
 }
 
-std::unique_ptr<FrontendModel>
-makeFrontendModel(const FrontendConfig &config, const BtbConfig &btb)
+namespace
+{
+
+/** The organization @p config selects, FDIP aside. */
+template <typename Variant>
+Variant
+makeBase(const FrontendConfig &config, const BtbConfig &btb)
+{
+    if (config.kind == FrontendKind::Ideal)
+        return Variant(std::in_place_type<IdealBtb>, btb);
+    return Variant(std::in_place_type<MultiLevelBtb>, config, btb);
+}
+
+Frontend::Organization
+makeOrganization(const FrontendConfig &config, const BtbConfig &btb)
 {
     validateFrontendConfig(config, btb);
-    std::unique_ptr<FrontendModel> model;
-    if (config.kind == FrontendKind::Ideal)
-        model = std::make_unique<IdealBtb>(btb);
-    else
-        model = std::make_unique<MultiLevelBtb>(config, btb);
-    if (config.fdip)
-        model = std::make_unique<FdipFrontend>(config, std::move(model));
-    return model;
+    if (config.fdip) {
+        return Frontend::Organization(std::in_place_type<FdipFrontend>,
+                                      config, btb);
+    }
+    return makeBase<Frontend::Organization>(config, btb);
+}
+
+} // namespace
+
+Frontend::Frontend(const FrontendConfig &config, const BtbConfig &btb)
+    : org_(makeOrganization(config, btb))
+{
 }
 
 FrontendConfig
@@ -126,17 +139,22 @@ frontendFromSpec(const std::string &spec)
 
 MultiLevelBtb::MultiLevelBtb(const FrontendConfig &config,
                              const BtbConfig &btb)
-    : config_(config), main_(btb, config.partialTagBits)
+    : bankMask_(config.mainBanks - 1),
+      mainHitBubbles_(config.mainHitBubbles),
+      main_(btb, config.partialTagBits)
 {
     validateFrontendConfig(config, btb);
-    micro_.resize(config.microEntries);
+    microKey_.resize(config.microEntries);
+    microTarget_.resize(config.microEntries);
+    microLastUse_.resize(config.microEntries);
+    microKind_.resize(config.microEntries, EntryKind::Branch);
 }
 
 FrontendProbe
 MultiLevelBtb::probe(EntryKind kind, uint64_t key)
 {
     ++useClock_;
-    unsigned bank = main_.setOf(kind, key) & (config_.mainBanks - 1);
+    unsigned bank = main_.setOf(kind, key) & bankMask_;
     unsigned bubbles = 0;
     // The SCD overlay dual-probes the structure (a bop's JTE probe
     // alongside the next fetch-direction probe); banking keeps that
@@ -151,12 +169,11 @@ MultiLevelBtb::probe(EntryKind kind, uint64_t key)
     lastProbeKind_ = kind;
 
     // Micro-BTB: fully associative, full tags, zero-bubble hits.
-    for (MicroEntry &e : micro_) {
-        if (e.valid && e.kind == kind && e.key == key) {
-            e.lastUse = useClock_;
-            ++microHits_;
-            return {e.target, false, bubbles};
-        }
+    size_t slot = findMicro(kind, key);
+    if (slot != microKey_.size()) {
+        microLastUse_[slot] = useClock_;
+        ++microHits_;
+        return {microTarget_[slot], false, bubbles};
     }
 
     // Main BTB: the hardware matches only the folded partial tag, so an
@@ -167,7 +184,7 @@ MultiLevelBtb::probe(EntryKind kind, uint64_t key)
         ++misses_;
         return {std::nullopt, false, bubbles};
     }
-    bubbles += config_.mainHitBubbles;
+    bubbles += mainHitBubbles_;
     if (falseHit) {
         if (kind == EntryKind::Jte)
             ++falseHitsJte_;
@@ -183,16 +200,23 @@ MultiLevelBtb::probe(EntryKind kind, uint64_t key)
 void
 MultiLevelBtb::promote(EntryKind kind, uint64_t key, uint64_t target)
 {
-    MicroEntry *victim = &micro_[0];
-    for (MicroEntry &m : micro_) {
-        if (!m.valid) {
-            victim = &m;
-            break;
-        }
-        if (m.lastUse < victim->lastUse)
-            victim = &m;
+    // Invalid slots stamp 0 and valid ones at least 1, so the first
+    // minimum is the first invalid slot, else the least recently used.
+    // The running minimum stays in a register, so the compiler can pick
+    // it with conditional moves: LRU order is data-dependent and a
+    // branch on it mispredicts.
+    size_t victim = 0;
+    uint64_t oldest = microLastUse_[0];
+    for (size_t i = 1; i < microLastUse_.size(); ++i) {
+        uint64_t stamp = microLastUse_[i];
+        bool older = stamp < oldest;
+        victim = older ? i : victim;
+        oldest = older ? stamp : oldest;
     }
-    *victim = {key, target, useClock_, kind, true};
+    microKey_[victim] = key;
+    microTarget_[victim] = target;
+    microLastUse_[victim] = useClock_;
+    microKind_[victim] = kind;
 }
 
 void
@@ -201,61 +225,22 @@ MultiLevelBtb::insert(EntryKind kind, uint64_t key, uint64_t target)
     ++useClock_;
 
     // Keep any promoted micro copy coherent with the new target.
-    for (MicroEntry &e : micro_) {
-        if (e.valid && e.kind == kind && e.key == key) {
-            e.target = target;
-            e.lastUse = useClock_;
-            break;
-        }
+    size_t slot = findMicro(kind, key);
+    if (slot != microKey_.size()) {
+        microTarget_[slot] = target;
+        microLastUse_[slot] = useClock_;
     }
     main_.insert(kind, key, target);
-}
-
-FrontendProbe
-MultiLevelBtb::probePc(uint64_t pc)
-{
-    main_.tickAdaptiveCap();
-    return probe(EntryKind::Branch, pc);
-}
-
-void
-MultiLevelBtb::insertPc(uint64_t pc, uint64_t target)
-{
-    insert(EntryKind::Branch, pc, target);
-}
-
-FrontendProbe
-MultiLevelBtb::probeJte(uint8_t bank, uint64_t opcode)
-{
-    return probe(EntryKind::Jte, Btb::jteKey(bank, opcode));
-}
-
-void
-MultiLevelBtb::insertJte(uint8_t bank, uint64_t opcode, uint64_t target)
-{
-    insert(EntryKind::Jte, Btb::jteKey(bank, opcode), target);
 }
 
 void
 MultiLevelBtb::flushJtes()
 {
     main_.flushJtes();
-    for (MicroEntry &e : micro_) {
-        if (e.valid && e.kind == EntryKind::Jte)
-            e.valid = false;
+    for (size_t i = 0; i < microKind_.size(); ++i) {
+        if (microKind_[i] == EntryKind::Jte)
+            microLastUse_[i] = 0;
     }
-}
-
-std::optional<uint64_t>
-MultiLevelBtb::lookupHashed(uint64_t key)
-{
-    return probe(EntryKind::Branch, key).target;
-}
-
-void
-MultiLevelBtb::updateHashed(uint64_t key, uint64_t target)
-{
-    insert(EntryKind::Branch, key, target);
 }
 
 void
@@ -276,32 +261,36 @@ MultiLevelBtb::exportStats(StatGroup &group) const
 // ---------------------------------------------------------------------------
 
 FdipFrontend::FdipFrontend(const FrontendConfig &config,
-                           std::unique_ptr<FrontendModel> base)
-    : config_(config), base_(std::move(base))
+                           const BtbConfig &btb)
+    : ftqTimelyDistance_(config.ftqTimelyDistance),
+      base_(makeBase<Base>(config, btb))
 {
-    ftq_.resize(config.ftqDepth);
+    ftqPc_.resize(config.ftqDepth);
+    ftqTarget_.resize(config.ftqDepth);
+    ftqDiscoveredAt_.resize(config.ftqDepth);
 }
 
 FrontendProbe
 FdipFrontend::probePc(uint64_t pc)
 {
     ++probeClock_;
-    FrontendProbe p = base_->probePc(pc);
+    FrontendProbe p =
+        visitInOrder(base_, [pc](auto &b) { return b.probePc(pc); });
     if (p.target)
         return p;
     // The runahead walker may already have discovered this target; the
     // prefetch only helps when it was issued long enough ago to land.
-    for (const FtqEntry &e : ftq_) {
-        if (e.valid && e.pc == pc) {
-            if (probeClock_ - e.discoveredAt >= config_.ftqTimelyDistance) {
-                ++ftqHits_;
-                SCD_TRACE_HOOK(trace_, obs::TraceEventKind::FtqPrefetch,
-                               pc, e.target);
-                return {e.target, false, p.bubbles};
-            }
-            ++ftqLate_;
-            return p;
+    for (size_t i = 0; i < ftqFilled_; ++i) {
+        if (ftqPc_[i] != pc)
+            continue;
+        if (probeClock_ - ftqDiscoveredAt_[i] >= ftqTimelyDistance_) {
+            ++ftqHits_;
+            SCD_TRACE_HOOK(trace_, obs::TraceEventKind::FtqPrefetch, pc,
+                           ftqTarget_[i]);
+            return {ftqTarget_[i], false, p.bubbles};
         }
+        ++ftqLate_;
+        return p;
     }
     ++ftqMisses_;
     return p;
@@ -310,30 +299,34 @@ FdipFrontend::probePc(uint64_t pc)
 void
 FdipFrontend::insertPc(uint64_t pc, uint64_t target)
 {
-    base_->insertPc(pc, target);
-    for (FtqEntry &e : ftq_) {
-        if (e.valid && e.pc == pc) {
+    visitInOrder(base_, [&](auto &b) { b.insertPc(pc, target); });
+    for (size_t i = 0; i < ftqFilled_; ++i) {
+        if (ftqPc_[i] == pc) {
             // Retrain the target but keep the discovery stamp: the
             // prefetch for this pc is already in flight.
-            e.target = target;
+            ftqTarget_[i] = target;
             return;
         }
     }
-    ftq_[ftqNext_] = {pc, target, probeClock_, true};
-    ftqNext_ = (ftqNext_ + 1) % ftq_.size();
+    ftqPc_[ftqNext_] = pc;
+    ftqTarget_[ftqNext_] = target;
+    ftqDiscoveredAt_[ftqNext_] = probeClock_;
+    if (ftqFilled_ < ftqPc_.size())
+        ++ftqFilled_;
+    ftqNext_ = (ftqNext_ + 1) % ftqPc_.size();
 }
 
 void
 FdipFrontend::setTrace(obs::TraceBuffer *trace)
 {
     trace_ = trace;
-    base_->setTrace(trace);
+    visitInOrder(base_, [trace](auto &b) { b.setTrace(trace); });
 }
 
 void
 FdipFrontend::exportStats(StatGroup &group) const
 {
-    base_->exportStats(group);
+    visitInOrder(base_, [&](auto &b) { b.exportStats(group); });
     group.counter("frontend.ftqHits") = ftqHits_;
     group.counter("frontend.ftqLate") = ftqLate_;
     group.counter("frontend.ftqMisses") = ftqMisses_;

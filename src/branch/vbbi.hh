@@ -23,15 +23,16 @@ namespace scd::branch
 {
 
 /**
- * VBBI over the FrontendModel interface: the storage is whatever frontend
- * organization the timing model fetches through, so VBBI entries suffer
- * the same partial-tag aliasing and multi-level placement as every other
- * B entry. Over IdealBtb this is exactly VBBI over the paper's BTB.
+ * VBBI over the hashed port of a branch::Frontend: the storage is
+ * whatever frontend organization the timing model fetches through, so
+ * VBBI entries suffer the same partial-tag aliasing and multi-level
+ * placement as every other B entry. Over IdealBtb this is exactly VBBI
+ * over the paper's BTB.
  */
 class FrontendVbbi
 {
   public:
-    explicit FrontendVbbi(FrontendModel &frontend) : frontend_(frontend) {}
+    explicit FrontendVbbi(Frontend &frontend) : frontend_(frontend) {}
 
     static uint64_t
     key(uint64_t pc, uint64_t hint)
@@ -56,7 +57,7 @@ class FrontendVbbi
     }
 
   private:
-    FrontendModel &frontend_;
+    Frontend &frontend_;
 };
 
 } // namespace scd::branch

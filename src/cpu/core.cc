@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "branch/btb.hh"
-#include "common/logging.hh"
-
 namespace scd::cpu
 {
 
@@ -44,15 +41,6 @@ Core::collectStats() const
     group.counter("cycles") = timing_.cycles();
     timing_.exportStats(group);
     return group;
-}
-
-branch::Btb &
-Core::btb()
-{
-    branch::Btb *btb = timing_.btb();
-    SCD_ASSERT(btb, "timing model '", config_.name, "' has no BTB ",
-               "(non-ideal frontend?)");
-    return *btb;
 }
 
 } // namespace scd::cpu

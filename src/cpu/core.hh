@@ -85,9 +85,6 @@ class Core final
     /** Counter snapshot of every statistic the harness consumes. */
     StatGroup collectStats() const;
 
-    /** Direct component access for tests (timed models only). */
-    branch::Btb &btb();
-
     /** The composed timing model. */
     InOrderTiming &timing() { return timing_; }
 

@@ -19,18 +19,11 @@ InOrderTiming::InOrderTiming(const CoreConfig &config)
     : config_(config),
       width_(config.issueWidth),
       fetchBlockShift_(floorLog2(config.icache.blockBytes)),
+      frontend_(config.frontend, config.btb),
       direction_(makeDirection(config)),
       itlb_(config.itlbEntries),
       dtlb_(config.dtlbEntries)
 {
-    frontend_ = branch::makeFrontendModel(config.frontend, config.btb);
-    // Devirtualize the default path. Gate on the configuration, not on
-    // idealBtb() alone: FDIP-over-ideal forwards idealBtb() for
-    // component access but must keep its FTQ timing in the loop.
-    if (config.frontend.kind == branch::FrontendKind::Ideal &&
-        !config.frontend.fdip) {
-        idealFast_ = frontend_->idealBtb();
-    }
     if (config.scdDedicatedTable) {
         dedicatedJtes_ =
             std::make_unique<branch::JteTable>(config.dedicatedJteEntries);
@@ -38,7 +31,6 @@ InOrderTiming::InOrderTiming(const CoreConfig &config)
     if (config.ittageEnabled)
         ittage_ = std::make_unique<branch::Ittage>();
     ras_ = std::make_unique<branch::ReturnAddressStack>(config.rasDepth);
-    vbbi_ = std::make_unique<branch::FrontendVbbi>(*frontend_);
     icache_ = std::make_unique<cache::Cache>(config.icache);
     dcache_ = std::make_unique<cache::Cache>(config.dcache);
     if (config.hasL2)
@@ -62,9 +54,7 @@ InOrderTiming::jteLookup(uint8_t bank, uint64_t opcode)
 {
     if (dedicatedJtes_)
         return dedicatedJtes_->lookup(bank, opcode);
-    if (idealFast_)
-        return idealFast_->lookupJte(bank, opcode);
-    branch::FrontendProbe p = frontend_->probeJte(bank, opcode);
+    branch::FrontendProbe p = frontend_.probeJte(bank, opcode);
     cycle_ += p.bubbles;
     if (p.falseHit) {
         // A partial-tag alias dispatched fetch to another opcode's
@@ -86,17 +76,13 @@ InOrderTiming::jteInsert(uint8_t bank, uint64_t opcode, uint64_t target)
         dedicatedJtes_->insert(bank, opcode, target);
         return;
     }
-    if (idealFast_) {
-        idealFast_->insertJte(bank, opcode, target);
-        return;
-    }
-    frontend_->insertJte(bank, opcode, target);
+    frontend_.insertJte(bank, opcode, target);
 }
 
 void
 InOrderTiming::jteFlush()
 {
-    frontend_->flushJtes();
+    frontend_.flushJtes();
     if (dedicatedJtes_)
         dedicatedJtes_->flush();
 }
@@ -156,7 +142,7 @@ void
 InOrderTiming::attachTrace(obs::TraceBuffer *trace)
 {
     trace_ = trace;
-    frontend_->setTrace(trace);
+    frontend_.setTrace(trace);
 }
 
 void
@@ -248,7 +234,7 @@ InOrderTiming::retire(const RetireInfo &ri)
         bool effectiveTaken = false;
         bool falseTarget = false;
         if (predTaken) {
-            branch::FrontendProbe p = fetchProbe(ri.pc);
+            branch::FrontendProbe p = frontend_.probePc(ri.pc);
             cycle_ += p.bubbles;
             effectiveTaken = p.target.has_value();
             falseTarget = p.falseHit;
@@ -259,7 +245,7 @@ InOrderTiming::retire(const RetireInfo &ri)
             effectiveTaken != ri.taken || (effectiveTaken && falseTarget);
         trainDirection(ri.pc, ri.taken);
         if (ri.taken)
-            fetchInsert(ri.pc, ri.nextPc);
+            frontend_.insertPc(ri.pc, ri.nextPc);
         recordBranch(ri, mispredict);
         if (mispredict)
             redirect(config_.mispredictPenalty);
@@ -267,10 +253,10 @@ InOrderTiming::retire(const RetireInfo &ri)
       }
 
       case CtrlKind::Jal: {
-        branch::FrontendProbe p = fetchProbe(ri.pc);
+        branch::FrontendProbe p = frontend_.probePc(ri.pc);
         cycle_ += p.bubbles;
         bool hit = p.target.has_value() && !p.falseHit;
-        fetchInsert(ri.pc, ri.nextPc);
+        frontend_.insertPc(ri.pc, ri.nextPc);
         if (ri.rd == isa::reg::ra)
             ras_->push(ri.pc + 4);
         recordBranch(ri, !hit);
@@ -288,18 +274,18 @@ InOrderTiming::retire(const RetireInfo &ri)
         if (ri.isReturn) {
             mispredict = ras_->pop() != ri.nextPc;
         } else if (config_.vbbiEnabled && ri.hintReg >= 0) {
-            auto pred = vbbi_->predict(ri.pc, ri.hintValue);
+            auto pred = vbbi_.predict(ri.pc, ri.hintValue);
             mispredict = !pred || *pred != ri.nextPc;
-            vbbi_->update(ri.pc, ri.hintValue, ri.nextPc);
+            vbbi_.update(ri.pc, ri.hintValue, ri.nextPc);
         } else if (config_.ittageEnabled) {
             auto pred = ittage_->predict(ri.pc);
             mispredict = !pred || *pred != ri.nextPc;
             ittage_->update(ri.pc, ri.nextPc);
         } else {
-            branch::FrontendProbe p = fetchProbe(ri.pc);
+            branch::FrontendProbe p = frontend_.probePc(ri.pc);
             cycle_ += p.bubbles;
             mispredict = !p.target || *p.target != ri.nextPc;
-            fetchInsert(ri.pc, ri.nextPc);
+            frontend_.insertPc(ri.pc, ri.nextPc);
         }
         if (ri.rd == isa::reg::ra)
             ras_->push(ri.pc + 4);
@@ -327,10 +313,10 @@ InOrderTiming::retire(const RetireInfo &ri)
         break;
 
       case CtrlKind::Jru: {
-        branch::FrontendProbe p = fetchProbe(ri.pc);
+        branch::FrontendProbe p = frontend_.probePc(ri.pc);
         cycle_ += p.bubbles;
         bool mispredict = !p.target || *p.target != ri.nextPc;
-        fetchInsert(ri.pc, ri.nextPc);
+        frontend_.insertPc(ri.pc, ri.nextPc);
         if (ri.jteInsert) {
             SCD_TRACE_HOOK(trace_, obs::TraceEventKind::JteInsert, ri.pc,
                            ri.jteOpcode, ri.op, uint8_t(ri.cls));
@@ -378,7 +364,7 @@ InOrderTiming::exportStats(StatGroup &group) const
         l2cache_->exportStats(group);
     group.counter("itlb.misses") = itlb_.misses();
     group.counter("dtlb.misses") = dtlb_.misses();
-    frontend_->exportStats(group);
+    frontend_.exportStats(group);
     // Only non-ideal organizations can resteer on a false JTE hit; the
     // counters stay out of the default export so the ideal frontend's
     // rendered documents remain byte-identical to the pre-refactor ones.

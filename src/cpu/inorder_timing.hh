@@ -2,17 +2,18 @@
  * @file
  * The in-order scoreboard timing model extracted from the original
  * monolithic core: an issue model with a register scoreboard, front-end
- * redirect penalties, branch prediction (a pluggable FrontendModel
- * carrying the SCD JTE overlay — ideal single-level BTB by default,
- * optionally multi-level/FDIP — plus tournament/gshare direction, RAS,
- * optional VBBI and ITTAGE), caches and TLBs. Consumes one RetireInfo per
- * retired instruction; the sequence of operations per instruction mirrors
- * the original Core::step() exactly, and under the default ideal frontend
- * statistics are bit-identical to the pre-split simulator. Non-ideal
- * frontends add probe bubbles and treat a false JTE hit as a slow-path
- * dispatch plus a resteer penalty (jteLookup reports such probes as
- * misses, so direct execution and the replay consumers retire the same
- * stream).
+ * redirect penalties, branch prediction (a branch::Frontend held by
+ * value and carrying the SCD JTE overlay — ideal single-level BTB by
+ * default, optionally multi-level/FDIP — plus tournament/gshare
+ * direction, RAS, optional VBBI and ITTAGE), caches and TLBs. Consumes
+ * one RetireInfo per retired instruction; the sequence of operations per
+ * instruction mirrors the original Core::step() exactly, and under the
+ * default ideal frontend statistics are bit-identical to the pre-split
+ * simulator. Every organization runs through the same non-virtual
+ * frontend port; non-ideal ones add probe bubbles and treat a false JTE
+ * hit as a slow-path dispatch plus a resteer penalty (jteLookup reports
+ * such probes as misses, so direct execution and the replay consumers
+ * retire the same stream).
  */
 
 #ifndef SCD_CPU_INORDER_TIMING_HH
@@ -47,6 +48,9 @@ class InOrderTiming final : public TimingModel
 {
   public:
     explicit InOrderTiming(const CoreConfig &config);
+    // Pinned in place: vbbi_ refers to frontend_.
+    InOrderTiming(const InOrderTiming &) = delete;
+    InOrderTiming &operator=(const InOrderTiming &) = delete;
 
     std::optional<uint64_t> jteLookup(uint8_t bank,
                                       uint64_t opcode) override;
@@ -66,47 +70,24 @@ class InOrderTiming final : public TimingModel
 
     uint64_t cycles() const override { return cycle_; }
     void exportStats(StatGroup &group) const override;
-    branch::Btb *btb() override { return frontend_->idealBtb(); }
     void attachTrace(obs::TraceBuffer *trace) override;
 
-    /** The frontend organization this pipeline fetches through. */
-    branch::FrontendModel &frontend() { return *frontend_; }
+    /** Invalidate all JTEs: what a retiring jte.flush does, and what an
+     *  OS context switch does from outside the guest. */
+    void jteFlush();
+
+    /** JTEs resident in the frontend. */
+    unsigned jteCount() const { return frontend_.jteCount(); }
 
   private:
     /** Insert/refresh a JTE (a retiring jru with a pending insert). */
     void jteInsert(uint8_t bank, uint64_t opcode, uint64_t target);
-    /** Invalidate all JTEs (a retiring jte.flush). */
-    void jteFlush();
 
     void chargeFetch(uint64_t pc);
     uint64_t dataAccess(uint64_t addr, bool write);
     void redirect(unsigned penalty);
     /** Count a retired branch of class ri.cls and whether it missed. */
     void recordBranch(const RetireInfo &ri, bool mispredicted);
-
-    /**
-     * B-entry port with the default organization devirtualized: when the
-     * configured frontend is exactly the ideal single-level BTB (no
-     * FDIP), idealFast_ caches the underlying structure at construction
-     * and these helpers bypass the virtual boundary — the default
-     * machines keep the pre-refactor codegen on the hottest path. The
-     * harness_throughput frontend-overhead gate pins this.
-     */
-    branch::FrontendProbe
-    fetchProbe(uint64_t pc)
-    {
-        if (idealFast_)
-            return {idealFast_->lookupPc(pc), false, 0};
-        return frontend_->probePc(pc);
-    }
-    void
-    fetchInsert(uint64_t pc, uint64_t target)
-    {
-        if (idealFast_)
-            idealFast_->insertPc(pc, target);
-        else
-            frontend_->insertPc(pc, target);
-    }
 
     /**
      * The configured direction predictor, held by its concrete (final)
@@ -151,12 +132,11 @@ class InOrderTiming final : public TimingModel
     bool branchIssuedThisCycle_ = false;
 
     // Components.
-    std::unique_ptr<branch::FrontendModel> frontend_;
-    branch::Btb *idealFast_ = nullptr; ///< non-null iff ideal, no FDIP
+    branch::Frontend frontend_;
+    branch::FrontendVbbi vbbi_{frontend_};
     std::unique_ptr<branch::JteTable> dedicatedJtes_;
     Direction direction_;
     std::unique_ptr<branch::ReturnAddressStack> ras_;
-    std::unique_ptr<branch::FrontendVbbi> vbbi_;
     std::unique_ptr<branch::Ittage> ittage_;
     std::unique_ptr<cache::Cache> icache_;
     std::unique_ptr<cache::Cache> dcache_;

@@ -35,11 +35,6 @@
 #include "common/stats.hh"
 #include "retire_info.hh"
 
-namespace scd::branch
-{
-class Btb;
-}
-
 namespace scd::obs
 {
 class TraceBuffer;
@@ -83,9 +78,6 @@ class TimingModel
 
     /** Fold the model's counters into @p group. */
     virtual void exportStats(StatGroup &group) const = 0;
-
-    /** The model's BTB, if it has one (component access for tests). */
-    virtual branch::Btb *btb() { return nullptr; }
 
     /**
      * Attach a pipeline event-trace buffer (src/obs/trace.hh). Models

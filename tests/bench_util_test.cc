@@ -65,6 +65,12 @@ TEST(BenchFlags, MalformedFrontendFlagExitsWithCode2)
     // Parses, but cannot be built: a partial tag wider than 32 bits.
     EXPECT_EXIT(applyFlags({"--frontend=mlbtb+tag40"}),
                 ::testing::ExitedWithCode(2), "partialTagBits");
+    // Parses, but would scan (and allocate) more slots than the BTB
+    // holds; validation rejects it before anything is built.
+    EXPECT_EXIT(applyFlags({"--frontend=mlbtb+micro4000000000"}),
+                ::testing::ExitedWithCode(2), "microEntries");
+    EXPECT_EXIT(applyFlags({"--frontend=fdip+ftq4000000000"}),
+                ::testing::ExitedWithCode(2), "ftqDepth");
 }
 
 TEST(BenchFlags, TraceEventsAcceptOnlyWholePositiveDecimals)

@@ -321,8 +321,8 @@ TEST(BtbAdaptiveCap, RelaxesBackToUnlimitedWhenContentionStops)
 
 TEST(Vbbi, DistinguishesTargetsByHintValue)
 {
-    IdealBtb btb({256, 2, false, 0});
-    FrontendVbbi vbbi(btb);
+    Frontend frontend(FrontendConfig{}, {256, 2, false, 0});
+    FrontendVbbi vbbi(frontend);
     uint64_t jumpPc = 0x5000;
     for (uint64_t opcode = 0; opcode < 30; ++opcode)
         vbbi.update(jumpPc, opcode, 0x8000 + opcode * 0x40);

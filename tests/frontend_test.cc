@@ -1,10 +1,10 @@
 /**
  * @file
- * Unit tests for the pluggable frontend models (branch/frontend.hh): the
- * IdealBtb wrapper's bit-identity to the raw Btb, the MultiLevelBtb's
+ * Unit tests for the frontend models (branch/frontend.hh): the IdealBtb
+ * organization's bit-identity to the raw Btb, the MultiLevelBtb's
  * partial-tag false hits / micro-BTB promotion / bank-conflict model,
  * the FDIP fetch-target queue's timeliness rules, and the spec parser
- * and configuration validation of the factory.
+ * and configuration validation of branch::Frontend.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,8 @@
 #include <climits>
 
 #include <random>
+#include <string>
+#include <variant>
 
 #include "branch/btb.hh"
 #include "branch/frontend.hh"
@@ -26,8 +28,8 @@ using scd::FatalError;
 using scd::StatGroup;
 
 // ---------------------------------------------------------------------------
-// IdealBtb: the interface wrapper must be operation-for-operation
-// identical to the raw structure it replaces.
+// IdealBtb: the organization must be operation-for-operation identical
+// to the raw structure it wraps.
 // ---------------------------------------------------------------------------
 
 TEST(IdealBtbDifferential, MatchesRawBtbOnRandomOpSequences)
@@ -72,11 +74,9 @@ TEST(IdealBtbDifferential, MatchesRawBtbOnRandomOpSequences)
             break;
           }
           case 5: {
-            // updateHashed must behave exactly like refresh-in-place-else-
-            // insert over the raw structure.
+            // updateHashed is the raw structure's refresh-or-insert.
             uint64_t key = r & 0xFFFF;
-            if (!raw.tryRefreshBranchKey(key, r))
-                raw.insertHashed(key, r);
+            raw.insertHashed(key, r);
             wrapped.updateHashed(key, r);
             break;
           }
@@ -98,10 +98,16 @@ TEST(IdealBtbDifferential, MatchesRawBtbOnRandomOpSequences)
 
 TEST(IdealBtbDifferential, ExposesTheUnderlyingStructure)
 {
-    IdealBtb ideal({256, 2, false, 0});
-    ASSERT_NE(ideal.idealBtb(), nullptr);
-    ideal.insertJte(0, 5, 0xBEEF);
-    EXPECT_EQ(ideal.idealBtb()->lookupJte(0, 5).value_or(0), 0xBEEFu);
+    // The default configuration selects the ideal organization, and the
+    // Frontend port reaches it unchanged.
+    Frontend fe(FrontendConfig{}, {256, 2, false, 0});
+    ASSERT_NE(std::get_if<IdealBtb>(&fe.organization()), nullptr);
+    fe.insertJte(0, 5, 0xBEEF);
+    FrontendProbe p = fe.probeJte(0, 5);
+    EXPECT_EQ(p.target.value_or(0), 0xBEEFu);
+    EXPECT_FALSE(p.falseHit);
+    EXPECT_EQ(p.bubbles, 0u);
+    EXPECT_EQ(fe.jteCount(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -272,24 +278,24 @@ TEST(FdipFrontend, ConvertsBaseMissesIntoTimelyPrefetchHits)
     // A tiny 4-entry/2-way base BTB: pcs 0x100/0x108/0x110 share set 0,
     // so the third insert evicts the first from the base while the FTQ
     // still remembers it.
-    auto fe = makeFrontendModel(config, {4, 2, false, 0});
-    fe->insertPc(0x100, 0xAAA);
-    fe->insertPc(0x108, 0x1);
-    fe->insertPc(0x110, 0x2);
+    Frontend fe(config, {4, 2, false, 0});
+    fe.insertPc(0x100, 0xAAA);
+    fe.insertPc(0x108, 0x1);
+    fe.insertPc(0x110, 0x2);
 
     // First probe after the insert: discovered too recently (distance 1
     // < 2) — the prefetch has not landed, still a miss.
-    FrontendProbe late = fe->probePc(0x100);
+    FrontendProbe late = fe.probePc(0x100);
     EXPECT_FALSE(late.target.has_value());
 
     // By the next probe the prefetch is timely: the base miss converts.
-    FrontendProbe timely = fe->probePc(0x100);
+    FrontendProbe timely = fe.probePc(0x100);
     ASSERT_TRUE(timely.target.has_value());
     EXPECT_EQ(*timely.target, 0xAAAu);
     EXPECT_FALSE(timely.falseHit);
 
     StatGroup g;
-    fe->exportStats(g);
+    fe.exportStats(g);
     EXPECT_EQ(g.get("frontend.ftqLate"), 1u);
     EXPECT_EQ(g.get("frontend.ftqHits"), 1u);
 }
@@ -298,23 +304,25 @@ TEST(FdipFrontend, JtePortPassesThroughArchitecturallyUntouched)
 {
     FrontendConfig config;
     config.fdip = true;
-    auto fe = makeFrontendModel(config, {64, 2, false, 0});
+    Frontend fe(config, {64, 2, false, 0});
     // JTE ops behave exactly as on the base organization: FDIP is a
     // fetch prefetcher and JTE residency is architectural.
-    fe->insertJte(2, 7, 0x7777);
-    FrontendProbe p = fe->probeJte(2, 7);
+    fe.insertJte(2, 7, 0x7777);
+    FrontendProbe p = fe.probeJte(2, 7);
     ASSERT_TRUE(p.target.has_value());
     EXPECT_EQ(*p.target, 0x7777u);
     EXPECT_FALSE(p.falseHit);
-    EXPECT_EQ(fe->jteCount(), 1u);
-    fe->flushJtes();
-    EXPECT_EQ(fe->jteCount(), 0u);
-    // The layered ideal base stays reachable for component access.
-    EXPECT_NE(fe->idealBtb(), nullptr);
+    EXPECT_EQ(fe.jteCount(), 1u);
+    fe.flushJtes();
+    EXPECT_EQ(fe.jteCount(), 0u);
+    // The queue layers over the ideal base.
+    const auto *fdip = std::get_if<FdipFrontend>(&fe.organization());
+    ASSERT_NE(fdip, nullptr);
+    EXPECT_NE(std::get_if<IdealBtb>(&fdip->base()), nullptr);
 }
 
 // ---------------------------------------------------------------------------
-// Factory, spec parser, validation.
+// Construction, spec parser, validation.
 // ---------------------------------------------------------------------------
 
 TEST(FrontendSpec, ParsesOrganizationsAndParameters)
@@ -378,7 +386,7 @@ TEST(FrontendValidation, RejectsUnbuildableConfigurations)
 
     FrontendConfig badBanks = ml;
     badBanks.mainBanks = 3;
-    EXPECT_THROW(makeFrontendModel(badBanks, btb), FatalError);
+    EXPECT_THROW(Frontend(badBanks, btb), FatalError);
 
     FrontendConfig badFtq;
     badFtq.fdip = true;
@@ -388,24 +396,72 @@ TEST(FrontendValidation, RejectsUnbuildableConfigurations)
     badFtq.ftqTimelyDistance = 0;
     EXPECT_THROW(validateFrontendConfig(badFtq, btb), FatalError);
 
-    // The factory validates the BTB geometry too.
-    EXPECT_THROW(makeFrontendModel(FrontendConfig{}, {96, 2, false, 0}),
-                 FatalError);
+    // Construction validates the BTB geometry too.
+    EXPECT_THROW(Frontend(FrontendConfig{}, {96, 2, false, 0}), FatalError);
 
-    EXPECT_NO_THROW(makeFrontendModel(ml, btb));
+    EXPECT_NO_THROW(Frontend(ml, btb));
+}
+
+TEST(FrontendValidation, RejectsMicroBtbAndFtqLargerThanTheBtb)
+{
+    // Both are linear-scan arrays allocated per timing model: a
+    // 4000000000-entry micro-BTB used to ask every point for ~128 GB.
+    // Validation alone must reject such sizes, allocating nothing.
+    BtbConfig btb{64, 2, false, 0};
+    FrontendConfig ml = mlbtbConfig();
+    ml.microEntries = 64;
+    EXPECT_NO_THROW(validateFrontendConfig(ml, btb));
+    ml.microEntries = 65;
+    EXPECT_THROW(validateFrontendConfig(ml, btb), FatalError);
+    ml.microEntries = 4000000000u;
+    try {
+        validateFrontendConfig(ml, btb);
+        ADD_FAILURE() << "a 4e9-entry micro-BTB was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("microEntries"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    FrontendConfig fdip;
+    fdip.fdip = true;
+    fdip.ftqDepth = 64;
+    EXPECT_NO_THROW(validateFrontendConfig(fdip, btb));
+    fdip.ftqDepth = 65;
+    EXPECT_THROW(validateFrontendConfig(fdip, btb), FatalError);
+    fdip.ftqDepth = UINT_MAX;
+    try {
+        validateFrontendConfig(fdip, btb);
+        ADD_FAILURE() << "a UINT_MAX-deep FTQ was accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("ftqDepth"), std::string::npos)
+            << e.what();
+    }
+
+    // Each bound applies only to the structure the organization builds.
+    FrontendConfig ideal;
+    ideal.microEntries = 4000000000u;
+    ideal.ftqDepth = UINT_MAX;
+    EXPECT_NO_THROW(validateFrontendConfig(ideal, btb));
 }
 
 TEST(FrontendFactory, BuildsTheRequestedOrganization)
 {
     BtbConfig btb{256, 2, false, 0};
-    auto ideal = makeFrontendModel(frontendFromSpec("ideal"), btb);
-    EXPECT_NE(ideal->idealBtb(), nullptr);
-    auto ml = makeFrontendModel(frontendFromSpec("mlbtb"), btb);
-    EXPECT_EQ(ml->idealBtb(), nullptr);
-    auto fdip = makeFrontendModel(frontendFromSpec("mlbtb+fdip"), btb);
-    EXPECT_EQ(fdip->idealBtb(), nullptr);
-    auto fdipIdeal = makeFrontendModel(frontendFromSpec("fdip"), btb);
-    EXPECT_NE(fdipIdeal->idealBtb(), nullptr);
+    Frontend ideal(frontendFromSpec("ideal"), btb);
+    EXPECT_NE(std::get_if<IdealBtb>(&ideal.organization()), nullptr);
+    Frontend ml(frontendFromSpec("mlbtb"), btb);
+    EXPECT_NE(std::get_if<MultiLevelBtb>(&ml.organization()), nullptr);
+
+    Frontend fdip(frontendFromSpec("mlbtb+fdip"), btb);
+    const auto *queue = std::get_if<FdipFrontend>(&fdip.organization());
+    ASSERT_NE(queue, nullptr);
+    EXPECT_NE(std::get_if<MultiLevelBtb>(&queue->base()), nullptr);
+
+    Frontend fdipIdeal(frontendFromSpec("fdip"), btb);
+    queue = std::get_if<FdipFrontend>(&fdipIdeal.organization());
+    ASSERT_NE(queue, nullptr);
+    EXPECT_NE(std::get_if<IdealBtb>(&queue->base()), nullptr);
 }
 
 } // namespace
