@@ -170,6 +170,10 @@ MultiLevelBtb::probe(EntryKind kind, uint64_t key)
 
     // Micro-BTB: fully associative, full tags, zero-bubble hits.
     size_t slot = findMicro(kind, key);
+    memoValid_ = true;
+    memoKind_ = kind;
+    memoKey_ = key;
+    memoSlot_ = slot;
     if (slot != microKey_.size()) {
         microLastUse_[slot] = useClock_;
         ++microHits_;
@@ -217,6 +221,11 @@ MultiLevelBtb::promote(EntryKind kind, uint64_t key, uint64_t target)
     microTarget_[victim] = target;
     microLastUse_[victim] = useClock_;
     microKind_[victim] = kind;
+    // The victim may have held the memoized key; now it holds this one.
+    memoValid_ = true;
+    memoKind_ = kind;
+    memoKey_ = key;
+    memoSlot_ = victim;
 }
 
 void
@@ -225,7 +234,9 @@ MultiLevelBtb::insert(EntryKind kind, uint64_t key, uint64_t target)
     ++useClock_;
 
     // Keep any promoted micro copy coherent with the new target.
-    size_t slot = findMicro(kind, key);
+    size_t slot = memoValid_ && memoKey_ == key && memoKind_ == kind
+                      ? memoSlot_
+                      : findMicro(kind, key);
     if (slot != microKey_.size()) {
         microTarget_[slot] = target;
         microLastUse_[slot] = useClock_;
@@ -241,6 +252,7 @@ MultiLevelBtb::flushJtes()
         if (microKind_[i] == EntryKind::Jte)
             microLastUse_[i] = 0;
     }
+    memoValid_ = false;
 }
 
 void

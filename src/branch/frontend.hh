@@ -292,6 +292,17 @@ class MultiLevelBtb
     std::vector<EntryKind> microKind_;
     uint64_t useClock_ = 0; ///< micro-BTB LRU stamps
 
+    // What the last probe learned of the micro-BTB: the slot holding
+    // (memoKind_, memoKey_), or microKey_.size() when it holds none. Only
+    // a promote and a flush change which keys the micro-BTB holds; probe
+    // rewrites the memo (promote runs inside it) and flushJtes clears it,
+    // so an insert of the key just probed — every taken branch's — skips
+    // the scan.
+    bool memoValid_ = false;
+    EntryKind memoKind_ = EntryKind::Branch;
+    uint64_t memoKey_ = 0;
+    size_t memoSlot_ = 0;
+
     // Bank-conflict model: the SCD overlay dual-probes the structure (a
     // bop's JTE probe alongside the fetch-direction probe); banking makes
     // that conflict-free only when the two probes land in different

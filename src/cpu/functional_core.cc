@@ -482,9 +482,8 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
         break;
 
       case Opcode::BOP: {
-        if (auto target = bopExec(inst.bank, pc, hs.retired,
-                                          ropStall, bopProbed, bopHit,
-                                          jteOpcode))
+        if (auto target = bopExec(timing_, inst.bank, pc, hs.retired,
+                                  ropStall, bopProbed, bopHit, jteOpcode))
             nextPc = *target;
         // A bop never causes a pipeline redirect: the JTE hit is known at
         // fetch, and a miss falls through sequentially.

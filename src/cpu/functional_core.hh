@@ -105,7 +105,8 @@ class FunctionalCore
      * tier, retiring each into @p timing before the next one executes,
      * and return the number retired. Stops early only when the guest
      * exits. On Switch this is the reference step()-then-retire loop; on
-     * Threaded the executor calls timing.retire() between slots. @p
+     * Threaded each handler retires its slot into @p timing through its
+     * own specialization of the retire body, between slots. @p
      * timing must be the model whose JTE port the core was built with,
      * so a bop probes the JTEs that earlier retires inserted.
      */
@@ -194,12 +195,15 @@ class FunctionalCore
     inline bool jruConsume(uint8_t bank, uint64_t &jteOpcode);
     /**
      * The bop instruction minus control flow: eligibility, the JTE
-     * probe, and the Rbop-pc update. @p retiredIdx is the
-     * retire index of the bop itself. Returns the short-circuit target
-     * on a hit.
+     * probe through @p port, and the Rbop-pc update. @p retiredIdx is
+     * the retire index of the bop itself. Returns the short-circuit
+     * target on a hit. @p port is the core's own JTE port: the
+     * TimingModel, or on the fused timed path the same object as its
+     * concrete InOrderTiming, so the probe is a direct call.
      */
-    inline std::optional<uint64_t>
-    bopExec(uint8_t bank, uint64_t pc, uint64_t retiredIdx,
+    template <class Port>
+    std::optional<uint64_t>
+    bopExec(Port &port, uint8_t bank, uint64_t pc, uint64_t retiredIdx,
             uint32_t &ropStall, bool &bopProbed, bool &bopHit,
             uint64_t &jteOpcode);
 

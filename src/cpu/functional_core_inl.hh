@@ -32,10 +32,11 @@ FunctionalCore::jruConsume(uint8_t bank, uint64_t &jteOpcode)
     return false;
 }
 
+template <class Port>
 inline std::optional<uint64_t>
-FunctionalCore::bopExec(uint8_t bankIdx, uint64_t pc, uint64_t retiredIdx,
-                        uint32_t &ropStall, bool &bopProbed, bool &bopHit,
-                        uint64_t &jteOpcode)
+FunctionalCore::bopExec(Port &port, uint8_t bankIdx, uint64_t pc,
+                        uint64_t retiredIdx, uint32_t &ropStall,
+                        bool &bopProbed, bool &bopHit, uint64_t &jteOpcode)
 {
     ScdBank &bank = banks_[bankIdx];
     bool eligible = config_.scdEnabled && bank.rbopPc == pc && bank.ropValid;
@@ -60,7 +61,7 @@ FunctionalCore::bopExec(uint8_t bankIdx, uint64_t pc, uint64_t retiredIdx,
         // feeds the architectural stream.
         bopProbed = true;
         jteOpcode = bank.ropData;
-        target = timing_.jteLookup(bankIdx, bank.ropData);
+        target = port.jteLookup(bankIdx, bank.ropData);
         bopHit = target.has_value();
     }
     if (target)

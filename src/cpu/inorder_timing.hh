@@ -5,9 +5,11 @@
  * redirect penalties, branch prediction (a branch::Frontend held by
  * value and carrying the SCD JTE overlay — ideal single-level BTB by
  * default, optionally multi-level/FDIP — plus tournament/gshare
- * direction, RAS, optional VBBI and ITTAGE), caches and TLBs. Consumes
- * one RetireInfo per retired instruction; the sequence of operations per
- * instruction mirrors the original Core::step() exactly, and under the
+ * direction, RAS, optional VBBI and ITTAGE), caches and TLBs. Accounts
+ * one retired instruction at a time, described by a RetireInfo or by a
+ * threaded handler's record of the same shape (see retireAs); the
+ * sequence of operations per instruction mirrors the original
+ * Core::step() exactly, and under the
  * default ideal frontend statistics are bit-identical to the pre-split
  * simulator. Every organization runs through the same non-virtual
  * frontend port; non-ideal ones add probe bubbles and treat a false JTE
@@ -19,6 +21,8 @@
 #ifndef SCD_CPU_INORDER_TIMING_HH
 #define SCD_CPU_INORDER_TIMING_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -33,6 +37,9 @@
 #include "cache/cache.hh"
 #include "cache/tlb.hh"
 #include "config.hh"
+#include "functional_core.hh"
+#include "isa/instruction.hh"
+#include "isa/opcode.hh"
 #include "obs/trace.hh"
 #include "timing_model.hh"
 
@@ -41,8 +48,14 @@ namespace scd::cpu
 
 /**
  * Scoreboard timing for a (possibly multi-issue) in-order pipeline.
- * Final, so the fused timed loop (Core::run through
- * FunctionalCore::runTimed) and consume() call retire() directly.
+ *
+ * One retire body, retireAs(), composed of the pipeline's stages: fetch,
+ * issue (the scoreboard), execute (result latency and the data access),
+ * control flow, and writeback. retire(), consume() and with them the
+ * switch reference loop, replay and perfbench run it over a RetireInfo.
+ * The fused timed path (ThreadedTier::exec<true>) runs the same body
+ * inline in each threaded handler, over a record type whose handler-
+ * known facts are compile-time constants, so those tests fold away.
  */
 class InOrderTiming final : public TimingModel
 {
@@ -52,21 +65,33 @@ class InOrderTiming final : public TimingModel
     InOrderTiming(const InOrderTiming &) = delete;
     InOrderTiming &operator=(const InOrderTiming &) = delete;
 
-    std::optional<uint64_t> jteLookup(uint8_t bank,
-                                      uint64_t opcode) override;
+    std::optional<uint64_t>
+    jteLookup(uint8_t bank, uint64_t opcode) override
+    {
+        if (dedicatedJtes_)
+            return dedicatedJtes_->lookup(bank, opcode);
+        branch::FrontendProbe p = frontend_.probeJte(bank, opcode);
+        cycle_ += p.bubbles;
+        if (p.falseHit) [[unlikely]] {
+            jteFalseResteer();
+            return std::nullopt;
+        }
+        return p.target;
+    }
+
     void retire(const RetireInfo &ri) override;
 
+    /** Batched retirement for replay consumers: the retire body inline
+     *  in a loop over a bop-free span. */
+    void consume(const RetireInfo *ri, size_t n) override;
+
     /**
-     * Batched retirement for the replay consumer path: one virtual call
-     * per bop-free span, with the per-instruction retire() devirtualized
-     * inside the loop.
+     * Account one retired instruction described by @p ri. R is
+     * RetireInfo or a record type with RetireInfo's field names, any of
+     * which may be a static constexpr member (see threaded_tier.cc's
+     * SlotRetire); a constant field folds its test out of the body.
      */
-    void
-    consume(const RetireInfo *ri, size_t n) override
-    {
-        for (size_t i = 0; i < n; ++i)
-            InOrderTiming::retire(ri[i]);
-    }
+    template <class R> void retireAs(const R &ri);
 
     uint64_t cycles() const override { return cycle_; }
     void exportStats(StatGroup &group) const override;
@@ -80,14 +105,39 @@ class InOrderTiming final : public TimingModel
     unsigned jteCount() const { return frontend_.jteCount(); }
 
   private:
+    // ---- the stages of retireAs ------------------------------------------
+    void fetch(uint64_t pc, uint32_t flags);
+    template <class R> void issue(const R &ri);
+    template <class R> uint64_t execute(const R &ri);
+    template <class R> void controlFlow(const R &ri);
+    template <class R> void writeback(const R &ri, uint64_t resultLatency);
+
+    // ---- control flow, one per CtrlKind -----------------------------------
+    template <class R> void conditional(const R &ri);
+    template <class R> void jal(const R &ri);
+    template <class R> void jalr(const R &ri);
+    template <class R> void bop(const R &ri);
+    template <class R> void jru(const R &ri);
+
+    /** Charge a partial-tag JTE alias's resteer (the probe misses). */
+    void jteFalseResteer();
+
     /** Insert/refresh a JTE (a retiring jru with a pending insert). */
     void jteInsert(uint8_t bank, uint64_t opcode, uint64_t target);
 
-    void chargeFetch(uint64_t pc);
+    /** Charge a fetch from a new I$ block: ITLB, I$, L2. */
+    void fetchBlock(uint64_t pc);
     uint64_t dataAccess(uint64_t addr, bool write);
-    void redirect(unsigned penalty);
+    /** Cycles past an L1 miss: L2 hit or memory. */
+    unsigned missPenalty(uint64_t addr);
+    void
+    redirect(unsigned penalty)
+    {
+        cycle_ += penalty;
+        issuedThisCycle_ = width_; // next instruction starts a cycle
+    }
     /** Count a retired branch of class ri.cls and whether it missed. */
-    void recordBranch(const RetireInfo &ri, bool mispredicted);
+    template <class R> void recordBranch(const R &ri, bool mispredicted);
 
     /**
      * The configured direction predictor, held by its concrete (final)
@@ -158,6 +208,269 @@ class InOrderTiming final : public TimingModel
     uint64_t loadUseStalls_ = 0;
     uint64_t jteFalseResteers_ = 0; ///< false JTE hits resteered (non-ideal)
 };
+
+// ---------------------------------------------------------------------------
+// The retire body. Every part is always inlined into its caller, so an
+// instantiation over a record with constant fields is specialized through
+// and through; sequence and arithmetic are the original Core::step()'s.
+// ---------------------------------------------------------------------------
+
+template <class R>
+[[gnu::always_inline]] inline void
+InOrderTiming::retireAs(const R &ri)
+{
+    fetch(ri.pc, ri.flags);
+    issue(ri);
+    uint64_t resultLatency = execute(ri);
+    controlFlow(ri);
+    writeback(ri, resultLatency);
+}
+
+[[gnu::always_inline]] inline void
+InOrderTiming::fetch(uint64_t pc, uint32_t flags)
+{
+    ++instructions_;
+    // Branchless: whether a pc is dispatch code flips constantly in
+    // interpreter workloads, so a conditional increment would mispredict.
+    dispatchInstructions_ +=
+        (flags >> FunctionalCore::kDispatchRangeShift) & 1;
+    if ((pc >> fetchBlockShift_) != lastFetchBlock_)
+        fetchBlock(pc);
+}
+
+template <class R>
+[[gnu::always_inline]] inline void
+InOrderTiming::issue(const R &ri)
+{
+    const uint32_t flags = ri.flags;
+    bool isMem = flags & (isa::FlagLoad | isa::FlagStore);
+    bool isCtrl = flags & (isa::FlagBranch | isa::FlagJump);
+    uint64_t start = cycle_;
+    if (issuedThisCycle_ >= width_ ||
+        (isMem && memIssuedThisCycle_) ||
+        (isCtrl && branchIssuedThisCycle_)) {
+        start = cycle_ + 1;
+    }
+    uint64_t issueAt = start;
+    if (flags & isa::FlagReadsRs1)
+        issueAt = std::max(issueAt, intReady_[ri.rs1]);
+    if (flags & isa::FlagReadsRs2)
+        issueAt = std::max(issueAt, intReady_[ri.rs2]);
+    if (flags & isa::FlagFpReadsRs1)
+        issueAt = std::max(issueAt, fpReady_[ri.rs1]);
+    if (flags & isa::FlagFpReadsRs2)
+        issueAt = std::max(issueAt, fpReady_[ri.rs2]);
+    loadUseStalls_ += issueAt - start;
+    SCD_TRACE_SET_CYCLE(trace_, issueAt);
+    SCD_TRACE_HOOK(trace_, obs::TraceEventKind::Retire, ri.pc, 0, ri.op,
+                   ri.ctrl == CtrlKind::None ? obs::kTraceNoClass
+                                             : uint8_t(ri.cls));
+    if (issueAt > start) {
+        SCD_TRACE_HOOK(trace_, obs::TraceEventKind::LoadUseStall, ri.pc,
+                       issueAt - start, ri.op);
+    }
+    if (issueAt > cycle_) {
+        issuedThisCycle_ = 1;
+        memIssuedThisCycle_ = isMem;
+        branchIssuedThisCycle_ = isCtrl;
+    } else {
+        ++issuedThisCycle_;
+        memIssuedThisCycle_ |= isMem;
+        branchIssuedThisCycle_ |= isCtrl;
+    }
+    cycle_ = issueAt;
+}
+
+/** Result latency, plus the data access of a load or a store. */
+template <class R>
+[[gnu::always_inline]] inline uint64_t
+InOrderTiming::execute(const R &ri)
+{
+    uint64_t resultLatency;
+    switch (ri.lat) {
+      case LatClass::Mul: resultLatency = config_.mulLatency; break;
+      case LatClass::Div: resultLatency = config_.divLatency; break;
+      case LatClass::Fp: resultLatency = config_.fpLatency; break;
+      case LatClass::FpDiv: resultLatency = config_.fpDivLatency; break;
+      case LatClass::Load:
+        resultLatency = dataAccess(ri.memAddr, false);
+        break;
+      default: resultLatency = config_.aluLatency; break;
+    }
+    if (ri.memIsStore) {
+        uint64_t lat = dataAccess(ri.memAddr, true);
+        // A store miss stalls the (blocking) memory stage.
+        if (lat > config_.loadHitLatency)
+            cycle_ += lat - config_.loadHitLatency;
+    }
+    return resultLatency;
+}
+
+template <class R>
+[[gnu::always_inline]] inline void
+InOrderTiming::controlFlow(const R &ri)
+{
+    switch (ri.ctrl) {
+      case CtrlKind::None: break;
+      case CtrlKind::Conditional: conditional(ri); break;
+      case CtrlKind::Jal: jal(ri); break;
+      case CtrlKind::Jalr: jalr(ri); break;
+      case CtrlKind::Bop: bop(ri); break;
+      case CtrlKind::Jru: jru(ri); break;
+      case CtrlKind::JteFlush:
+        SCD_TRACE_HOOK(trace_, obs::TraceEventKind::JteFlush, ri.pc, 0,
+                       ri.op);
+        jteFlush();
+        break;
+    }
+}
+
+template <class R>
+[[gnu::always_inline]] inline void
+InOrderTiming::writeback(const R &ri, uint64_t resultLatency)
+{
+    if (ri.writesInt)
+        intReady_[ri.rd] = cycle_ + resultLatency;
+    if (ri.writesFp)
+        fpReady_[ri.rd] = cycle_ + resultLatency;
+}
+
+template <class R>
+[[gnu::always_inline]] inline void
+InOrderTiming::conditional(const R &ri)
+{
+    bool predTaken = predictTaken(ri.pc);
+    bool effectiveTaken = false;
+    bool falseTarget = false;
+    if (predTaken) {
+        branch::FrontendProbe p = frontend_.probePc(ri.pc);
+        cycle_ += p.bubbles;
+        effectiveTaken = p.target.has_value();
+        falseTarget = p.falseHit;
+    }
+    // A false hit steered a predicted-taken fetch to an aliased target:
+    // wrong even when the direction guess was right.
+    bool mispredict =
+        effectiveTaken != ri.taken || (effectiveTaken && falseTarget);
+    trainDirection(ri.pc, ri.taken);
+    if (ri.taken)
+        frontend_.insertPc(ri.pc, ri.nextPc);
+    recordBranch(ri, mispredict);
+    if (mispredict)
+        redirect(config_.mispredictPenalty);
+}
+
+template <class R>
+[[gnu::always_inline]] inline void
+InOrderTiming::jal(const R &ri)
+{
+    branch::FrontendProbe p = frontend_.probePc(ri.pc);
+    cycle_ += p.bubbles;
+    bool hit = p.target.has_value() && !p.falseHit;
+    frontend_.insertPc(ri.pc, ri.nextPc);
+    if (ri.rd == isa::reg::ra)
+        ras_->push(ri.pc + 4);
+    recordBranch(ri, !hit);
+    if (!hit) {
+        // An aliased hit fetched down a wrong path and costs a full
+        // execute-stage redirect; a plain miss only the decode one.
+        redirect(p.falseHit ? config_.mispredictPenalty
+                            : config_.btbMissTakenPenalty);
+    }
+}
+
+template <class R>
+[[gnu::always_inline]] inline void
+InOrderTiming::jalr(const R &ri)
+{
+    bool mispredict;
+    if (ri.isReturn) {
+        mispredict = ras_->pop() != ri.nextPc;
+    } else if (config_.vbbiEnabled && ri.hintReg >= 0) {
+        auto pred = vbbi_.predict(ri.pc, ri.hintValue);
+        mispredict = !pred || *pred != ri.nextPc;
+        vbbi_.update(ri.pc, ri.hintValue, ri.nextPc);
+    } else if (config_.ittageEnabled) {
+        auto pred = ittage_->predict(ri.pc);
+        mispredict = !pred || *pred != ri.nextPc;
+        ittage_->update(ri.pc, ri.nextPc);
+    } else {
+        branch::FrontendProbe p = frontend_.probePc(ri.pc);
+        cycle_ += p.bubbles;
+        mispredict = !p.target || *p.target != ri.nextPc;
+        frontend_.insertPc(ri.pc, ri.nextPc);
+    }
+    if (ri.rd == isa::reg::ra)
+        ras_->push(ri.pc + 4);
+    recordBranch(ri, mispredict);
+    if (mispredict)
+        redirect(config_.mispredictPenalty);
+}
+
+template <class R>
+[[gnu::always_inline]] inline void
+InOrderTiming::bop(const R &ri)
+{
+    // A bop never mispredicts: its JTE probe happened architecturally and
+    // a miss (or an ineligible bop) falls through sequentially.
+    recordBranch(ri, false);
+    if (ri.bopHit)
+        ++bopFastHits_;
+    else
+        ++bopMisses_;
+    // The fetch stage stalled until Rop became forwardable.
+    cycle_ += ri.ropStall;
+    ropStallCycles_ += ri.ropStall;
+    if (ri.ropStall > 0) {
+        SCD_TRACE_HOOK(trace_, obs::TraceEventKind::RopStall, ri.pc,
+                       ri.ropStall, ri.op);
+    }
+}
+
+template <class R>
+[[gnu::always_inline]] inline void
+InOrderTiming::jru(const R &ri)
+{
+    branch::FrontendProbe p = frontend_.probePc(ri.pc);
+    cycle_ += p.bubbles;
+    bool mispredict = !p.target || *p.target != ri.nextPc;
+    frontend_.insertPc(ri.pc, ri.nextPc);
+    if (ri.jteInsert) {
+        SCD_TRACE_HOOK(trace_, obs::TraceEventKind::JteInsert, ri.pc,
+                       ri.jteOpcode, ri.op, uint8_t(ri.cls));
+        jteInsert(ri.bank, ri.jteOpcode, ri.nextPc);
+        ++jteInserts_;
+    }
+    recordBranch(ri, mispredict);
+    if (mispredict)
+        redirect(config_.mispredictPenalty);
+}
+
+template <class R>
+[[gnu::always_inline]] inline void
+InOrderTiming::recordBranch(const R &ri, bool mispredicted)
+{
+    ++branchCount_[size_t(ri.cls)];
+    if (mispredicted) {
+        ++branchMisses_[size_t(ri.cls)];
+        SCD_TRACE_HOOK(trace_, obs::TraceEventKind::Mispredict, ri.pc, 0,
+                       ri.op, uint8_t(ri.cls));
+    }
+}
+
+inline uint64_t
+InOrderTiming::dataAccess(uint64_t addr, bool write)
+{
+    uint64_t page = addr >> 12;
+    if (page != lastDataPage_) {
+        lastDataPage_ = page;
+        if (!dtlb_.access(addr))
+            cycle_ += config_.tlbMissPenalty;
+    }
+    if (dcache_->access(addr, write)) [[likely]]
+        return config_.loadHitLatency;
+    return config_.loadHitLatency + missPenalty(addr);
+}
 
 } // namespace scd::cpu
 

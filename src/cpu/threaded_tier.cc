@@ -206,6 +206,170 @@ resetThreadedCache()
 // The executor.
 // ---------------------------------------------------------------------------
 
+namespace
+{
+
+/** The bits of a slot's flag word that are its opcode's isa::OpFlags. */
+constexpr uint32_t kOpFlagBits =
+    (1u << FunctionalCore::kDispatchRangeShift) - 1;
+
+/**
+ * The per-kind fields of a slot's retirement, at RetireInfo's defaults
+ * and as constants. Each handler family's event type derives from it and
+ * makes data members of only the fields it sets (the handler overwrites
+ * their defaults); with its control kind it fixes the rest at compile
+ * time, so the retire body never reads them and they are never stored.
+ * (Initialized at run time they would be written on every retire: GCC's
+ * dead-store elimination stops at the first branch in the retire body
+ * whose two arms both store.)
+ */
+struct NoEvent
+{
+    static constexpr CtrlKind ctrl = CtrlKind::None;
+    static constexpr BranchClass cls = BranchClass::Conditional;
+    static constexpr bool taken = false;
+    static constexpr bool isReturn = false;
+    static constexpr uint64_t memAddr = 0;
+    static constexpr int16_t hintReg = -1;
+    static constexpr uint64_t hintValue = 0;
+    static constexpr uint32_t ropStall = 0;
+    static constexpr bool bopProbed = false;
+    static constexpr bool bopHit = false;
+    static constexpr bool jteInsert = false;
+    static constexpr uint64_t jteOpcode = 0;
+};
+
+struct MemEvent : NoEvent
+{
+    uint64_t memAddr = 0;
+};
+
+struct BranchEvent : NoEvent
+{
+    static constexpr CtrlKind ctrl = CtrlKind::Conditional;
+    bool taken = false;
+};
+
+struct JalEvent : NoEvent
+{
+    static constexpr CtrlKind ctrl = CtrlKind::Jal;
+    static constexpr BranchClass cls = BranchClass::DirectJump;
+};
+
+struct JalrEvent : NoEvent
+{
+    static constexpr CtrlKind ctrl = CtrlKind::Jalr;
+    BranchClass cls = BranchClass::Conditional;
+    bool isReturn = false;
+    int16_t hintReg = -1;
+    uint64_t hintValue = 0;
+};
+
+struct BopEvent : NoEvent
+{
+    static constexpr CtrlKind ctrl = CtrlKind::Bop;
+    static constexpr BranchClass cls = BranchClass::Bop;
+    uint32_t ropStall = 0;
+    bool bopProbed = false;
+    bool bopHit = false;
+    uint64_t jteOpcode = 0;
+};
+
+struct JruEvent : NoEvent
+{
+    static constexpr CtrlKind ctrl = CtrlKind::Jru;
+    static constexpr BranchClass cls = BranchClass::IndirectDispatch;
+    bool jteInsert = false;
+    uint64_t jteOpcode = 0;
+};
+
+struct JteFlushEvent : NoEvent
+{
+    static constexpr CtrlKind ctrl = CtrlKind::JteFlush;
+};
+
+/**
+ * One slot's retirement under RetireInfo's field names. What the handler
+ * knows is static constexpr: the op byte, the latency class, the opcode's
+ * flag bits with what follows from them (hasMem, memIsStore, writesFp),
+ * and through its Event the control kind and every per-kind field it
+ * does not set. The timed executor hands it to InOrderTiming::retireAs,
+ * inlined into the handler, so the retire body folds every test of those
+ * facts and the fields it reads stay in registers; the recording
+ * executor stores it with recordTo() instead.
+ */
+template <Opcode kOp, LatClass kLat, class Event>
+struct SlotRetire : Event
+{
+    static constexpr uint32_t kOpFlags = isa::opFlags(kOp);
+    static_assert((kOpFlags & ~kOpFlagBits) == 0);
+
+    static constexpr uint8_t op = uint8_t(kOp);
+    static constexpr LatClass lat = kLat;
+    static constexpr bool writesFp = kOpFlags & isa::FlagFpWritesRd;
+    static constexpr bool hasMem =
+        kOpFlags & (isa::FlagLoad | isa::FlagStore);
+    static constexpr bool memIsStore = kOpFlags & isa::FlagStore;
+
+    // Always inlined, like the retire body, so rec never needs an address
+    // and its fields become scalars (an out-of-line constructor call
+    // would keep every handler's record in memory).
+    [[gnu::always_inline]] SlotRetire(const TSlot &s, uint64_t pcv,
+                                      uint64_t next)
+        : pc(pcv), nextPc(next), flags((s.flags & ~kOpFlagBits) | kOpFlags),
+          rd(s.rd), rs1(s.rs1), rs2(s.rs2), bank(s.bank),
+          writesInt((kOpFlags & isa::FlagWritesRd) && s.rd != 0)
+    {
+    }
+
+    uint64_t pc;
+    uint64_t nextPc;
+    /** The slot's flag word. Its opcode bits are opFlags(kOp) in every
+     *  slot (FunctionalCore caches them at decode); here they are the
+     *  constant, so the scoreboard's flag tests fold. */
+    uint32_t flags;
+    uint8_t rd;
+    uint8_t rs1;
+    uint8_t rs2;
+    uint8_t bank;
+    bool writesInt;
+
+    /** Write the slot's RetireInfo in place (the recording executor):
+     *  reset, then every field, so constant ones merge into the reset. */
+    [[gnu::always_inline]] void
+    recordTo(RetireInfo &ri) const
+    {
+        ri = RetireInfo{};
+        ri.pc = pc;
+        ri.nextPc = nextPc;
+        ri.flags = flags;
+        ri.rd = rd;
+        ri.rs1 = rs1;
+        ri.rs2 = rs2;
+        ri.bank = bank;
+        ri.op = op;
+        ri.ctrl = this->ctrl;
+        ri.lat = lat;
+        ri.cls = this->cls;
+        ri.taken = this->taken;
+        ri.isReturn = this->isReturn;
+        ri.writesInt = writesInt;
+        ri.writesFp = writesFp;
+        ri.hasMem = hasMem;
+        ri.memIsStore = memIsStore;
+        ri.memAddr = this->memAddr;
+        ri.hintReg = this->hintReg;
+        ri.hintValue = this->hintValue;
+        ri.ropStall = this->ropStall;
+        ri.bopProbed = this->bopProbed;
+        ri.bopHit = this->bopHit;
+        ri.jteInsert = this->jteInsert;
+        ri.jteOpcode = this->jteOpcode;
+    }
+};
+
+} // namespace
+
 template <bool kTimed>
 ThreadedTier::ExecStatus
 ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
@@ -237,64 +401,62 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
 #define SCD_CASE(name) L_##name:
 #define SCD_DISPATCH() goto *const_cast<void *>(kLabels[ip->hop])
 
-// Retire accounting, identical to the reference interpreter's tail. The
-// timed executor retires the record before the next slot dispatches, so a
-// bop sees the JTE insert of the jru retired just before it, as in the
-// reference step()-then-retire loop.
-#define SCD_ACCOUNT()                                                        \
+// Retire the current slot: build its SlotRetire `rec` for opcode `name`
+// (successor pc, latency class, event type), run the trailing
+// statements on it, then account it — identical to the reference
+// interpreter's tail. The timed executor retires before the next slot
+// dispatches, so a bop sees the JTE insert of the jru retired just
+// before it, as in the reference step()-then-retire loop.
+#define SCD_RETIRE(name, nextv, latv, event, ...)                            \
     do {                                                                     \
+        SlotRetire<Opcode::name, latv, event> rec(*ip, SCD_PC(), (nextv));   \
+        __VA_ARGS__;                                                         \
         ++retired;                                                           \
         if constexpr (kTimed)                                                \
-            timing->retire(*ri);                                             \
+            timing->retireAs(rec);                                           \
         else                                                                 \
-            ++ri;                                                            \
+            rec.recordTo(*ri++);                                             \
     } while (0)
 
-// Retire the current instruction and chain into the slot at `slotp`.
-#define SCD_NEXT(slotp)                                                      \
+// Chain into the slot ip now points at.
+#define SCD_CHAIN()                                                          \
     do {                                                                     \
-        SCD_ACCOUNT();                                                       \
-        ip = (slotp);                                                        \
         if (--budget == 0)                                                   \
             goto pause_budget;                                               \
         SCD_DISPATCH();                                                      \
     } while (0)
 
-// RetireInfo base fields; value-init first so every field is defined
-// with the same defaults stepImpl's locals start from.
-#define SCD_SET_RI(pcv, nextv)                                               \
+// Chain into the slot at `slotp`.
+#define SCD_NEXT(slotp)                                                      \
     do {                                                                     \
-        *ri = RetireInfo{};                                                  \
-        ri->pc = (pcv);                                                      \
-        ri->nextPc = (nextv);                                                \
-        ri->flags = ip->flags;                                               \
-        ri->rd = ip->rd;                                                     \
-        ri->rs1 = ip->rs1;                                                   \
-        ri->rs2 = ip->rs2;                                                   \
-        ri->bank = ip->bank;                                                 \
-        ri->op = ip->op;                                                     \
+        ip = (slotp);                                                        \
+        SCD_CHAIN();                                                         \
     } while (0)
 
-// Retire, then transfer to a *computed* target pc: in-text targets chain
-// straight to their slot, anything else parks the fault in the BadPc
-// sentinel so it throws at the next fetch, like the reference slotAt().
-#define SCD_GOTO_PC(targetExpr)                                              \
+// Point ip at a *computed* target pc: in-text targets go straight to
+// their slot, anything else parks the fault in the BadPc sentinel so it
+// throws at the next fetch, like the reference slotAt().
+#define SCD_SEEK_PC(targetExpr)                                              \
     do {                                                                     \
         uint64_t targ_ = (targetExpr);                                       \
         uint64_t off_ = targ_ - tb;                                          \
-        if (off_ < limit && (off_ & 3) == 0) [[likely]]                      \
-            SCD_NEXT(base + (off_ >> 2));                                    \
-        cur.pendingBadPc = targ_;                                            \
-        SCD_NEXT(badSlot);                                                   \
+        if (off_ < limit && (off_ & 3) == 0) [[likely]] {                    \
+            ip = base + (off_ >> 2);                                         \
+        } else {                                                             \
+            cur.pendingBadPc = targ_;                                        \
+            ip = badSlot;                                                    \
+        }                                                                    \
     } while (0)
 
 // Same for a pre-resolved direct target (aux), bad targets pre-detected.
-#define SCD_TAKE_AUX(badPcExpr)                                              \
+#define SCD_SEEK_AUX(badPcExpr)                                              \
     do {                                                                     \
-        if (ip->aux != kNoTarget) [[likely]]                                 \
-            SCD_NEXT(base + ip->aux);                                        \
-        cur.pendingBadPc = (badPcExpr);                                      \
-        SCD_NEXT(badSlot);                                                   \
+        if (ip->aux != kNoTarget) [[likely]] {                               \
+            ip = base + ip->aux;                                             \
+        } else {                                                             \
+            cur.pendingBadPc = (badPcExpr);                                  \
+            ip = badSlot;                                                    \
+        }                                                                    \
     } while (0)
 
 // ---- handler families ------------------------------------------------------
@@ -310,9 +472,7 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
         [[maybe_unused]] double fa = c.f_[ip->rs1];                          \
         [[maybe_unused]] double fb = c.f_[ip->rs2];                          \
         uint64_t val = (__VA_ARGS__);                                        \
-        SCD_SET_RI(SCD_PC(), SCD_PC() + 4);                                  \
-        ri->lat = (latv);                                                    \
-        ri->writesInt = ip->rd != 0;                                         \
+        SCD_RETIRE(name, SCD_PC() + 4, latv, NoEvent);                       \
         if (ip->rd != 0)                                                     \
             c.x_[ip->rd] = val;                                              \
         SCD_NEXT(ip + 1);                                                    \
@@ -326,19 +486,14 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
         [[maybe_unused]] uint64_t urs1 = c.x_[ip->rs1];                      \
         [[maybe_unused]] int64_t srs1 = int64_t(urs1);                       \
         double val = (__VA_ARGS__);                                          \
-        SCD_SET_RI(SCD_PC(), SCD_PC() + 4);                                  \
-        ri->lat = (latv);                                                    \
-        ri->writesFp = true;                                                 \
+        SCD_RETIRE(name, SCD_PC() + 4, latv, NoEvent);                       \
         c.f_[ip->rd] = val;                                                  \
         SCD_NEXT(ip + 1);                                                    \
     }
 
-#define SCD_H_LOAD_TAIL()                                                    \
-    SCD_SET_RI(SCD_PC(), SCD_PC() + 4);                                      \
-    ri->lat = LatClass::Load;                                                \
-    ri->writesInt = ip->rd != 0;                                             \
-    ri->hasMem = true;                                                       \
-    ri->memAddr = addr;                                                      \
+#define SCD_H_LOAD_TAIL(name)                                                \
+    SCD_RETIRE(name, SCD_PC() + 4, LatClass::Load, MemEvent,                 \
+               rec.memAddr = addr);                                          \
     if (ip->rd != 0)                                                         \
         c.x_[ip->rd] = val;                                                  \
     SCD_NEXT(ip + 1)
@@ -347,7 +502,7 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
     SCD_CASE(name) {                                                         \
         uint64_t addr = c.x_[ip->rs1] + uint64_t(ip->imm);                   \
         uint64_t val = (__VA_ARGS__);                                        \
-        SCD_H_LOAD_TAIL();                                                   \
+        SCD_H_LOAD_TAIL(name);                                               \
     }
 
 // .op loads additionally latch Rop; ropWriteIndex is the pre-retire
@@ -360,7 +515,7 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
         bk.ropData = val & bk.rmask;                                         \
         bk.ropValid = true;                                                  \
         bk.ropWriteIndex = retired;                                          \
-        SCD_H_LOAD_TAIL();                                                   \
+        SCD_H_LOAD_TAIL(name);                                               \
     }
 
 // Stores retire normally, then pause for retranslation if they dirtied
@@ -371,17 +526,12 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
         uint64_t addr = c.x_[ip->rs1] + uint64_t(ip->imm);                   \
         __VA_ARGS__;                                                         \
         c.noteIfTextWrite(addr, (width));                                    \
-        SCD_SET_RI(SCD_PC(), SCD_PC() + 4);                                  \
-        ri->hasMem = true;                                                   \
-        ri->memIsStore = true;                                               \
-        ri->memAddr = addr;                                                  \
-        SCD_ACCOUNT();                                                       \
+        SCD_RETIRE(name, SCD_PC() + 4, LatClass::Alu, MemEvent,              \
+                   rec.memAddr = addr);                                      \
         ip = ip + 1;                                                         \
         if (dirtyPending_) [[unlikely]]                                      \
             goto pause_retranslate;                                          \
-        if (--budget == 0)                                                   \
-            goto pause_budget;                                               \
-        SCD_DISPATCH();                                                      \
+        SCD_CHAIN();                                                         \
     }
 
 #define SCD_H_BR(name, ...)                                                  \
@@ -392,12 +542,13 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
         [[maybe_unused]] int64_t srs2 = int64_t(urs2);                       \
         bool taken = (__VA_ARGS__);                                          \
         uint64_t pcv = SCD_PC();                                             \
-        SCD_SET_RI(pcv, taken ? pcv + uint64_t(ip->imm) : pcv + 4);          \
-        ri->ctrl = CtrlKind::Conditional;                                    \
-        ri->taken = taken;                                                   \
+        SCD_RETIRE(name, taken ? pcv + uint64_t(ip->imm) : pcv + 4,          \
+                   LatClass::Alu, BranchEvent, rec.taken = taken);           \
         if (taken)                                                           \
-            SCD_TAKE_AUX(pcv + uint64_t(ip->imm));                           \
-        SCD_NEXT(ip + 1);                                                    \
+            SCD_SEEK_AUX(pcv + uint64_t(ip->imm));                           \
+        else                                                                 \
+            ip = ip + 1;                                                     \
+        SCD_CHAIN();                                                         \
     }
 
     // ---- handlers ---------------------------------------------------------
@@ -455,13 +606,11 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
     SCD_CASE(JAL) {
         uint64_t pcv = SCD_PC();
         uint64_t target = pcv + uint64_t(ip->imm);
-        SCD_SET_RI(pcv, target);
-        ri->ctrl = CtrlKind::Jal;
-        ri->cls = BranchClass::DirectJump;
-        ri->writesInt = ip->rd != 0;
+        SCD_RETIRE(JAL, target, LatClass::Alu, JalEvent);
         if (ip->rd != 0)
             c.x_[ip->rd] = pcv + 4;
-        SCD_TAKE_AUX(target);
+        SCD_SEEK_AUX(target);
+        SCD_CHAIN();
     }
 
     SCD_CASE(JALR) {
@@ -483,26 +632,20 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
             if (hintReg >= 0)
                 hintValue = c.x_[hintReg];
         }
-        SCD_SET_RI(pcv, target);
-        ri->ctrl = CtrlKind::Jalr;
-        ri->cls = cls;
-        ri->isReturn = isRet;
-        ri->writesInt = ip->rd != 0;
-        ri->hintReg = hintReg;
-        ri->hintValue = hintValue;
+        SCD_RETIRE(JALR, target, LatClass::Alu, JalrEvent,
+                   rec.cls = cls; rec.isReturn = isRet;
+                   rec.hintReg = hintReg; rec.hintValue = hintValue);
         if (ip->rd != 0)
             c.x_[ip->rd] = pcv + 4;
-        SCD_GOTO_PC(target);
+        SCD_SEEK_PC(target);
+        SCD_CHAIN();
     }
 
     SCD_CASE(FLD) {
         uint64_t addr = c.x_[ip->rs1] + uint64_t(ip->imm);
         double val = std::bit_cast<double>(c.mem_.read64(addr));
-        SCD_SET_RI(SCD_PC(), SCD_PC() + 4);
-        ri->lat = LatClass::Load;
-        ri->writesFp = true;
-        ri->hasMem = true;
-        ri->memAddr = addr;
+        SCD_RETIRE(FLD, SCD_PC() + 4, LatClass::Load, MemEvent,
+                   rec.memAddr = addr);
         c.f_[ip->rd] = val;
         SCD_NEXT(ip + 1);
     }
@@ -529,14 +672,11 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
 
     SCD_CASE(ECALL) {
         c.handleSyscall();
-        SCD_SET_RI(SCD_PC(), SCD_PC() + 4);
-        SCD_ACCOUNT();
+        SCD_RETIRE(ECALL, SCD_PC() + 4, LatClass::Alu, NoEvent);
         ip = ip + 1;
         if (c.exited_) [[unlikely]]
             goto pause_exited;
-        if (--budget == 0)
-            goto pause_budget;
-        SCD_DISPATCH();
+        SCD_CHAIN();
     }
 
     SCD_CASE(EBREAK) {
@@ -546,7 +686,7 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
 
     SCD_CASE(SETMASK) {
         c.banks_[ip->bank].rmask = c.x_[ip->rs1];
-        SCD_SET_RI(SCD_PC(), SCD_PC() + 4);
+        SCD_RETIRE(SETMASK, SCD_PC() + 4, LatClass::Alu, NoEvent);
         SCD_NEXT(ip + 1);
     }
 
@@ -561,38 +701,40 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
         bool bopProbed = false;
         bool bopHit = false;
         uint64_t jteOpcode = 0;
-        std::optional<uint64_t> target = c.bopExec(
-            ip->bank, pcv, retired, ropStall, bopProbed, bopHit, jteOpcode);
-        SCD_SET_RI(pcv, target ? *target : pcv + 4);
-        ri->ctrl = CtrlKind::Bop;
-        ri->cls = BranchClass::Bop;
-        ri->ropStall = ropStall;
-        ri->bopProbed = bopProbed;
-        ri->bopHit = bopHit;
-        ri->jteOpcode = jteOpcode;
+        // The timed executor probes its InOrderTiming directly; recording
+        // goes through the core's TimingModel port.
+        std::optional<uint64_t> target;
+        if constexpr (kTimed) {
+            target = c.bopExec(*timing, ip->bank, pcv, retired, ropStall,
+                               bopProbed, bopHit, jteOpcode);
+        } else {
+            target = c.bopExec(c.timing_, ip->bank, pcv, retired, ropStall,
+                               bopProbed, bopHit, jteOpcode);
+        }
+        SCD_RETIRE(BOP, target ? *target : pcv + 4, LatClass::Alu, BopEvent,
+                   rec.ropStall = ropStall; rec.bopProbed = bopProbed;
+                   rec.bopHit = bopHit; rec.jteOpcode = jteOpcode);
         if (target)
-            SCD_GOTO_PC(*target);
-        SCD_NEXT(ip + 1);
+            SCD_SEEK_PC(*target);
+        else
+            ip = ip + 1;
+        SCD_CHAIN();
     }
 
     SCD_CASE(JRU) {
-        uint64_t pcv = SCD_PC();
         uint64_t target = c.x_[ip->rs1];
         uint64_t jteOpcode = 0;
         bool jteIns = c.jruConsume(ip->bank, jteOpcode);
-        SCD_SET_RI(pcv, target);
-        ri->ctrl = CtrlKind::Jru;
-        ri->cls = BranchClass::IndirectDispatch;
-        ri->jteInsert = jteIns;
-        ri->jteOpcode = jteOpcode;
-        SCD_GOTO_PC(target);
+        SCD_RETIRE(JRU, target, LatClass::Alu, JruEvent,
+                   rec.jteInsert = jteIns; rec.jteOpcode = jteOpcode);
+        SCD_SEEK_PC(target);
+        SCD_CHAIN();
     }
 
     SCD_CASE(JTE_FLUSH) {
         for (FunctionalCore::ScdBank &bk : c.banks_)
             bk.ropValid = false;
-        SCD_SET_RI(SCD_PC(), SCD_PC() + 4);
-        ri->ctrl = CtrlKind::JteFlush;
+        SCD_RETIRE(JTE_FLUSH, SCD_PC() + 4, LatClass::Alu, JteFlushEvent);
         SCD_NEXT(ip + 1);
     }
 
@@ -628,11 +770,11 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
 #undef SCD_H_LOAD_TAIL
 #undef SCD_H_FPOP
 #undef SCD_H_INTOP
-#undef SCD_TAKE_AUX
-#undef SCD_GOTO_PC
-#undef SCD_SET_RI
+#undef SCD_SEEK_AUX
+#undef SCD_SEEK_PC
 #undef SCD_NEXT
-#undef SCD_ACCOUNT
+#undef SCD_CHAIN
+#undef SCD_RETIRE
 #undef SCD_DISPATCH
 #undef SCD_CASE
 #undef SCD_PC
@@ -795,7 +937,7 @@ ThreadedTier::run(RetireInfo *out, InOrderTiming *timing, size_t cap)
     try {
         while (cur.retired - start < cap) {
             uint64_t done = cur.retired - start;
-            ExecStatus st = exec<kTimed>(cur, kTimed ? out : out + done,
+            ExecStatus st = exec<kTimed>(cur, kTimed ? nullptr : out + done,
                                          timing, cap - done);
             if (st == ExecStatus::Exited)
                 break;
@@ -819,8 +961,7 @@ ThreadedTier::runRecorded(RetireInfo *out, size_t cap)
 size_t
 ThreadedTier::runTimed(InOrderTiming &timing, size_t cap)
 {
-    RetireInfo ri;
-    return run<true>(&ri, &timing, cap);
+    return run<true>(nullptr, &timing, cap);
 }
 
 } // namespace scd::cpu

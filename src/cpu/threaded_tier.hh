@@ -18,9 +18,12 @@
  *
  * One handler body, two instantiations of the executor: recording
  * (runRecorded) appends one RetireInfo per slot to a buffer for replay
- * consumers; timed (runTimed, behind Core::run) retires each slot's
- * record straight into a concrete InOrderTiming before the next slot
- * dispatches, so a bop's JTE probe sees the previous retire's insert.
+ * consumers; timed (runTimed, behind Core::run) retires each slot into
+ * a concrete InOrderTiming before the next slot dispatches, so a bop's
+ * JTE probe sees the previous retire's insert. Each timed handler runs
+ * its own inline specialization of InOrderTiming's retire body, with
+ * what the handler knows of its opcode as compile-time constants; no
+ * RetireInfo is built on that path.
  *
  * The tier contract: a threaded run retires the bit-identical RetireInfo
  * stream — same architectural effects, same traps, same SCD-bank updates,
@@ -90,7 +93,8 @@ class ThreadedTier
     /**
      * Tier-equivalent of the step()-and-retire loop; see
      * FunctionalCore::runTimed. Each slot retires straight into
-     * @p timing, before the next slot dispatches.
+     * @p timing (its handler's specialization of the retire body),
+     * before the next slot dispatches.
      */
     size_t runTimed(InOrderTiming &timing, size_t cap);
 
@@ -126,10 +130,10 @@ class ThreadedTier
 
     /**
      * The handler-threaded executor: runs from cur.idx until @p budget
-     * instructions retired or the status says why it stopped. Each
-     * instruction fills a RetireInfo at @p ri. Recording (kTimed false)
-     * advances @p ri per instruction; timed (kTimed true) reuses the one
-     * record and retires it into @p timing on the spot.
+     * instructions retired or the status says why it stopped. Recording
+     * (kTimed false) writes one RetireInfo per instruction at @p ri and
+     * advances it; timed (kTimed true) ignores @p ri and retires each
+     * instruction into @p timing on the spot.
      */
     template <bool kTimed>
     ExecStatus exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,

@@ -4,8 +4,8 @@
  *
  * A FunctionalCore (architectural state and execution) runs against one
  * TimingModel (cycles, predictors, memory hierarchy). Core holds its
- * InOrderTiming by the concrete type so the timed path calls retire()
- * directly; replay groups and tools drive models through this
+ * InOrderTiming by the concrete type so the timed path runs its retire
+ * body inline; replay groups and tools drive models through this
  * interface. It has two ports:
  *
  *  - The architectural JTE port (jteLookup). Jump-table entries are
@@ -62,9 +62,9 @@ class TimingModel
 
     /**
      * Account @p n consecutive retired instructions. Replay consumers
-     * feed whole bop-free chunk spans through this so a model can
-     * devirtualize its own retire() in the loop; the default simply
-     * iterates. Semantically identical to n retire() calls.
+     * feed whole bop-free chunk spans through this so a model can run
+     * its retire body inline in the loop; the default simply iterates.
+     * Semantically identical to n retire() calls.
      */
     virtual void
     consume(const RetireInfo *ri, size_t n)

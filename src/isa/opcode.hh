@@ -187,6 +187,18 @@ struct OpcodeInfo
 /** Metadata for @p op. */
 const OpcodeInfo &opcodeInfo(Opcode op);
 
+/** opcodeInfo(op).flags as a constant expression. */
+constexpr uint32_t
+opFlags(Opcode op)
+{
+    constexpr uint32_t kFlags[] = {
+#define SCD_FLAGS_ENTRY(name, mnem, fmt, flags) uint32_t(flags),
+        SCD_OPCODE_LIST(SCD_FLAGS_ENTRY)
+#undef SCD_FLAGS_ENTRY
+    };
+    return kFlags[static_cast<unsigned>(op)];
+}
+
 /** Mnemonic string for @p op. */
 inline const char *
 mnemonic(Opcode op)

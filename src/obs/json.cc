@@ -1,6 +1,7 @@
 #include "json.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -327,32 +328,57 @@ class JsonParser
         return fail("unterminated string");
     }
 
+    /** Consume a run of decimal digits; returns how many there were. */
+    size_t
+    digits()
+    {
+        size_t from = pos_;
+        while (pos_ < text_.size() &&
+               std::isdigit(static_cast<unsigned char>(text_[pos_])))
+            ++pos_;
+        return pos_ - from;
+    }
+
+    /**
+     * RFC 8259 number: -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?
+     * A literal without sign, fraction or exponent is integral and must
+     * fit in a uint64_t; every other number is read as a double.
+     */
     bool
     parseNumber(JsonValue &out)
     {
         size_t start = pos_;
-        bool integral = true;
-        (void)consume('-');
-        while (pos_ < text_.size()) {
-            char c = text_[pos_];
-            if (std::isdigit(static_cast<unsigned char>(c))) {
-                ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
-                       c == '-') {
-                integral = false;
-                ++pos_;
-            } else {
-                break;
-            }
+        bool integral = !consume('-');
+        if (pos_ >= text_.size() ||
+            !std::isdigit(static_cast<unsigned char>(text_[pos_])))
+            return fail(pos_ == start ? "expected a number"
+                                      : "expected a digit after '-'");
+        if (!consume('0'))
+            digits();
+        if (consume('.')) {
+            integral = false;
+            if (digits() == 0)
+                return fail("expected a digit after '.'");
         }
-        if (pos_ == start)
-            return fail("expected a number");
+        if (consume('e') || consume('E')) {
+            integral = false;
+            if (!consume('+'))
+                (void)consume('-');
+            if (digits() == 0)
+                return fail("expected a digit in the exponent");
+        }
         std::string token(text_.substr(start, pos_ - start));
         out.kind_ = JsonValue::Kind::Number;
         out.number_ = std::strtod(token.c_str(), nullptr);
-        out.integral_ = integral && token[0] != '-';
-        if (out.integral_)
+        out.integral_ = integral;
+        if (integral) {
+            errno = 0;
             out.uintValue_ = std::strtoull(token.c_str(), nullptr, 10);
+            if (errno == ERANGE) {
+                pos_ = start;
+                return fail("integer does not fit in 64 bits");
+            }
+        }
         return true;
     }
 

@@ -448,7 +448,127 @@ timedCompare(TimedRun &ref, TimedRun &fast)
     return ref.core.collectStats();
 }
 
-/** The bare-program half of the timed comparison: text writes, faults. */
+/**
+ * A loop through every handler family of the fused timed path, operands
+ * varying per iteration: the integer unit's latency classes (divide by
+ * zero every fourth pass), every load and store width over a 32 KiB
+ * stride that misses the L1 D$, the FP pipe with fdiv/fsqrt results used
+ * at once, FP compares, moves and conversions, all six branches both
+ * taken and not taken, jal/jalr/ret, jte.flush, and a printing ecall.
+ * Each threaded handler inlines its own specialization of the retire
+ * body, so each family has to be driven to be checked.
+ */
+const char *const kHandlerFamilyProgram = R"(
+        li s0, 0x100000
+        li s1, 0
+        li s2, 800
+        li s3, 0
+        li s4, 0
+    loop:
+        mul t0, s1, s1
+        addi t1, s1, -400
+        andi t2, s1, 3
+        mulh t3, t0, t1
+        div t4, t1, t2
+        divu t5, t0, t2
+        rem t6, t1, t2
+        remu a1, t0, t2
+        xor s3, s3, t3
+        add s3, s3, t4
+        xor s3, s3, t5
+        add s3, s3, t6
+        xor s3, s3, a1
+        li a2, 328
+        mul a2, s1, a2
+        li a3, 0x7ff8
+        and a2, a2, a3
+        add a2, a2, s0
+        sb t1, 0(a2)
+        sh t4, 2(a2)
+        sw t0, 4(a2)
+        sd t3, 8(a2)
+        lb a4, 0(a2)
+        lbu a5, 0(a2)
+        lh a6, 2(a2)
+        lhu t5, 2(a2)
+        lw t6, 4(a2)
+        lwu a3, 4(a2)
+        ld a1, 8(a2)
+        add s3, s3, a4
+        xor s3, s3, a5
+        add s3, s3, a6
+        xor s3, s3, t5
+        add s3, s3, t6
+        xor s3, s3, a3
+        add s3, s3, a1
+        fcvt.d.l f0, t1
+        fcvt.d.l f1, t2
+        fadd.d f2, f0, f1
+        fsub.d f3, f0, f1
+        fmul.d f4, f2, f3
+        fdiv.d f5, f0, f1
+        fadd.d f5, f5, f2
+        fabs.d f6, f0
+        fsqrt.d f7, f6
+        fmul.d f7, f7, f7
+        fmin.d f8, f0, f1
+        fmax.d f9, f0, f1
+        fneg.d f10, f8
+        fsd f4, 16(a2)
+        fld f11, 16(a2)
+        feq.d t0, f11, f4
+        flt.d t3, f8, f9
+        fle.d t4, f9, f10
+        fcvt.l.d t5, f7
+        fmv.x.d t6, f2
+        fmv.d.x f12, t6
+        fadd.d f12, f12, f11
+        add s3, s3, t0
+        add s3, s3, t3
+        add s3, s3, t4
+        add s3, s3, t5
+        andi t0, s1, 1
+        beq t0, zero, even
+        addi s4, s4, 1
+    even:
+        bne t0, zero, odd
+        addi s4, s4, 2
+    odd:
+        blt t1, zero, negative
+        addi s4, s4, 3
+    negative:
+        bge t1, t2, above
+        addi s4, s4, 4
+    above:
+        bltu t1, t2, below
+        addi s4, s4, 5
+    below:
+        bgeu t2, t0, notbelow
+        addi s4, s4, 6
+    notbelow:
+        call leaf
+        la a3, leaf
+        jalr ra, 0(a3)
+        andi t0, s1, 127
+        bnez t0, noflush
+        jte.flush
+        mv a0, s3
+        li a7, 2
+        ecall
+    noflush:
+        addi s1, s1, 1
+        blt s1, s2, loop
+        andi a0, s4, 127
+        li a7, 0
+        ecall
+    leaf:
+        addi s4, s4, 7
+        ret
+)";
+
+/** The bare-program half of the timed comparison: text writes, faults,
+ *  and every handler family on machines with other latencies, 2-wide
+ *  issue, an L2, gshare and ITTAGE. */
 void
 timedCompareBarePrograms()
 {
@@ -460,6 +580,27 @@ timedCompareBarePrograms()
         TimedRun fast(prog, cfg, DispatchTier::Threaded);
         timedCompare(ref, fast);
         EXPECT_EQ(fast.core.run().exitCode, 42);
+    }
+
+    cpu::CoreConfig ittage = minorConfig();
+    ittage.name = "minor+ittage";
+    ittage.ittageEnabled = true;
+    isa::Program families = isa::assembleText(kHandlerFamilyProgram);
+    for (const cpu::CoreConfig &machine :
+         {minorConfig(), rocketConfig(), cortexA8Config(), ittage}) {
+        SCOPED_TRACE("handler families on " + machine.name);
+        TimedRun ref(families, machine, DispatchTier::Switch);
+        TimedRun fast(families, machine, DispatchTier::Threaded);
+        StatGroup stats = timedCompare(ref, fast);
+        // The comparison must reach what it is there for.
+        EXPECT_TRUE(fast.core.run().exited);
+        EXPECT_GT(stats.get("instructions"), 65537u);
+        EXPECT_GT(stats.get("dcache.misses"), 0u);
+        EXPECT_GT(stats.get("loadUseStalls"), 0u);
+        EXPECT_GT(stats.get("branch.conditional.mispredicted"), 0u);
+        EXPECT_GT(stats.get("branch.return.count"), 0u);
+        EXPECT_GT(stats.get("branch.indirectOther.count"), 0u);
+        EXPECT_NE(fast.core.output(), "");
     }
 
     // Faults throw the same error after retiring the same instructions

@@ -94,6 +94,34 @@ TEST(Json, ParseErrorsAreReported)
     error.clear();
     JsonValue::parse("\"unterminated", &error);
     EXPECT_FALSE(error.empty());
+
+    // Numbers follow RFC 8259's grammar; strtod used to keep the longest
+    // valid prefix of any [0-9.eE+-] run and drop the rest silently.
+    for (const char *bad :
+         {"12-34", "-", "1e", "1.2.3", "[1e+]", "{\"a\": 1.}", "01", "+1",
+          ".5", "-x", "[1, -]", "99999999999999999999999",
+          "{\"n\": 18446744073709551616}"}) {
+        error.clear();
+        JsonValue::parse(bad, &error);
+        EXPECT_NE(error.find(" at offset "), std::string::npos) << bad;
+    }
+    error.clear();
+    JsonValue::parse("{\"n\": 1e}", &error);
+    EXPECT_EQ(error, "expected a digit in the exponent at offset 8");
+    error.clear();
+    JsonValue::parse("[0, 18446744073709551616]", &error);
+    EXPECT_EQ(error, "integer does not fit in 64 bits at offset 4");
+
+    // The edges of the grammar still read.
+    error.clear();
+    JsonValue v = JsonValue::parse(
+        "[0, -0, 18446744073709551615, -12.5e-3, 2E+2, 1e2, 0.25]", &error);
+    ASSERT_TRUE(error.empty()) << error;
+    ASSERT_EQ(v.size(), 7u);
+    EXPECT_EQ(v.at(size_t(2)).asUint(), UINT64_MAX);
+    EXPECT_DOUBLE_EQ(v.at(size_t(3)).asDouble(), -0.0125);
+    EXPECT_DOUBLE_EQ(v.at(size_t(4)).asDouble(), 200.0);
+    EXPECT_DOUBLE_EQ(v.at(size_t(6)).asDouble(), 0.25);
 }
 
 TEST(Json, EscapeDecoding)
