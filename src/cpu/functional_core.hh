@@ -106,7 +106,7 @@ class FunctionalCore
      * and return the number retired. Stops early only when the guest
      * exits. On Switch this is the reference step()-then-retire loop; on
      * Threaded each handler retires its slot into @p timing through its
-     * own specialization of the retire body, between slots. @p
+     * family's specialization of the retire body, between slots. @p
      * timing must be the model whose JTE port the core was built with,
      * so a bop probes the JTEs that earlier retires inserted.
      */

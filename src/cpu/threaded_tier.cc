@@ -289,49 +289,46 @@ struct JteFlushEvent : NoEvent
 };
 
 /**
- * One slot's retirement under RetireInfo's field names. What the handler
- * knows is static constexpr: the op byte, the latency class, the opcode's
- * flag bits with what follows from them (hasMem, memIsStore, writesFp),
- * and through its Event the control kind and every per-kind field it
- * does not set. The timed executor hands it to InOrderTiming::retireAs,
- * inlined into the handler, so the retire body folds every test of those
- * facts and the fields it reads stay in registers; the recording
- * executor stores it with recordTo() instead.
+ * One slot's retirement under RetireInfo's field names. What its handler
+ * family knows is static constexpr: the latency class, the opcode's flag
+ * bits with what follows from them (hasMem, memIsStore, writesFp), and
+ * through its Event the control kind and every per-kind field it does
+ * not set. The timed executor hands it to retireFamily (below), so the
+ * retire body folds every test of those facts; the recording executor
+ * stores it with recordTo() instead.
  */
-template <Opcode kOp, LatClass kLat, class Event>
+template <uint32_t kFlags, LatClass kLat, class Event>
 struct SlotRetire : Event
 {
-    static constexpr uint32_t kOpFlags = isa::opFlags(kOp);
+    using EventType = Event;
+    static constexpr uint32_t kOpFlags = kFlags;
     static_assert((kOpFlags & ~kOpFlagBits) == 0);
 
-    static constexpr uint8_t op = uint8_t(kOp);
     static constexpr LatClass lat = kLat;
     static constexpr bool writesFp = kOpFlags & isa::FlagFpWritesRd;
     static constexpr bool hasMem =
         kOpFlags & (isa::FlagLoad | isa::FlagStore);
     static constexpr bool memIsStore = kOpFlags & isa::FlagStore;
 
-    // Always inlined, like the retire body, so rec never needs an address
-    // and its fields become scalars (an out-of-line constructor call
-    // would keep every handler's record in memory).
     [[gnu::always_inline]] SlotRetire(const TSlot &s, uint64_t pcv,
                                       uint64_t next)
         : pc(pcv), nextPc(next), flags((s.flags & ~kOpFlagBits) | kOpFlags),
-          rd(s.rd), rs1(s.rs1), rs2(s.rs2), bank(s.bank),
+          rd(s.rd), rs1(s.rs1), rs2(s.rs2), bank(s.bank), op(s.op),
           writesInt((kOpFlags & isa::FlagWritesRd) && s.rd != 0)
     {
     }
 
     uint64_t pc;
     uint64_t nextPc;
-    /** The slot's flag word. Its opcode bits are opFlags(kOp) in every
-     *  slot (FunctionalCore caches them at decode); here they are the
-     *  constant, so the scoreboard's flag tests fold. */
+    /** The slot's flag word. Its opcode bits are the opcode's opFlags in
+     *  every slot (FunctionalCore caches them at decode); here they are
+     *  the constant kOpFlags, so the scoreboard's flag tests fold. */
     uint32_t flags;
     uint8_t rd;
     uint8_t rs1;
     uint8_t rs2;
     uint8_t bank;
+    uint8_t op;
     bool writesInt;
 
     /** Write the slot's RetireInfo in place (the recording executor):
@@ -367,6 +364,27 @@ struct SlotRetire : Event
         ri.jteOpcode = this->jteOpcode;
     }
 };
+
+/**
+ * The timed retire of one handler family, out of line. A family is one
+ * SlotRetire type: handlers with the same flag bits, latency class and
+ * event type (all ten register-register ALU ops, every load width, all
+ * six branches, ...) share one copy of the retire body specialized to
+ * those facts, rather than each inlining its own. A copy inlined into
+ * every handler made exec<true> four times larger (58 KB against 14 KB
+ * with GCC 12), and on a loaded shared host its speed swung from run to
+ * run and fell behind this form. The record's run-time fields come in
+ * registers: the slot, pc, successor pc and the event's few fields.
+ */
+template <class Rec>
+[[gnu::noinline]] void
+retireFamily(InOrderTiming &timing, const TSlot &s, uint64_t pc,
+             uint64_t nextPc, typename Rec::EventType event)
+{
+    Rec rec(s, pc, nextPc);
+    static_cast<typename Rec::EventType &>(rec) = event;
+    timing.retireAs(rec);
+}
 
 } // namespace
 
@@ -404,16 +422,19 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
 // Retire the current slot: build its SlotRetire `rec` for opcode `name`
 // (successor pc, latency class, event type), run the trailing
 // statements on it, then account it — identical to the reference
-// interpreter's tail. The timed executor retires before the next slot
+// interpreter's tail. The timed executor calls the family's retire body
+// with the record's run-time fields; the recording one stores it. The timed executor retires before the next slot
 // dispatches, so a bop sees the JTE insert of the jru retired just
 // before it, as in the reference step()-then-retire loop.
 #define SCD_RETIRE(name, nextv, latv, event, ...)                            \
     do {                                                                     \
-        SlotRetire<Opcode::name, latv, event> rec(*ip, SCD_PC(), (nextv));   \
+        SlotRetire<isa::opFlags(Opcode::name), latv, event> rec(             \
+            *ip, SCD_PC(), (nextv));                                         \
         __VA_ARGS__;                                                         \
         ++retired;                                                           \
         if constexpr (kTimed)                                                \
-            timing->retireAs(rec);                                           \
+            retireFamily<decltype(rec)>(*timing, *ip, rec.pc, rec.nextPc,    \
+                                        rec);                                \
         else                                                                 \
             rec.recordTo(*ri++);                                             \
     } while (0)

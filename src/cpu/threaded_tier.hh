@@ -20,10 +20,11 @@
  * (runRecorded) appends one RetireInfo per slot to a buffer for replay
  * consumers; timed (runTimed, behind Core::run) retires each slot into
  * a concrete InOrderTiming before the next slot dispatches, so a bop's
- * JTE probe sees the previous retire's insert. Each timed handler runs
- * its own inline specialization of InOrderTiming's retire body, with
- * what the handler knows of its opcode as compile-time constants; no
- * RetireInfo is built on that path.
+ * JTE probe sees the previous retire's insert. Each timed handler calls
+ * its family's specialization of InOrderTiming's retire body, with what
+ * the family knows of its opcodes as compile-time constants and the
+ * slot's run-time fields in registers; no RetireInfo is built on that
+ * path.
  *
  * The tier contract: a threaded run retires the bit-identical RetireInfo
  * stream — same architectural effects, same traps, same SCD-bank updates,
@@ -93,7 +94,8 @@ class ThreadedTier
     /**
      * Tier-equivalent of the step()-and-retire loop; see
      * FunctionalCore::runTimed. Each slot retires straight into
-     * @p timing (its handler's specialization of the retire body),
+     * @p timing (its handler family's specialization of the retire
+     * body),
      * before the next slot dispatches.
      */
     size_t runTimed(InOrderTiming &timing, size_t cap);
