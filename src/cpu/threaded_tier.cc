@@ -370,10 +370,10 @@ struct SlotRetire : Event
  * SlotRetire type: handlers with the same flag bits, latency class and
  * event type (all ten register-register ALU ops, every load width, all
  * six branches, ...) share one copy of the retire body specialized to
- * those facts, rather than each inlining its own. A copy inlined into
- * every handler made exec<true> four times larger (58 KB against 14 KB
- * with GCC 12), and on a loaded shared host its speed swung from run to
- * run and fell behind this form. The record's run-time fields come in
+ * those facts, rather than each inlining its own: a copy in every
+ * handler makes exec<true> about four times larger (58 KB against 14 KB
+ * with GCC 12), and on a loaded shared host that form runs slower and
+ * varies more from run to run. The record's run-time fields come in
  * registers: the slot, pc, successor pc and the event's few fields.
  */
 template <class Rec>
