@@ -310,6 +310,9 @@ struct SlotRetire : Event
         kOpFlags & (isa::FlagLoad | isa::FlagStore);
     static constexpr bool memIsStore = kOpFlags & isa::FlagStore;
 
+    // Always inlined, like the retire body, so rec never needs an address
+    // and its fields become scalars (an out-of-line constructor call
+    // would keep the record in memory).
     [[gnu::always_inline]] SlotRetire(const TSlot &s, uint64_t pcv,
                                       uint64_t next)
         : pc(pcv), nextPc(next), flags((s.flags & ~kOpFlagBits) | kOpFlags),
@@ -422,10 +425,11 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
 // Retire the current slot: build its SlotRetire `rec` for opcode `name`
 // (successor pc, latency class, event type), run the trailing
 // statements on it, then account it — identical to the reference
-// interpreter's tail. The timed executor calls the family's retire body
-// with the record's run-time fields; the recording one stores it. The timed executor retires before the next slot
-// dispatches, so a bop sees the JTE insert of the jru retired just
-// before it, as in the reference step()-then-retire loop.
+// interpreter's tail. The timed executor passes the record's run-time
+// fields to its family's retire body, the recording one stores it. The
+// timed executor retires before the next slot dispatches, so a bop sees
+// the JTE insert of the jru retired just before it, as in the reference
+// step()-then-retire loop.
 #define SCD_RETIRE(name, nextv, latv, event, ...)                            \
     do {                                                                     \
         SlotRetire<isa::opFlags(Opcode::name), latv, event> rec(             \
