@@ -3,7 +3,8 @@
  * Small shared helpers for the figure/table bench binaries: command-line
  * flag parsing. A flag value that cannot be honoured either falls back
  * with a warning (--size, --jobs) or ends the binary with exit code 2
- * and the reason on stderr (--frontend, scd_trace's --events).
+ * and the reason on stderr (--frontend, and scd_trace's --events, --vm,
+ * --workload and --scheme).
  */
 
 #ifndef SCD_BENCH_BENCH_UTIL_HH
@@ -22,6 +23,7 @@
 #include "common/logging.hh"
 #include "harness/experiment.hh"
 #include "harness/machines.hh"
+#include "harness/runner.hh"
 #include "harness/workloads.hh"
 
 namespace scd::bench
@@ -127,6 +129,68 @@ parseTraceEvents(const char *text, size_t &events)
         return false;
     events = size_t(v);
     return true;
+}
+
+/**
+ * The value of @p flag (e.g. "--vm=") in argv, or @p fallback when the
+ * flag is absent or empty.
+ */
+inline std::string
+flagValue(int argc, char **argv, const char *flag,
+          const std::string &fallback)
+{
+    size_t len = std::strlen(flag);
+    for (int n = 1; n < argc; ++n) {
+        if (std::strncmp(argv[n], flag, len) == 0 && argv[n][len])
+            return argv[n] + len;
+    }
+    return fallback;
+}
+
+/** The one experiment point scd_trace runs. */
+struct TracePoint
+{
+    harness::VmKind vm;
+    const harness::Workload *workload;
+    core::Scheme scheme;
+};
+
+/**
+ * Parse scd_trace's --vm=rlua|sjs, --workload=NAME and --scheme=NAME
+ * (defaults rlua, fibo and scd). An unknown value prints the reason and
+ * exits 2 before anything runs.
+ */
+inline TracePoint
+parseTracePoint(int argc, char **argv)
+{
+    TracePoint point{};
+    std::string vm = flagValue(argc, argv, "--vm=", "rlua");
+    if (vm == harness::vmName(harness::VmKind::Rlua)) {
+        point.vm = harness::VmKind::Rlua;
+    } else if (vm == harness::vmName(harness::VmKind::Sjs)) {
+        point.vm = harness::VmKind::Sjs;
+    } else {
+        std::fprintf(stderr, "unknown --vm value '%s'\n", vm.c_str());
+        std::exit(2);
+    }
+    std::string name = flagValue(argc, argv, "--workload=", "fibo");
+    try {
+        point.workload = &harness::workload(name);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "bad --workload value: %s\n", e.what());
+        std::exit(2);
+    }
+    std::string scheme = flagValue(argc, argv, "--scheme=", "scd");
+    for (core::Scheme s :
+         {core::Scheme::Baseline, core::Scheme::JumpThreading,
+          core::Scheme::Vbbi, core::Scheme::Scd}) {
+        if (scheme == core::schemeName(s)) {
+            point.scheme = s;
+            return point;
+        }
+    }
+    std::fprintf(stderr, "unknown --scheme value '%s'\n", scheme.c_str());
+    std::exit(2);
 }
 
 /**

@@ -152,13 +152,23 @@ Btb::insertMiss(EntryKind kind, uint64_t key, uint64_t target, uint32_t tag,
             ++jteCount_;
             jteHighWater_ = std::max(jteHighWater_, jteCount_);
             // arg carries the displaced branch's key (its PC or hash).
-            SCD_TRACE_HOOK(trace_, obs::TraceEventKind::JteEvict, key,
-                           victim->key);
+            if (trace_)
+                trace_->record(obs::TraceEventKind::JteEvict, key,
+                               victim->key);
         }
     } else if (victim->kind == EntryKind::Jte) {
         panic("B entry evicting a JTE");
     }
     *victim = {key, target, useClock_, tag, kind, true};
+}
+
+void
+Btb::traceFalseHit(EntryKind kind, uint64_t key, uint64_t residentKey) const
+{
+    if (trace_) {
+        trace_->record(obs::TraceEventKind::FrontendFalseHit, key,
+                       residentKey, 0, kind == EntryKind::Jte ? 1 : 0);
+    }
 }
 
 void

@@ -144,8 +144,7 @@ class Btb
             // entry's target as if it were the probed key's own.
             if (falseHit)
                 *falseHit = true;
-            SCD_TRACE_HOOK(trace_, obs::TraceEventKind::FrontendFalseHit,
-                           key, e->key, 0, kind == EntryKind::Jte ? 1 : 0);
+            traceFalseHit(kind, key, e->key);
         }
         return e->target;
     }
@@ -233,9 +232,9 @@ class Btb
     const BtbConfig &config() const { return config_; }
 
     /**
-     * Attach an event-trace buffer for JTE-eviction and false-hit events.
-     * The owner of the cycle stamp (the timing model) shares the same
-     * buffer; only SCD_TRACE=ON builds emit anything.
+     * Attach an event-trace buffer for JTE-eviction and false-hit events
+     * (nullptr detaches it). The owner of the cycle stamp (the timing
+     * model) shares the same buffer.
      */
     void setTrace(obs::TraceBuffer *trace) { trace_ = trace; }
 
@@ -290,6 +289,13 @@ class Btb
      *  evict under the JTE priority and cap rules. */
     void insertMiss(EntryKind kind, uint64_t key, uint64_t target,
                     uint32_t tag, unsigned set);
+
+    /** Record lookup()'s false hit of @p key on @p residentKey in the
+     *  attached buffer, if any. Cold and out of line: an inline test
+     *  and record() call would change how the compiler inlines lookup()
+     *  into the retire body. */
+    [[gnu::cold, gnu::noinline]] void
+    traceFalseHit(EntryKind kind, uint64_t key, uint64_t residentKey) const;
 
     BtbConfig config_;
     unsigned tagBits_;

@@ -297,8 +297,9 @@ FdipFrontend::probePc(uint64_t pc)
             continue;
         if (probeClock_ - ftqDiscoveredAt_[i] >= ftqTimelyDistance_) {
             ++ftqHits_;
-            SCD_TRACE_HOOK(trace_, obs::TraceEventKind::FtqPrefetch, pc,
-                           ftqTarget_[i]);
+            if (trace_)
+                trace_->record(obs::TraceEventKind::FtqPrefetch, pc,
+                               ftqTarget_[i]);
             return {ftqTarget_[i], false, p.bubbles};
         }
         ++ftqLate_;

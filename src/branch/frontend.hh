@@ -466,7 +466,7 @@ class Frontend
         return visitInOrder(org_, [](auto &o) { return o.jteCount(); });
     }
 
-    /** Attach an event-trace buffer (SCD_TRACE=ON builds only). */
+    /** Attach an event-trace buffer (nullptr detaches it). */
     void
     setTrace(obs::TraceBuffer *trace)
     {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <mutex>
 #include <new>
 
@@ -14,35 +13,13 @@ namespace scd::faultinj
 namespace
 {
 
-// Armed state. The hot path (hit()) takes the mutex only when a fault
-// is armed; armedFlag_ is checked first so the disarmed cost is one
-// relaxed atomic load.
+// Armed state. hit() takes the mutex only when a fault is armed;
+// armedFlag_ is checked first so the disarmed cost is one atomic load.
 std::atomic<bool> armedFlag_{false};
 std::mutex mutex_;
 std::string armedSite_;
 unsigned armedNth_ = 0;
 unsigned hits_ = 0;
-std::once_flag envOnce_;
-
-void
-armFromEnv()
-{
-    const char *spec = std::getenv("SCD_FAULT");
-    if (!spec || !*spec)
-        return;
-    std::string s(spec);
-    size_t colon = s.rfind(':');
-    std::string site = colon == std::string::npos ? s : s.substr(0, colon);
-    unsigned nth = 1;
-    if (colon != std::string::npos) {
-        char *end = nullptr;
-        long v = std::strtol(s.c_str() + colon + 1, &end, 10);
-        if (!end || *end != '\0' || v < 1)
-            fatal("malformed SCD_FAULT '", s, "'; expected <site>:<nth>");
-        nth = unsigned(v);
-    }
-    arm(site, nth);
-}
 
 } // namespace
 
@@ -50,9 +27,7 @@ const std::vector<std::string> &
 registeredSites()
 {
     static const std::vector<std::string> sites = {
-        "guest-trap",
         "replay-ring",
-        "json-write",
         "point-oom",
     };
     return sites;
@@ -98,7 +73,6 @@ armed()
 void
 hit(const char *site)
 {
-    std::call_once(envOnce_, armFromEnv);
     if (!armedFlag_.load(std::memory_order_acquire))
         return;
 

@@ -63,7 +63,9 @@ class Core final
     /**
      * Select the execution tier of run() (see cpu/dispatch_tier.hh;
      * default Threaded). Switch steps the reference interpreter; both
-     * tiers retire the same stream into the same timing model.
+     * tiers retire the same stream into the same timing model. While
+     * timing() has a trace buffer attached, run() steps the reference
+     * interpreter on either tier (only its retire records events).
      */
     void
     setDispatchTier(DispatchTier tier)

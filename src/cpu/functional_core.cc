@@ -569,7 +569,9 @@ FunctionalCore::runTimed(InOrderTiming &timing, size_t cap)
 {
     SCD_ASSERT(static_cast<TimingModel *>(&timing) == &timing_,
                "runTimed must retire into the core's own JTE port");
-    if (tier_ != DispatchTier::Switch)
+    // Only retire() carries the trace hooks, so a traced run steps the
+    // reference loop; both tiers retire the same stream.
+    if (tier_ != DispatchTier::Switch && !timing.tracing())
         return ensureThreaded().runTimed(timing, cap);
     RetireInfo ri;
     size_t n = 0;

@@ -104,7 +104,8 @@ class FunctionalCore
      * Execute and retire: run up to @p cap instructions on the selected
      * tier, retiring each into @p timing before the next one executes,
      * and return the number retired. Stops early only when the guest
-     * exits. On Switch this is the reference step()-then-retire loop; on
+     * exits. On Switch, and whenever @p timing has a trace buffer
+     * attached, this is the reference step()-then-retire loop; on
      * Threaded each handler retires its slot into @p timing through its
      * family's specialization of the retire body, between slots. @p
      * timing must be the model whose JTE port the core was built with,

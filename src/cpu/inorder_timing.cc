@@ -107,7 +107,7 @@ InOrderTiming::attachTrace(obs::TraceBuffer *trace)
 void
 InOrderTiming::retire(const RetireInfo &ri)
 {
-    retireAs(ri);
+    retireAs<true>(ri);
 }
 
 void

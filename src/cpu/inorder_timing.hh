@@ -56,6 +56,10 @@ namespace scd::cpu
  * The fused timed path (ThreadedTier::exec<true>) runs the same body
  * inline in each threaded handler, over a record type whose handler-
  * known facts are compile-time constants, so those tests fold away.
+ *
+ * The event-trace hooks compile into one instantiation only, the one
+ * retire() runs; every other instantiation carries no trace code. A
+ * core with a buffer attached therefore steps the reference loop.
  */
 class InOrderTiming final : public TimingModel
 {
@@ -79,10 +83,12 @@ class InOrderTiming final : public TimingModel
         return p.target;
     }
 
+    /** Account one retired instruction and record its events in the
+     *  attached trace buffer, if any (the traced retire body). */
     void retire(const RetireInfo &ri) override;
 
-    /** Batched retirement for replay consumers: the retire body inline
-     *  in a loop over a bop-free span. */
+    /** Batched retirement for replay consumers: the untraced retire body
+     *  inline in a loop over a bop-free span. */
     void consume(const RetireInfo *ri, size_t n) override;
 
     /**
@@ -90,12 +96,19 @@ class InOrderTiming final : public TimingModel
      * RetireInfo or a record type with RetireInfo's field names, any of
      * which may be a static constexpr member (see threaded_tier.cc's
      * SlotRetire); a constant field folds its test out of the body.
+     * kTraced compiles the trace hooks in; only retire() sets it.
      */
-    template <class R> void retireAs(const R &ri);
+    template <bool kTraced = false, class R> void retireAs(const R &ri);
 
     uint64_t cycles() const override { return cycle_; }
     void exportStats(StatGroup &group) const override;
-    void attachTrace(obs::TraceBuffer *trace) override;
+
+    /** Attach a pipeline event-trace buffer (src/obs/trace.hh) to the
+     *  model and its frontend; nullptr detaches it. */
+    void attachTrace(obs::TraceBuffer *trace);
+
+    /** True while a trace buffer is attached. */
+    bool tracing() const { return trace_ != nullptr; }
 
     /** Invalidate all JTEs: what a retiring jte.flush does, and what an
      *  OS context switch does from outside the guest. */
@@ -107,17 +120,17 @@ class InOrderTiming final : public TimingModel
   private:
     // ---- the stages of retireAs ------------------------------------------
     void fetch(uint64_t pc, uint32_t flags);
-    template <class R> void issue(const R &ri);
+    template <bool kTraced, class R> void issue(const R &ri);
     template <class R> uint64_t execute(const R &ri);
-    template <class R> void controlFlow(const R &ri);
+    template <bool kTraced, class R> void controlFlow(const R &ri);
     template <class R> void writeback(const R &ri, uint64_t resultLatency);
 
     // ---- control flow, one per CtrlKind -----------------------------------
-    template <class R> void conditional(const R &ri);
-    template <class R> void jal(const R &ri);
-    template <class R> void jalr(const R &ri);
-    template <class R> void bop(const R &ri);
-    template <class R> void jru(const R &ri);
+    template <bool kTraced, class R> void conditional(const R &ri);
+    template <bool kTraced, class R> void jal(const R &ri);
+    template <bool kTraced, class R> void jalr(const R &ri);
+    template <bool kTraced, class R> void bop(const R &ri);
+    template <bool kTraced, class R> void jru(const R &ri);
 
     /** Charge a partial-tag JTE alias's resteer (the probe misses). */
     void jteFalseResteer();
@@ -137,7 +150,8 @@ class InOrderTiming final : public TimingModel
         issuedThisCycle_ = width_; // next instruction starts a cycle
     }
     /** Count a retired branch of class ri.cls and whether it missed. */
-    template <class R> void recordBranch(const R &ri, bool mispredicted);
+    template <bool kTraced, class R>
+    void recordBranch(const R &ri, bool mispredicted);
 
     /**
      * The configured direction predictor, held by its concrete (final)
@@ -215,14 +229,14 @@ class InOrderTiming final : public TimingModel
 // and through; sequence and arithmetic are the original Core::step()'s.
 // ---------------------------------------------------------------------------
 
-template <class R>
+template <bool kTraced, class R>
 [[gnu::always_inline]] inline void
 InOrderTiming::retireAs(const R &ri)
 {
     fetch(ri.pc, ri.flags);
-    issue(ri);
+    issue<kTraced>(ri);
     uint64_t resultLatency = execute(ri);
-    controlFlow(ri);
+    controlFlow<kTraced>(ri);
     writeback(ri, resultLatency);
 }
 
@@ -238,7 +252,7 @@ InOrderTiming::fetch(uint64_t pc, uint32_t flags)
         fetchBlock(pc);
 }
 
-template <class R>
+template <bool kTraced, class R>
 [[gnu::always_inline]] inline void
 InOrderTiming::issue(const R &ri)
 {
@@ -261,13 +275,17 @@ InOrderTiming::issue(const R &ri)
     if (flags & isa::FlagFpReadsRs2)
         issueAt = std::max(issueAt, fpReady_[ri.rs2]);
     loadUseStalls_ += issueAt - start;
-    SCD_TRACE_SET_CYCLE(trace_, issueAt);
-    SCD_TRACE_HOOK(trace_, obs::TraceEventKind::Retire, ri.pc, 0, ri.op,
-                   ri.ctrl == CtrlKind::None ? obs::kTraceNoClass
-                                             : uint8_t(ri.cls));
-    if (issueAt > start) {
-        SCD_TRACE_HOOK(trace_, obs::TraceEventKind::LoadUseStall, ri.pc,
-                       issueAt - start, ri.op);
+    if constexpr (kTraced) {
+        if (trace_) {
+            trace_->setCycle(issueAt);
+            trace_->record(obs::TraceEventKind::Retire, ri.pc, 0, ri.op,
+                           ri.ctrl == CtrlKind::None ? obs::kTraceNoClass
+                                                     : uint8_t(ri.cls));
+            if (issueAt > start) {
+                trace_->record(obs::TraceEventKind::LoadUseStall, ri.pc,
+                               issueAt - start, ri.op);
+            }
+        }
     }
     if (issueAt > cycle_) {
         issuedThisCycle_ = 1;
@@ -306,20 +324,23 @@ InOrderTiming::execute(const R &ri)
     return resultLatency;
 }
 
-template <class R>
+template <bool kTraced, class R>
 [[gnu::always_inline]] inline void
 InOrderTiming::controlFlow(const R &ri)
 {
     switch (ri.ctrl) {
       case CtrlKind::None: break;
-      case CtrlKind::Conditional: conditional(ri); break;
-      case CtrlKind::Jal: jal(ri); break;
-      case CtrlKind::Jalr: jalr(ri); break;
-      case CtrlKind::Bop: bop(ri); break;
-      case CtrlKind::Jru: jru(ri); break;
+      case CtrlKind::Conditional: conditional<kTraced>(ri); break;
+      case CtrlKind::Jal: jal<kTraced>(ri); break;
+      case CtrlKind::Jalr: jalr<kTraced>(ri); break;
+      case CtrlKind::Bop: bop<kTraced>(ri); break;
+      case CtrlKind::Jru: jru<kTraced>(ri); break;
       case CtrlKind::JteFlush:
-        SCD_TRACE_HOOK(trace_, obs::TraceEventKind::JteFlush, ri.pc, 0,
-                       ri.op);
+        if constexpr (kTraced) {
+            if (trace_)
+                trace_->record(obs::TraceEventKind::JteFlush, ri.pc, 0,
+                               ri.op);
+        }
         jteFlush();
         break;
     }
@@ -335,7 +356,7 @@ InOrderTiming::writeback(const R &ri, uint64_t resultLatency)
         fpReady_[ri.rd] = cycle_ + resultLatency;
 }
 
-template <class R>
+template <bool kTraced, class R>
 [[gnu::always_inline]] inline void
 InOrderTiming::conditional(const R &ri)
 {
@@ -355,12 +376,12 @@ InOrderTiming::conditional(const R &ri)
     trainDirection(ri.pc, ri.taken);
     if (ri.taken)
         frontend_.insertPc(ri.pc, ri.nextPc);
-    recordBranch(ri, mispredict);
+    recordBranch<kTraced>(ri, mispredict);
     if (mispredict)
         redirect(config_.mispredictPenalty);
 }
 
-template <class R>
+template <bool kTraced, class R>
 [[gnu::always_inline]] inline void
 InOrderTiming::jal(const R &ri)
 {
@@ -370,7 +391,7 @@ InOrderTiming::jal(const R &ri)
     frontend_.insertPc(ri.pc, ri.nextPc);
     if (ri.rd == isa::reg::ra)
         ras_->push(ri.pc + 4);
-    recordBranch(ri, !hit);
+    recordBranch<kTraced>(ri, !hit);
     if (!hit) {
         // An aliased hit fetched down a wrong path and costs a full
         // execute-stage redirect; a plain miss only the decode one.
@@ -379,7 +400,7 @@ InOrderTiming::jal(const R &ri)
     }
 }
 
-template <class R>
+template <bool kTraced, class R>
 [[gnu::always_inline]] inline void
 InOrderTiming::jalr(const R &ri)
 {
@@ -402,18 +423,18 @@ InOrderTiming::jalr(const R &ri)
     }
     if (ri.rd == isa::reg::ra)
         ras_->push(ri.pc + 4);
-    recordBranch(ri, mispredict);
+    recordBranch<kTraced>(ri, mispredict);
     if (mispredict)
         redirect(config_.mispredictPenalty);
 }
 
-template <class R>
+template <bool kTraced, class R>
 [[gnu::always_inline]] inline void
 InOrderTiming::bop(const R &ri)
 {
     // A bop never mispredicts: its JTE probe happened architecturally and
     // a miss (or an ineligible bop) falls through sequentially.
-    recordBranch(ri, false);
+    recordBranch<kTraced>(ri, false);
     if (ri.bopHit)
         ++bopFastHits_;
     else
@@ -421,13 +442,15 @@ InOrderTiming::bop(const R &ri)
     // The fetch stage stalled until Rop became forwardable.
     cycle_ += ri.ropStall;
     ropStallCycles_ += ri.ropStall;
-    if (ri.ropStall > 0) {
-        SCD_TRACE_HOOK(trace_, obs::TraceEventKind::RopStall, ri.pc,
-                       ri.ropStall, ri.op);
+    if constexpr (kTraced) {
+        if (trace_ && ri.ropStall > 0) {
+            trace_->record(obs::TraceEventKind::RopStall, ri.pc,
+                           ri.ropStall, ri.op);
+        }
     }
 }
 
-template <class R>
+template <bool kTraced, class R>
 [[gnu::always_inline]] inline void
 InOrderTiming::jru(const R &ri)
 {
@@ -436,25 +459,33 @@ InOrderTiming::jru(const R &ri)
     bool mispredict = !p.target || *p.target != ri.nextPc;
     frontend_.insertPc(ri.pc, ri.nextPc);
     if (ri.jteInsert) {
-        SCD_TRACE_HOOK(trace_, obs::TraceEventKind::JteInsert, ri.pc,
-                       ri.jteOpcode, ri.op, uint8_t(ri.cls));
+        if constexpr (kTraced) {
+            if (trace_) {
+                trace_->record(obs::TraceEventKind::JteInsert, ri.pc,
+                               ri.jteOpcode, ri.op, uint8_t(ri.cls));
+            }
+        }
         jteInsert(ri.bank, ri.jteOpcode, ri.nextPc);
         ++jteInserts_;
     }
-    recordBranch(ri, mispredict);
+    recordBranch<kTraced>(ri, mispredict);
     if (mispredict)
         redirect(config_.mispredictPenalty);
 }
 
-template <class R>
+template <bool kTraced, class R>
 [[gnu::always_inline]] inline void
 InOrderTiming::recordBranch(const R &ri, bool mispredicted)
 {
     ++branchCount_[size_t(ri.cls)];
     if (mispredicted) {
         ++branchMisses_[size_t(ri.cls)];
-        SCD_TRACE_HOOK(trace_, obs::TraceEventKind::Mispredict, ri.pc, 0,
-                       ri.op, uint8_t(ri.cls));
+        if constexpr (kTraced) {
+            if (trace_) {
+                trace_->record(obs::TraceEventKind::Mispredict, ri.pc, 0,
+                               ri.op, uint8_t(ri.cls));
+            }
+        }
     }
 }
 

@@ -35,11 +35,6 @@
 #include "common/stats.hh"
 #include "retire_info.hh"
 
-namespace scd::obs
-{
-class TraceBuffer;
-}
-
 namespace scd::cpu
 {
 
@@ -78,13 +73,6 @@ class TimingModel
 
     /** Fold the model's counters into @p group. */
     virtual void exportStats(StatGroup &group) const = 0;
-
-    /**
-     * Attach a pipeline event-trace buffer (src/obs/trace.hh). Models
-     * without trace hooks ignore the call; hook emission additionally
-     * requires an SCD_TRACE=ON build (obs::kTraceCompiledIn).
-     */
-    virtual void attachTrace(obs::TraceBuffer *) {}
 };
 
 /** Build the timing model for @p config (the in-order pipeline). */

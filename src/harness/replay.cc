@@ -182,7 +182,9 @@ constexpr unsigned kMaxSkipSpan = 64;
  * superset stream); a miss retires the recorded entries unchanged.
  * Probe-free spans flow through TimingModel::consume() in one virtual
  * call so the per-instruction retire devirtualizes; a non-SCD stream
- * has no probes, so each chunk is one such span. The member's timing
+ * has no probes, so each chunk is one such span. Probed bops go through
+ * consume() too, one record at a time: retire() is the traced retire
+ * body, and a member never has a trace buffer. The member's timing
  * model counts what it retires.
  */
 void
@@ -228,12 +230,12 @@ consume(Member &m, const cpu::RetireChunk &chunk)
             cpu::RetireInfo hit = bop;
             hit.nextPc = *target;
             hit.bopHit = true;
-            m.timing->retire(hit);
+            m.timing->consume(&hit, 1);
             m.skipping = true;
             m.skipTarget = *target;
             m.skipLen = 0;
         } else {
-            m.timing->retire(bop);
+            m.timing->consume(&bop, 1);
         }
         ++i;
     }
@@ -254,7 +256,7 @@ runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
 {
     const std::vector<ExperimentPoint> &points = set.points;
     try {
-        SCD_FAULT_POINT("point-oom");
+        faultinj::hit("point-oom");
         const ExperimentPoint &first = points[indices[0]];
 
         // Build every member before creating any timing model: the
@@ -306,7 +308,7 @@ runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
         double producerSeconds = 0.0;
         bool exhausted = false;
         while (!exhausted) {
-            SCD_FAULT_POINT("replay-ring");
+            faultinj::hit("replay-ring");
             auto fillStart = steady::now();
             chunk->count = func.runRecorded(chunk->entries,
                                             cpu::RetireChunk::kCapacity);
@@ -331,7 +333,6 @@ runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
             if (!anyLive)
                 break; // everyone needs the direct path; stop producing
         }
-        SCD_FAULT_POINT("guest-trap");
         if (exhausted && func.exitCode() != 0) {
             fatal("guest exited with code ", func.exitCode(),
                   " (replay group ", first.label(), "): ", func.output());
@@ -451,7 +452,7 @@ runPointContained(const ExperimentPoint &point, const RunOptions &options,
     ExperimentRun run;
     auto start = steady::now();
     try {
-        SCD_FAULT_POINT("point-oom");
+        faultinj::hit("point-oom");
         run = runPointDirect(point, options);
         if (degradedFrom) {
             run.status = PointStatus::Degraded;

@@ -6,7 +6,6 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "common/fault_inject.hh"
 #include "common/logging.hh"
 #include "guest/rlua_guest.hh"
 #include "guest/sjs_guest.hh"
@@ -165,7 +164,6 @@ runExperiment(VmKind vm, const std::string &source, core::Scheme scheme,
         warn("experiment hit the instruction limit (", maxInstructions,
              ") before completing");
     }
-    SCD_FAULT_POINT("guest-trap");
     if (result.run.exitCode != 0)
         fatal("guest exited with code ", result.run.exitCode, ": ",
               core.output());

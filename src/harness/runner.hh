@@ -92,7 +92,8 @@ struct ExperimentResult
  * @p machine. The scheme picks both the interpreter binary (jump
  * threading is a software variant) and the hardware knobs (SCD / VBBI).
  * A non-null @p trace is attached to the core's timing model before the
- * run (pipeline event tracing; meaningful in SCD_TRACE=ON builds).
+ * run, which then records its pipeline events (src/obs/trace.hh) and
+ * steps the reference interpreter; the numbers are the same either way.
  * A positive @p timeoutSeconds arms the core's cooperative watchdog:
  * the run throws TimeoutError when the deadline expires.
  */

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <map>
 
-#include "common/fault_inject.hh"
-#include "common/logging.hh"
 #include "json.hh"
 
 namespace scd::obs
@@ -196,15 +194,7 @@ StatsSink::render() const
 bool
 StatsSink::writeTo(const std::string &path) const
 {
-    std::string text;
-    try {
-        SCD_FAULT_POINT("json-write");
-        text = render();
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "stats sink: cannot render %s: %s\n",
-                     path.c_str(), e.what());
-        return false;
-    }
+    std::string text = render();
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f) {
         std::fprintf(stderr, "stats sink: cannot write %s\n",

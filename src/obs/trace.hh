@@ -7,12 +7,12 @@
  * most recent window for the Chrome trace_event exporter; the aggregates
  * cover the entire run regardless of ring wraps.
  *
- * The recording *hooks* in the simulator's hot paths (InOrderTiming,
- * Btb) are compile-time gated: they are emitted only when the build
- * defines SCD_TRACE_ENABLED (CMake -DSCD_TRACE=ON, or the "asan" CI
- * preset), so the default build pays zero overhead — not even a null
- * check. The TraceBuffer type itself and its exporters are always
- * compiled, so tests and tools can drive them directly in any build.
+ * The recording hooks are compiled into every build. InOrderTiming's
+ * per-instruction hooks live in one instantiation of its retire body,
+ * the one retire() runs (a core with a buffer attached takes that
+ * path); the fused threaded path and the replay consumers run bodies
+ * with no trace code. The branch layer's rare events (false hits, JTE
+ * evictions, FDIP prefetches) test for an attached buffer.
  */
 
 #ifndef SCD_OBS_TRACE_HH
@@ -175,34 +175,5 @@ std::string profileReport(const TraceBuffer &trace,
                           const OpcodeNamer &namer = {});
 
 } // namespace scd::obs
-
-// ---------------------------------------------------------------------------
-// Hot-path hook macros. SCD_TRACE_HOOK(buffer, ...) forwards to
-// TraceBuffer::record() when tracing is compiled in and expands to
-// nothing otherwise, so the default build carries no trace code at all.
-// ---------------------------------------------------------------------------
-#ifdef SCD_TRACE_ENABLED
-#define SCD_TRACE_HOOK(buffer, ...)                                         \
-    do {                                                                     \
-        if (buffer)                                                          \
-            (buffer)->record(__VA_ARGS__);                                   \
-    } while (0)
-#define SCD_TRACE_SET_CYCLE(buffer, c)                                      \
-    do {                                                                     \
-        if (buffer)                                                          \
-            (buffer)->setCycle(c);                                           \
-    } while (0)
-namespace scd::obs
-{
-inline constexpr bool kTraceCompiledIn = true;
-}
-#else
-#define SCD_TRACE_HOOK(buffer, ...) ((void)0)
-#define SCD_TRACE_SET_CYCLE(buffer, c) ((void)0)
-namespace scd::obs
-{
-inline constexpr bool kTraceCompiledIn = false;
-}
-#endif
 
 #endif // SCD_OBS_TRACE_HH

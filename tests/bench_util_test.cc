@@ -3,8 +3,9 @@
  * Flag parsing shared by the bench binaries (bench/bench_util.hh): a
  * malformed --frontend spec ends the binary with exit code 2 and the
  * reason instead of an uncaught FatalError, scd_trace's --events
- * accepts only a whole positive decimal within the window limit, and
- * --point-timeout accepts only a finite positive decimal.
+ * accepts only a whole positive decimal within the window limit and an
+ * unknown --vm, --workload or --scheme exits 2 too, and --point-timeout
+ * accepts only a finite positive decimal.
  */
 
 #include <gtest/gtest.h>
@@ -71,6 +72,41 @@ TEST(BenchFlags, MalformedFrontendFlagExitsWithCode2)
                 ::testing::ExitedWithCode(2), "microEntries");
     EXPECT_EXIT(applyFlags({"--frontend=fdip+ftq4000000000"}),
                 ::testing::ExitedWithCode(2), "ftqDepth");
+}
+
+/** Call parseTracePoint with a bench-binary-style argv. */
+bench::TracePoint
+tracePoint(std::vector<std::string> args)
+{
+    return withArgv(std::move(args), bench::parseTracePoint);
+}
+
+TEST(BenchFlags, TracePointNamesVmWorkloadAndScheme)
+{
+    bench::TracePoint def = tracePoint({"--size=test"});
+    EXPECT_EQ(def.vm, harness::VmKind::Rlua);
+    EXPECT_EQ(def.workload->name, "fibo");
+    EXPECT_EQ(def.scheme, core::Scheme::Scd);
+
+    bench::TracePoint p = tracePoint(
+        {"--vm=sjs", "--workload=n-sieve", "--scheme=jump-threading"});
+    EXPECT_EQ(p.vm, harness::VmKind::Sjs);
+    EXPECT_EQ(p.workload->name, "n-sieve");
+    EXPECT_EQ(p.scheme, core::Scheme::JumpThreading);
+}
+
+/** An unknown workload used to escape as an uncaught FatalError and
+ *  abort scd_trace; every bad value now exits 2 with the reason. */
+TEST(BenchFlags, UnknownTracePointExitsWithCode2)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(tracePoint({"--workload=nosuch"}),
+                ::testing::ExitedWithCode(2),
+                "bad --workload value: unknown workload 'nosuch'");
+    EXPECT_EXIT(tracePoint({"--vm=lua"}), ::testing::ExitedWithCode(2),
+                "unknown --vm value 'lua'");
+    EXPECT_EXIT(tracePoint({"--scheme=fast"}), ::testing::ExitedWithCode(2),
+                "unknown --scheme value 'fast'");
 }
 
 TEST(BenchFlags, TraceEventsAcceptOnlyWholePositiveDecimals)

@@ -13,6 +13,7 @@
 #include "harness/experiment.hh"
 #include "harness/json_export.hh"
 #include "harness/machines.hh"
+#include "harness/runner.hh"
 #include "harness/workloads.hh"
 #include "obs/json.hh"
 #include "obs/report.hh"
@@ -456,6 +457,49 @@ TEST(Trace, ProfileReportNamesOpcodes)
         trace, [](uint8_t op) { return "mnemonic" + std::to_string(op); });
     EXPECT_NE(report.find("mnemonic5"), std::string::npos);
     EXPECT_NE(report.find("0x2000"), std::string::npos);
+}
+
+/**
+ * A simulation with a trace buffer attached records the paper's Fig. 2
+ * quantity (the dispatch jump's mispredicts) and the SCD JTE traffic,
+ * and its numbers are those of the same run without a buffer: the traced
+ * run steps the reference interpreter, the untraced one the threaded
+ * tier.
+ */
+TEST(Trace, TracedRunMatchesTheUntracedRun)
+{
+    using namespace scd::harness;
+    for (core::Scheme scheme : {core::Scheme::Baseline, core::Scheme::Scd}) {
+        SCOPED_TRACE(core::schemeName(scheme));
+        ExperimentResult plain = runWorkload(
+            VmKind::Rlua, workload("fibo"), InputSize::Test, scheme,
+            minorConfig());
+        TraceBuffer trace;
+        ExperimentResult traced = runWorkload(
+            VmKind::Rlua, workload("fibo"), InputSize::Test, scheme,
+            minorConfig(), /*maxInstructions=*/0, &trace);
+        EXPECT_EQ(traced.run.cycles, plain.run.cycles);
+        EXPECT_EQ(traced.run.instructions, plain.run.instructions);
+        EXPECT_EQ(traced.stats.all(), plain.stats.all());
+        ASSERT_GT(trace.recorded(), 0u);
+        ASSERT_EQ(trace.dropped(), 0u) << "the window must hold the run";
+
+        uint64_t jteInserts = 0;
+        for (const TraceEvent &e : trace.events())
+            jteInserts += e.kind == TraceEventKind::JteInsert;
+        EXPECT_EQ(jteInserts, plain.stats.get("scd.jteInserts"));
+
+        if (scheme == core::Scheme::Baseline) {
+            // One shared dispatch jump, and it nearly always mispredicts.
+            ASSERT_EQ(trace.dispatchSites().size(), 1u);
+            const TraceBuffer::SiteProfile &site =
+                trace.dispatchSites().begin()->second;
+            EXPECT_GT(site.executed, 0u);
+            EXPECT_GE(site.mispredicted * 100, site.executed * 99);
+        } else {
+            EXPECT_GT(jteInserts, 0u);
+        }
+    }
 }
 
 } // namespace
