@@ -115,6 +115,7 @@ pctOrFailed(double speedup)
 int
 main(int argc, char **argv)
 {
+    bench::checkFigureFlags(argc, argv);
     InputSize size = bench::parseSize(argc, argv, InputSize::Sim);
     RunOptions options = bench::parseRunOptions(argc, argv);
     std::string jsonPath = bench::parseJsonPath(argc, argv);

@@ -1,10 +1,11 @@
 /**
  * @file
  * Small shared helpers for the figure/table bench binaries: command-line
- * flag parsing. A flag value that cannot be honoured either falls back
- * with a warning (--size, --jobs) or ends the binary with exit code 2
- * and the reason on stderr (--frontend, and scd_trace's --events, --vm,
- * --workload and --scheme).
+ * flag parsing. An argument a binary does not take ends it with exit
+ * code 2 and the reason on stderr before any work starts (checkFlags).
+ * A flag value that cannot be honoured either falls back with a warning
+ * (--size, --jobs) or exits 2 too (--frontend, and scd_trace's --events,
+ * --vm, --workload and --scheme).
  */
 
 #ifndef SCD_BENCH_BENCH_UTIL_HH
@@ -16,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <utility>
 
@@ -28,6 +30,51 @@
 
 namespace scd::bench
 {
+
+/**
+ * Reject every argument a binary does not take. @p accepted lists its
+ * flags: one ending in '=' takes a value ("--size="), any other stands
+ * alone ("--no-replay"). A binary takes no positional arguments, so
+ * anything else — a misspelt flag, or "--size test" with a space —
+ * prints the reason and exits 2 before any work starts, rather than
+ * running with a default the caller did not ask for.
+ */
+inline void
+checkFlags(int argc, char **argv, std::initializer_list<const char *> accepted)
+{
+    for (int n = 1; n < argc; ++n) {
+        const char *arg = argv[n];
+        bool known = false;
+        for (const char *flag : accepted) {
+            size_t len = std::strlen(flag);
+            known = flag[len - 1] == '=' ? std::strncmp(arg, flag, len) == 0
+                                         : std::strcmp(arg, flag) == 0;
+            if (known)
+                break;
+        }
+        if (known)
+            continue;
+        if (std::strncmp(arg, "--", 2) == 0)
+            std::fprintf(stderr, "unknown flag '%s'\n", arg);
+        else
+            std::fprintf(stderr, "unexpected argument '%s' (flags only)\n",
+                         arg);
+        std::exit(2);
+    }
+}
+
+/**
+ * checkFlags for the figure and table binaries: --size, --json,
+ * --frontend and parseRunOptions' --jobs, --no-replay and
+ * --point-timeout.
+ */
+inline void
+checkFigureFlags(int argc, char **argv)
+{
+    checkFlags(argc, argv,
+               {"--size=", "--jobs=", "--json=", "--frontend=", "--no-replay",
+                "--point-timeout="});
+}
 
 /**
  * Parse --size=test|sim|fpga (default @p fallback). The quick "test"

@@ -18,6 +18,8 @@ main(int argc, char **argv)
     using namespace scd;
     using namespace scd::harness;
 
+    bench::checkFigureFlags(argc, argv);
+
     InputSize size = bench::parseSize(argc, argv, InputSize::Sim);
     RunOptions options = bench::parseRunOptions(argc, argv);
     std::string jsonPath = bench::parseJsonPath(argc, argv);

@@ -85,6 +85,7 @@ capTables(VmKind vm, const Grid *grids)
 int
 main(int argc, char **argv)
 {
+    bench::checkFigureFlags(argc, argv);
     InputSize size = bench::parseSize(argc, argv, InputSize::Sim);
     RunOptions options = bench::parseRunOptions(argc, argv);
     std::string jsonPath = bench::parseJsonPath(argc, argv);

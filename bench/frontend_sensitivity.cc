@@ -151,6 +151,7 @@ falseHitTable(VmKind vm, const ExperimentSet *slices)
 int
 main(int argc, char **argv)
 {
+    bench::checkFigureFlags(argc, argv);
     InputSize size = bench::parseSize(argc, argv, InputSize::Sim);
     RunOptions options = bench::parseRunOptions(argc, argv);
     std::string jsonPath = bench::parseJsonPath(argc, argv);

@@ -283,6 +283,9 @@ main(int argc, char **argv)
     using namespace scd;
     using namespace scd::harness;
 
+    bench::checkFlags(argc, argv,
+                      {"--size=", "--jobs=", "--json=", "--frontend="});
+
     InputSize size = bench::parseSize(argc, argv, InputSize::Test);
     unsigned jobs = resolveJobs(bench::parseJobs(argc, argv));
     // This bench's output is inherently wall-time data, so --json picks

@@ -20,6 +20,8 @@ main(int argc, char **argv)
     using namespace scd;
     using namespace scd::harness;
 
+    bench::checkFigureFlags(argc, argv);
+
     InputSize size = bench::parseSize(argc, argv, InputSize::Sim);
     RunOptions options = bench::parseRunOptions(argc, argv);
     options.verbose = true;

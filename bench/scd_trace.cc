@@ -44,6 +44,10 @@ main(int argc, char **argv)
     using namespace scd;
     using namespace scd::harness;
 
+    bench::checkFlags(argc, argv,
+                      {"--events=", "--size=", "--vm=", "--workload=",
+                       "--scheme=", "--out=", "--frontend="});
+
     std::string eventsFlag = bench::flagValue(argc, argv, "--events=",
                                               "65536");
     size_t events = 0;

@@ -18,6 +18,8 @@ main(int argc, char **argv)
     using namespace scd;
     using namespace scd::harness;
 
+    bench::checkFigureFlags(argc, argv);
+
     // The paper ran these with large inputs on FPGA; pass --size=sim for
     // a faster approximation.
     InputSize size = bench::parseSize(argc, argv, InputSize::Fpga);

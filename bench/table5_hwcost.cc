@@ -21,6 +21,8 @@ main(int argc, char **argv)
     using namespace scd;
     using namespace scd::harness;
 
+    bench::checkFigureFlags(argc, argv);
+
     core::ScdHardwareParams params;
     params.btbEntries = 62; // rocket's fully-associative BTB
     core::HwCostModel model(params);

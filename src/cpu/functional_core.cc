@@ -25,33 +25,36 @@ FunctionalCore::FunctionalCore(const CoreConfig &config,
 {
 }
 
-// Out of line so ThreadedTier is complete where unique_ptr destroys it.
-FunctionalCore::~FunctionalCore() = default;
-
-ThreadedTier &
-FunctionalCore::ensureThreaded()
+FunctionalCore::Slot
+FunctionalCore::lower(uint32_t word)
 {
-    if (!threaded_)
-        threaded_ = std::make_unique<ThreadedTier>(*this);
-    return *threaded_;
+    Instruction inst = isa::decode(word);
+    Slot slot;
+    slot.op = inst.op;
+    slot.rd = inst.rd;
+    slot.rs1 = inst.rs1;
+    slot.rs2 = inst.rs2;
+    slot.bank = inst.bank;
+    slot.imm = inst.imm;
+    // Cache the opcode's flag word next to the operands so the
+    // per-instruction path never touches the opcodeInfo table.
+    slot.flags = isa::opcodeInfo(inst.op).flags;
+    return slot;
 }
 
 void
 FunctionalCore::loadProgram(const isa::Program &prog)
 {
-    threaded_.reset(); // translation is per-program
     textBase_ = prog.base;
+    textLimit_ = uint64_t(prog.words.size()) * 4;
     slots_.clear();
-    slots_.reserve(prog.words.size());
-    for (uint32_t word : prog.words) {
-        Slot slot;
-        slot.inst = isa::decode(word);
-        // Cache the opcode's flag word next to the decoded instruction so
-        // the per-instruction path never touches the opcodeInfo table.
-        slot.flags = isa::opcodeInfo(slot.inst.op).flags;
-        slots_.push_back(slot);
-    }
-    textLimit_ = uint64_t(slots_.size()) * 4;
+    slots_.reserve(prog.words.size() + 2);
+    for (uint32_t word : prog.words)
+        slots_.push_back(lower(word));
+    // The threaded tier's sentinels: a fall-through off the last
+    // instruction lands on kEndOfText, a transfer out of text on kBadPc.
+    slots_.push_back(Slot{.op = kEndOfText});
+    slots_.push_back(Slot{.op = kBadPc});
     mem_.loadProgram(prog);
     pc_ = prog.entry();
 }
@@ -60,23 +63,23 @@ void
 FunctionalCore::setDispatchMeta(const DispatchMeta &meta)
 {
     SCD_ASSERT(!slots_.empty(), "setDispatchMeta before loadProgram");
-    threaded_.reset(); // slot flags feed the translation
 
+    size_t textSlots = size_t(textLimit_ / 4);
     for (auto [lo, hi] : meta.dispatchRanges) {
         for (uint64_t pc = lo; pc < hi; pc += 4) {
             size_t idx = (pc - textBase_) / 4;
-            if (idx < slots_.size())
+            if (idx < textSlots)
                 slots_[idx].flags |= PcFlagInDispatchRange;
         }
     }
     for (uint64_t pc : meta.dispatchJumpPcs) {
         size_t idx = (pc - textBase_) / 4;
-        if (idx < slots_.size())
+        if (idx < textSlots)
             slots_[idx].flags |= PcFlagDispatchJump;
     }
     for (auto [pc, reg] : meta.vbbiHints) {
         size_t idx = (pc - textBase_) / 4;
-        if (idx < slots_.size())
+        if (idx < textSlots)
             slots_[idx].flags |= uint32_t(reg + 1) << kVbbiHintShift;
     }
 }
@@ -103,21 +106,18 @@ FunctionalCore::textWritten(uint64_t addr, unsigned width)
     size_t first = size_t(lo >> 2);
     size_t last = size_t((hi + 3) >> 2); // slot index bound, exclusive
     for (size_t i = first; i < last; ++i) {
-        Slot &slot = slots_[i];
         // Keep the dispatch-metadata bits: guest builders assign them per
         // PC range, which self-modification does not move.
-        uint32_t meta = slot.flags & 0xFF000000u;
-        slot.inst = isa::decode(mem_.read32(textBase_ + uint64_t(i) * 4));
-        slot.flags = isa::opcodeInfo(slot.inst.op).flags | meta;
+        uint32_t meta = slots_[i].flags & 0xFF000000u;
+        slots_[i] = lower(mem_.read32(textBase_ + uint64_t(i) * 4));
+        slots_[i].flags |= meta;
     }
-    if (threaded_)
-        threaded_->noteTextWrite(first, last);
 }
 
 inline uint64_t
-FunctionalCore::loadValue(const Instruction &inst, uint64_t addr)
+FunctionalCore::loadValue(Opcode op, uint64_t addr)
 {
-    switch (inst.op) {
+    switch (op) {
       case Opcode::LB:
         return static_cast<uint64_t>(
             static_cast<int64_t>(static_cast<int8_t>(mem_.read8(addr))));
@@ -140,16 +140,16 @@ FunctionalCore::loadValue(const Instruction &inst, uint64_t addr)
       case Opcode::LD_OP:
         return mem_.read64(addr);
       default:
-        panic("not a load: ", isa::mnemonic(inst.op));
+        panic("not a load: ", isa::mnemonic(op));
     }
 }
 
 inline void
-FunctionalCore::storeValue(const Instruction &inst, uint64_t addr)
+FunctionalCore::storeValue(const Slot &slot, uint64_t addr)
 {
-    uint64_t v = x_[inst.rs2];
+    uint64_t v = x_[slot.rs2];
     unsigned width;
-    switch (inst.op) {
+    switch (slot.op) {
       case Opcode::SB:
         mem_.write8(addr, static_cast<uint8_t>(v));
         width = 1;
@@ -167,7 +167,7 @@ FunctionalCore::storeValue(const Instruction &inst, uint64_t addr)
         width = 8;
         break;
       default:
-        panic("not a store: ", isa::mnemonic(inst.op));
+        panic("not a store: ", isa::mnemonic(slot.op));
     }
     noteIfTextWrite(addr, width);
 }
@@ -222,9 +222,10 @@ bool
 FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
 {
     const uint64_t pc = hs.pc;
-    const Slot &slot = slotAt(pc);
-    const Instruction &inst = slot.inst;
-    const uint32_t flags = slot.flags;
+    // A copy, not a reference: a store may re-lower its own slot, and the
+    // record describes the instruction as fetched.
+    const Slot inst = slotAt(pc);
+    const uint32_t flags = inst.flags;
 
     uint64_t nextPc = pc + 4;
     LatClass lat = LatClass::Alu;
@@ -329,7 +330,7 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
       case Opcode::LWU:
       case Opcode::LD: {
         uint64_t addr = urs1 + imm;
-        intResult = loadValue(inst, addr);
+        intResult = loadValue(inst.op, addr);
         lat = LatClass::Load;
         hasMem = true;
         memAddr = addr;
@@ -340,7 +341,7 @@ FunctionalCore::stepImpl(RetireInfo *ri, HotState &hs)
       case Opcode::LW_OP:
       case Opcode::LD_OP: {
         uint64_t addr = urs1 + imm;
-        intResult = loadValue(inst, addr);
+        intResult = loadValue(inst.op, addr);
         lat = LatClass::Load;
         hasMem = true;
         memAddr = addr;
@@ -553,7 +554,7 @@ size_t
 FunctionalCore::runRecorded(RetireInfo *out, size_t cap)
 {
     if (tier_ != DispatchTier::Switch)
-        return ensureThreaded().runRecorded(out, cap);
+        return ThreadedTier::runRecorded(*this, out, cap);
     HotState hs{pc_, retired_};
     size_t n = 0;
     bool live = true;
@@ -572,7 +573,7 @@ FunctionalCore::runTimed(InOrderTiming &timing, size_t cap)
     // Only retire() carries the trace hooks, so a traced run steps the
     // reference loop; both tiers retire the same stream.
     if (tier_ != DispatchTier::Switch && !timing.tracing())
-        return ensureThreaded().runTimed(timing, cap);
+        return ThreadedTier::runTimed(*this, timing, cap);
     RetireInfo ri;
     size_t n = 0;
     for (; n < cap && !exited_; ++n) {

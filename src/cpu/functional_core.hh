@@ -2,10 +2,16 @@
  * @file
  * The functional half of the simulated core: architectural state (integer
  * and FP register files, the SCD register banks Rop/Rmask/Rbop-pc, guest
- * memory, syscalls) and one-instruction execution. Each step emits a
- * compact RetireInfo record: runTimed() retires each one straight into
- * the core's InOrderTiming, runRecorded() fills a buffer for a replay
- * group's timing consumers.
+ * memory, syscalls), the lowered text segment, and one-instruction
+ * execution. Each step emits a compact RetireInfo record: runTimed()
+ * retires each one straight into the core's InOrderTiming, runRecorded()
+ * fills a buffer for a replay group's timing consumers.
+ *
+ * The text is decoded once: loadProgram() lowers every word into a
+ * 16-byte Slot, and the reference step() and both executors of the
+ * threaded tier (threaded_tier.hh) fetch from that one array. A guest
+ * store into text re-lowers the touched slots in place, so the next fetch
+ * on either tier runs the new code.
  */
 
 #ifndef SCD_CPU_FUNCTIONAL_CORE_HH
@@ -14,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -60,9 +65,8 @@ class FunctionalCore
      */
     FunctionalCore(const CoreConfig &config, mem::GuestMemory &memory,
                    TimingModel &timing);
-    ~FunctionalCore();
 
-    /** Pre-decode and map the text segment; resets the PC to its entry. */
+    /** Lower and map the text segment; resets the PC to its entry. */
     void loadProgram(const isa::Program &prog);
 
     /** Attach interpreter metadata (may be empty). */
@@ -140,6 +144,31 @@ class FunctionalCore
     void exportStats(StatGroup &group) const;
 
     /**
+     * One lowered text slot: the decoded instruction's fields next to
+     * the cached flag word (which also encodes the VBBI hint, see
+     * PcFlags), so a fetch touches a single 16-byte array entry. op is
+     * the slot's handler index on the threaded tier: an isa::Opcode in
+     * the text, and kEndOfText / kBadPc in the two sentinel slots
+     * appended after it, which slotAt() never reaches.
+     */
+    struct Slot
+    {
+        isa::Opcode op = isa::Opcode::EBREAK;
+        uint8_t rd = 0;
+        uint8_t rs1 = 0;
+        uint8_t rs2 = 0;
+        uint8_t bank = 0;  ///< SCD jump-table bank
+        int32_t imm = 0;   ///< sign-extended immediate (branch/jal: bytes)
+        uint32_t flags = 0; ///< isa::OpFlags | core-private PcFlags
+    };
+    static_assert(sizeof(Slot) == 16,
+                  "a Slot stays 16 bytes for power-of-two indexing");
+
+    /** The sentinel slots' ops: past every isa::Opcode. */
+    static constexpr isa::Opcode kEndOfText = isa::Opcode(isa::kNumOpcodes);
+    static constexpr isa::Opcode kBadPc = isa::Opcode(isa::kNumOpcodes + 1);
+
+    /**
      * Per-slot flag word cached at load time so step() never consults
      * the opcodeInfo table: the low bits are the opcode's isa::OpFlags,
      * the high bits the core-private dispatch-metadata flags below. The
@@ -185,8 +214,8 @@ class FunctionalCore
     bool stepImpl(RetireInfo *ri, HotState &hs);
 
     void handleSyscall();
-    uint64_t loadValue(const isa::Instruction &inst, uint64_t addr);
-    void storeValue(const isa::Instruction &inst, uint64_t addr);
+    uint64_t loadValue(isa::Opcode op, uint64_t addr);
+    void storeValue(const Slot &slot, uint64_t addr);
 
     // ---- semantics helpers shared by both dispatch tiers ----------------
     // Defined inline in functional_core_inl.hh and included by both
@@ -210,11 +239,10 @@ class FunctionalCore
 
     /**
      * Guest self-modification hook, called after every store: when the
-     * stored bytes can overlap the text segment, re-decode the touched
-     * slots from memory (keeping the dispatch-metadata flag bits) and
-     * invalidate the threaded tier's translation of them. The fast-path
-     * cost is one subtract + compare; the ±8-byte fringe keeps that
-     * reject branch-free for spanning stores.
+     * stored bytes can overlap the text segment, re-lower the touched
+     * slots from memory in place (keeping the dispatch-metadata flag
+     * bits). The fast-path cost is one subtract + compare; the ±8-byte
+     * fringe keeps that reject branch-free for spanning stores.
      */
     void
     noteIfTextWrite(uint64_t addr, unsigned width)
@@ -224,18 +252,8 @@ class FunctionalCore
     }
     void textWritten(uint64_t addr, unsigned width);
 
-    /**
-     * One pre-decoded text slot: the instruction fused with the cached
-     * flag word (which also encodes the VBBI hint, see PcFlags) so a
-     * fetch touches a single 16-byte array entry.
-     */
-    struct Slot
-    {
-        isa::Instruction inst;
-        uint32_t flags = 0; ///< isa::OpFlags | core-private PcFlags
-    };
-    static_assert(sizeof(isa::Instruction) <= 12,
-                  "Slot should stay 16 bytes for power-of-two indexing");
+    /** Decode @p word into a slot carrying its opcode's flag word. */
+    static Slot lower(uint32_t word);
 
     /**
      * Fetch the decoded slot at @p pc. Inline with the panic path out of
@@ -266,9 +284,9 @@ class FunctionalCore
     mem::GuestMemory &mem_;
     TimingModel &timing_; ///< JTE port only; never charged cycles here
 
-    // Decoded text segment.
+    // Lowered text segment: one slot per text word, then the sentinels.
     uint64_t textBase_ = 0;
-    uint64_t textLimit_ = 0; ///< text size in bytes (4 * slots_.size())
+    uint64_t textLimit_ = 0; ///< text size in bytes (4 * text slots)
     std::vector<Slot> slots_;
 
     // Architectural state.
@@ -289,13 +307,11 @@ class FunctionalCore
     int exitCode_ = 0;
     Watchdog watchdog_;
 
-    // The threaded execution tier (src/cpu/threaded_tier.hh), built
-    // lazily on first threaded run and discarded on loadProgram(). The
-    // tier reads and writes the architectural state above directly.
+    // The threaded execution tier (src/cpu/threaded_tier.hh) keeps no
+    // state: it runs the slots above and reads and writes the
+    // architectural state directly.
     friend class ThreadedTier;
     DispatchTier tier_ = DispatchTier::Threaded;
-    std::unique_ptr<ThreadedTier> threaded_;
-    ThreadedTier &ensureThreaded();
 };
 
 } // namespace scd::cpu

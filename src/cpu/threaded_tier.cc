@@ -1,24 +1,18 @@
 /**
  * @file
  * Threaded-code executor of the FunctionalCore (see threaded_tier.hh for
- * the design). The file has three parts: the slot representation, its
- * lowering and the process-global translation cache; the handler-threaded
- * executor (ThreadedTier::exec, one handler per opcode, chained with GNU
- * computed gotos); and the run loop that bursts the executor between
- * budget boundaries and retranslation pauses.
+ * the design). The file has two parts: the handler-threaded executor
+ * (ThreadedTier::exec, one handler per opcode over the core's own slots,
+ * chained with GNU computed gotos) and the run around it.
  */
 
 #include "threaded_tier.hh"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
-#include <mutex>
 #include <optional>
-#include <unordered_map>
-#include <vector>
 
 #include "common/logging.hh"
 #include "functional_core_inl.hh"
@@ -30,60 +24,7 @@ namespace scd::cpu
 {
 
 using isa::Opcode;
-
-/**
- * Handler index of a translated slot. Real opcodes map by identity (the
- * list below reuses SCD_OPCODE_LIST, so the enum values coincide with
- * isa::Opcode); the two extras are the sentinel slots appended past the
- * translated text: EndOfText faults a fall-through off the last
- * instruction, BadPc faults a computed transfer whose target was outside
- * text — one instruction *after* the transfer retired, exactly when the
- * reference interpreter's next fetch would have faulted.
- */
-enum class HOp : uint8_t
-{
-#define SCD_HOP_ENUM(name, mnem, fmt, flags) name,
-    SCD_OPCODE_LIST(SCD_HOP_ENUM)
-#undef SCD_HOP_ENUM
-    EndOfText,
-    BadPc,
-    NumHops
-};
-
-static_assert(size_t(HOp::EndOfText) == isa::kNumOpcodes,
-              "HOp must mirror the opcode list");
-
-/** TSlot::aux value meaning "taken target is outside text". */
-constexpr uint32_t kNoTarget = UINT32_MAX;
-
-/**
- * One translated instruction: the handler index for its opcode plus the
- * operands pre-decoded so no handler ever touches the original text. aux
- * pre-resolves the taken-successor *slot index* of direct branches and
- * jal, turning a taken transfer into one pointer assignment. Padded to 32
- * bytes so slot indexing is a shift.
- */
-struct alignas(32) TSlot
-{
-    int64_t imm = 0;          ///< sign-extended immediate
-    uint32_t aux = kNoTarget; ///< taken-target slot index (direct only)
-    uint32_t flags = 0;       ///< FunctionalCore's cached flag word
-    uint8_t rd = 0;
-    uint8_t rs1 = 0;
-    uint8_t rs2 = 0;
-    uint8_t bank = 0;
-    uint8_t hop = 0;          ///< HOp handler index
-    uint8_t op = 0;           ///< original isa::Opcode (RetireInfo::op)
-};
-static_assert(sizeof(TSlot) == 32, "TSlot indexing wants a power of two");
-
-/** A translated text segment: nReal lowered slots + the two sentinels. */
-struct TProgram
-{
-    uint64_t textBase = 0;
-    size_t nReal = 0;
-    std::vector<TSlot> slots; ///< size nReal + 2
-};
+using Slot = FunctionalCore::Slot;
 
 /** SRV64 division/multiply corner-case semantics. */
 inline uint64_t
@@ -111,95 +52,6 @@ mulhVal(int64_t a, int64_t b)
 {
     return uint64_t((static_cast<__int128>(a) * static_cast<__int128>(b)) >>
                     64);
-}
-
-namespace
-{
-
-TSlot
-lowerSlot(const isa::Instruction &inst, uint32_t flags, size_t idx,
-          uint64_t limitBytes)
-{
-    TSlot ts;
-    ts.imm = inst.imm;
-    ts.flags = flags;
-    ts.rd = inst.rd;
-    ts.rs1 = inst.rs1;
-    ts.rs2 = inst.rs2;
-    ts.bank = inst.bank;
-    ts.hop = uint8_t(inst.op);
-    ts.op = uint8_t(inst.op);
-    switch (inst.op) {
-      case Opcode::BEQ:
-      case Opcode::BNE:
-      case Opcode::BLT:
-      case Opcode::BGE:
-      case Opcode::BLTU:
-      case Opcode::BGEU:
-      case Opcode::JAL: {
-        // Pre-resolve the pc-relative taken target to a slot index; a
-        // target outside text keeps kNoTarget and the handler routes the
-        // (retired) transfer to the BadPc sentinel instead.
-        int64_t toff = int64_t(idx) * 4 + inst.imm;
-        if (toff >= 0 && uint64_t(toff) < limitBytes && (toff & 3) == 0)
-            ts.aux = uint32_t(uint64_t(toff) >> 2);
-        break;
-      }
-      default:
-        break;
-    }
-    return ts;
-}
-
-TSlot
-sentinelSlot(HOp hop)
-{
-    TSlot ts;
-    ts.op = uint8_t(Opcode::EBREAK);
-    ts.hop = uint8_t(hop);
-    return ts;
-}
-
-/**
- * Process-global translation cache, mirroring the harness's guest
- * compile cache: translations are immutable and shared (a plan point re-
- * running the same guest reuses the lowering), keyed by a hash of the
- * decoded slots with an exact per-field comparison as collision guard
- * (isa::Instruction has padding bytes, so raw-byte hashing is unsound).
- */
-struct TranslationCache
-{
-    std::mutex mu;
-    std::unordered_multimap<uint64_t, std::shared_ptr<const TProgram>> map;
-    uint64_t hits = 0;
-    uint64_t compiles = 0;
-};
-
-TranslationCache &
-cache()
-{
-    static TranslationCache tc;
-    return tc;
-}
-
-} // namespace
-
-ThreadedCacheStats
-threadedCacheStats()
-{
-    TranslationCache &tc = cache();
-    std::lock_guard<std::mutex> lock(tc.mu);
-    return {tc.hits, tc.compiles, uint64_t(tc.map.size())};
-}
-
-void
-resetThreadedCache()
-{
-    TranslationCache &tc = cache();
-    std::lock_guard<std::mutex> lock(tc.mu);
-    tc.map.clear();
-    tc.hits = 0;
-    tc.compiles = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -313,10 +165,10 @@ struct SlotRetire : Event
     // Always inlined, like the retire body, so rec never needs an address
     // and its fields become scalars (an out-of-line constructor call
     // would keep the record in memory).
-    [[gnu::always_inline]] SlotRetire(const TSlot &s, uint64_t pcv,
+    [[gnu::always_inline]] SlotRetire(const Slot &s, uint64_t pcv,
                                       uint64_t next)
         : pc(pcv), nextPc(next), flags((s.flags & ~kOpFlagBits) | kOpFlags),
-          rd(s.rd), rs1(s.rs1), rs2(s.rs2), bank(s.bank), op(s.op),
+          rd(s.rd), rs1(s.rs1), rs2(s.rs2), bank(s.bank), op(uint8_t(s.op)),
           writesInt((kOpFlags & isa::FlagWritesRd) && s.rd != 0)
     {
     }
@@ -381,7 +233,7 @@ struct SlotRetire : Event
  */
 template <class Rec>
 [[gnu::noinline]] void
-retireFamily(InOrderTiming &timing, const TSlot &s, uint64_t pc,
+retireFamily(InOrderTiming &timing, const Slot &s, uint64_t pc,
              uint64_t nextPc, typename Rec::EventType event)
 {
     Rec rec(s, pc, nextPc);
@@ -392,27 +244,28 @@ retireFamily(InOrderTiming &timing, const TSlot &s, uint64_t pc,
 } // namespace
 
 template <bool kTimed>
-ThreadedTier::ExecStatus
-ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
-                   uint64_t budget)
+void
+ThreadedTier::exec(FunctionalCore &c, Cursor &cur, RetireInfo *ri,
+                   InOrderTiming *timing, uint64_t budget)
 {
-    // One label per handler, in HOp order; slots token-thread through it.
+    // One label per slot op: the opcodes in isa::Opcode order, then the
+    // two sentinels. Slots token-thread through it.
     static const void *const kLabels[] = {
-#define SCD_HOP_LABEL(name, mnem, fmt, flags) &&L_##name,
-        SCD_OPCODE_LIST(SCD_HOP_LABEL)
-#undef SCD_HOP_LABEL
+#define SCD_OP_LABEL(name, mnem, fmt, flags) &&L_##name,
+        SCD_OPCODE_LIST(SCD_OP_LABEL)
+#undef SCD_OP_LABEL
         &&L_EndOfText,
         &&L_BadPc,
     };
-    static_assert(std::size(kLabels) == size_t(HOp::NumHops));
+    static_assert(size_t(FunctionalCore::kEndOfText) == isa::kNumOpcodes &&
+                  size_t(FunctionalCore::kBadPc) == isa::kNumOpcodes + 1 &&
+                  std::size(kLabels) == isa::kNumOpcodes + 2);
 
-    FunctionalCore &c = core_;
-    const TProgram &p = prog();
-    const TSlot *const base = p.slots.data();
-    const TSlot *const badSlot = base + p.nReal + 1;
-    const uint64_t tb = p.textBase;
-    const uint64_t limit = uint64_t(p.nReal) * 4;
-    const TSlot *ip = base + cur.idx;
+    const Slot *const base = c.slots_.data();
+    const uint64_t tb = c.textBase_;
+    const uint64_t limit = c.textLimit_;
+    const Slot *const badSlot = base + (limit >> 2) + 1;
+    const Slot *ip = base + cur.idx;
     uint64_t retired = cur.retired;
 
 // The architectural pc of the current slot — handlers only materialize it
@@ -420,34 +273,36 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
 #define SCD_PC() (tb + (uint64_t(ip - base) << 2))
 
 #define SCD_CASE(name) L_##name:
-#define SCD_DISPATCH() goto *const_cast<void *>(kLabels[ip->hop])
+#define SCD_DISPATCH() goto *const_cast<void *>(kLabels[uint8_t(ip->op)])
 
-// Retire the current slot: build its SlotRetire `rec` for opcode `name`
-// (successor pc, latency class, event type), run the trailing
-// statements on it, then account it — identical to the reference
-// interpreter's tail. The timed executor passes the record's run-time
-// fields to its family's retire body, the recording one stores it. The
-// timed executor retires before the next slot dispatches, so a bop sees
-// the JTE insert of the jru retired just before it, as in the reference
-// step()-then-retire loop.
-#define SCD_RETIRE(name, nextv, latv, event, ...)                            \
+// Retire slot `slot` (the current one, or a store's fetched copy): build
+// its SlotRetire `rec` for opcode `name` (successor pc, latency class,
+// event type), run the trailing statements on it, then account it —
+// identical to the reference interpreter's tail. The timed executor
+// passes the record's run-time fields to its family's retire body, the
+// recording one stores it. The timed executor retires before the next
+// slot dispatches, so a bop sees the JTE insert of the jru retired just
+// before it, as in the reference step()-then-retire loop.
+#define SCD_RETIRE_SLOT(slot, name, nextv, latv, event, ...)                 \
     do {                                                                     \
         SlotRetire<isa::opFlags(Opcode::name), latv, event> rec(             \
-            *ip, SCD_PC(), (nextv));                                         \
+            (slot), SCD_PC(), (nextv));                                      \
         __VA_ARGS__;                                                         \
         ++retired;                                                           \
         if constexpr (kTimed)                                                \
-            retireFamily<decltype(rec)>(*timing, *ip, rec.pc, rec.nextPc,    \
-                                        rec);                                \
+            retireFamily<decltype(rec)>(*timing, (slot), rec.pc,             \
+                                        rec.nextPc, rec);                    \
         else                                                                 \
             rec.recordTo(*ri++);                                             \
     } while (0)
+
+#define SCD_RETIRE(name, ...) SCD_RETIRE_SLOT(*ip, name, __VA_ARGS__)
 
 // Chain into the slot ip now points at.
 #define SCD_CHAIN()                                                          \
     do {                                                                     \
         if (--budget == 0)                                                   \
-            goto pause_budget;                                               \
+            goto pause;                                                      \
         SCD_DISPATCH();                                                      \
     } while (0)
 
@@ -458,9 +313,9 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
         SCD_CHAIN();                                                         \
     } while (0)
 
-// Point ip at a *computed* target pc: in-text targets go straight to
-// their slot, anything else parks the fault in the BadPc sentinel so it
-// throws at the next fetch, like the reference slotAt().
+// Point ip at a target pc: in-text targets go straight to their slot,
+// anything else parks the fault in the kBadPc sentinel so it throws at
+// the next fetch, like the reference slotAt().
 #define SCD_SEEK_PC(targetExpr)                                              \
     do {                                                                     \
         uint64_t targ_ = (targetExpr);                                       \
@@ -469,17 +324,6 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
             ip = base + (off_ >> 2);                                         \
         } else {                                                             \
             cur.pendingBadPc = targ_;                                        \
-            ip = badSlot;                                                    \
-        }                                                                    \
-    } while (0)
-
-// Same for a pre-resolved direct target (aux), bad targets pre-detected.
-#define SCD_SEEK_AUX(badPcExpr)                                              \
-    do {                                                                     \
-        if (ip->aux != kNoTarget) [[likely]] {                               \
-            ip = base + ip->aux;                                             \
-        } else {                                                             \
-            cur.pendingBadPc = (badPcExpr);                                  \
             ip = badSlot;                                                    \
         }                                                                    \
     } while (0)
@@ -543,20 +387,19 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
         SCD_H_LOAD_TAIL(name);                                               \
     }
 
-// Stores retire normally, then pause for retranslation if they dirtied
-// text (FunctionalCore::noteIfTextWrite re-decoded the slots and flagged
-// us) — the slot stream stays valid to the burst boundary.
+// A store into text re-lowers the written slots in place
+// (FunctionalCore::noteIfTextWrite), its own slot included, so the store
+// retires from its slot as fetched, `s`; the next dispatch reads the new
+// code.
 #define SCD_H_STORE(name, width, ...)                                        \
     SCD_CASE(name) {                                                         \
-        uint64_t addr = c.x_[ip->rs1] + uint64_t(ip->imm);                   \
+        const Slot s = *ip;                                                  \
+        uint64_t addr = c.x_[s.rs1] + uint64_t(s.imm);                       \
         __VA_ARGS__;                                                         \
         c.noteIfTextWrite(addr, (width));                                    \
-        SCD_RETIRE(name, SCD_PC() + 4, LatClass::Alu, MemEvent,              \
-                   rec.memAddr = addr);                                      \
-        ip = ip + 1;                                                         \
-        if (dirtyPending_) [[unlikely]]                                      \
-            goto pause_retranslate;                                          \
-        SCD_CHAIN();                                                         \
+        SCD_RETIRE_SLOT(s, name, SCD_PC() + 4, LatClass::Alu, MemEvent,      \
+                        rec.memAddr = addr);                                 \
+        SCD_NEXT(ip + 1);                                                    \
     }
 
 #define SCD_H_BR(name, ...)                                                  \
@@ -570,7 +413,7 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
         SCD_RETIRE(name, taken ? pcv + uint64_t(ip->imm) : pcv + 4,          \
                    LatClass::Alu, BranchEvent, rec.taken = taken);           \
         if (taken)                                                           \
-            SCD_SEEK_AUX(pcv + uint64_t(ip->imm));                           \
+            SCD_SEEK_PC(pcv + uint64_t(ip->imm));                            \
         else                                                                 \
             ip = ip + 1;                                                     \
         SCD_CHAIN();                                                         \
@@ -616,10 +459,10 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
     SCD_H_LOAD(LWU, c.mem_.read32(addr))
     SCD_H_LOAD(LD, c.mem_.read64(addr))
 
-    SCD_H_STORE(SB, 1, c.mem_.write8(addr, uint8_t(c.x_[ip->rs2])))
-    SCD_H_STORE(SH, 2, c.mem_.write16(addr, uint16_t(c.x_[ip->rs2])))
-    SCD_H_STORE(SW, 4, c.mem_.write32(addr, uint32_t(c.x_[ip->rs2])))
-    SCD_H_STORE(SD, 8, c.mem_.write64(addr, c.x_[ip->rs2]))
+    SCD_H_STORE(SB, 1, c.mem_.write8(addr, uint8_t(c.x_[s.rs2])))
+    SCD_H_STORE(SH, 2, c.mem_.write16(addr, uint16_t(c.x_[s.rs2])))
+    SCD_H_STORE(SW, 4, c.mem_.write32(addr, uint32_t(c.x_[s.rs2])))
+    SCD_H_STORE(SD, 8, c.mem_.write64(addr, c.x_[s.rs2]))
 
     SCD_H_BR(BEQ, urs1 == urs2)
     SCD_H_BR(BNE, urs1 != urs2)
@@ -634,7 +477,7 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
         SCD_RETIRE(JAL, target, LatClass::Alu, JalEvent);
         if (ip->rd != 0)
             c.x_[ip->rd] = pcv + 4;
-        SCD_SEEK_AUX(target);
+        SCD_SEEK_PC(target);
         SCD_CHAIN();
     }
 
@@ -676,7 +519,7 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
     }
 
     SCD_H_STORE(FSD, 8,
-                c.mem_.write64(addr, std::bit_cast<uint64_t>(c.f_[ip->rs2])))
+                c.mem_.write64(addr, std::bit_cast<uint64_t>(c.f_[s.rs2])))
 
     SCD_H_FPOP(FADD, LatClass::Fp, fa + fb)
     SCD_H_FPOP(FSUB, LatClass::Fp, fa - fb)
@@ -700,7 +543,7 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
         SCD_RETIRE(ECALL, SCD_PC() + 4, LatClass::Alu, NoEvent);
         ip = ip + 1;
         if (c.exited_) [[unlikely]]
-            goto pause_exited;
+            goto pause;
         SCD_CHAIN();
     }
 
@@ -773,20 +616,9 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
         c.badFetch(cur.pendingBadPc);
     }
 
-  pause_budget:
+  pause:
     cur.idx = size_t(ip - base);
     cur.retired = retired;
-    return ExecStatus::Budget;
-
-  pause_exited:
-    cur.idx = size_t(ip - base);
-    cur.retired = retired;
-    return ExecStatus::Exited;
-
-  pause_retranslate:
-    cur.idx = size_t(ip - base);
-    cur.retired = retired;
-    return ExecStatus::Retranslate;
 
 #undef SCD_H_BR
 #undef SCD_H_STORE
@@ -795,198 +627,76 @@ ThreadedTier::exec(Cursor &cur, RetireInfo *ri, InOrderTiming *timing,
 #undef SCD_H_LOAD_TAIL
 #undef SCD_H_FPOP
 #undef SCD_H_INTOP
-#undef SCD_SEEK_AUX
 #undef SCD_SEEK_PC
 #undef SCD_NEXT
 #undef SCD_CHAIN
 #undef SCD_RETIRE
+#undef SCD_RETIRE_SLOT
 #undef SCD_DISPATCH
 #undef SCD_CASE
 #undef SCD_PC
 }
 
 // ---------------------------------------------------------------------------
-// Translation + cache.
+// The run around the executor.
 // ---------------------------------------------------------------------------
-
-std::shared_ptr<const TProgram>
-ThreadedTier::translate(const FunctionalCore &core)
-{
-    const auto &slots = core.slots_;
-
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](uint64_t v) {
-        h ^= v;
-        h *= 0x100000001b3ull;
-    };
-    mix(core.textBase_);
-    mix(slots.size());
-    for (const auto &s : slots) {
-        mix(uint64_t(uint8_t(s.inst.op)) | uint64_t(s.inst.rd) << 8 |
-            uint64_t(s.inst.rs1) << 16 | uint64_t(s.inst.rs2) << 24 |
-            uint64_t(s.inst.bank) << 32);
-        mix(uint64_t(uint32_t(s.inst.imm)) | uint64_t(s.flags) << 32);
-    }
-
-    auto matches = [&](const TProgram &p) {
-        if (p.textBase != core.textBase_ || p.nReal != slots.size())
-            return false;
-        for (size_t i = 0; i < p.nReal; ++i) {
-            const TSlot &ts = p.slots[i];
-            const auto &s = slots[i];
-            if (ts.op != uint8_t(s.inst.op) || ts.rd != s.inst.rd ||
-                ts.rs1 != s.inst.rs1 || ts.rs2 != s.inst.rs2 ||
-                ts.bank != s.inst.bank || ts.imm != s.inst.imm ||
-                ts.flags != s.flags)
-                return false;
-        }
-        return true;
-    };
-
-    TranslationCache &tc = cache();
-    {
-        std::lock_guard<std::mutex> lock(tc.mu);
-        auto [lo, hi] = tc.map.equal_range(h);
-        for (auto it = lo; it != hi; ++it) {
-            if (matches(*it->second)) {
-                ++tc.hits;
-                return it->second;
-            }
-        }
-    }
-
-    // Translate outside the lock, like the harness's guest compile cache;
-    // a racing duplicate insert is harmless in the multimap.
-    auto prog = std::make_shared<TProgram>();
-    prog->textBase = core.textBase_;
-    prog->nReal = slots.size();
-    prog->slots.reserve(slots.size() + 2);
-    uint64_t limitBytes = uint64_t(slots.size()) * 4;
-    for (size_t i = 0; i < slots.size(); ++i)
-        prog->slots.push_back(
-            lowerSlot(slots[i].inst, slots[i].flags, i, limitBytes));
-    prog->slots.push_back(sentinelSlot(HOp::EndOfText));
-    prog->slots.push_back(sentinelSlot(HOp::BadPc));
-
-    std::lock_guard<std::mutex> lock(tc.mu);
-    ++tc.compiles;
-    tc.map.emplace(h, prog);
-    return prog;
-}
-
-// ---------------------------------------------------------------------------
-// The tier object and its run loop.
-// ---------------------------------------------------------------------------
-
-ThreadedTier::ThreadedTier(FunctionalCore &core)
-    : core_(core), prog_(translate(core))
-{
-}
-
-ThreadedTier::~ThreadedTier() = default;
-
-const TProgram &
-ThreadedTier::prog() const
-{
-    return owned_ ? *owned_ : *prog_;
-}
-
-void
-ThreadedTier::noteTextWrite(size_t first, size_t last)
-{
-    if (!dirtyPending_) {
-        dirtyFirst_ = first;
-        dirtyLast_ = last;
-        dirtyPending_ = true;
-    } else {
-        dirtyFirst_ = std::min(dirtyFirst_, first);
-        dirtyLast_ = std::max(dirtyLast_, last);
-    }
-}
-
-void
-ThreadedTier::applyDirty()
-{
-    if (!dirtyPending_)
-        return;
-    if (!owned_) {
-        // First text write: stop sharing the cached translation (other
-        // cores running the same guest keep the pristine copy) and own a
-        // clone that dirty ranges retranslate in place.
-        owned_ = std::make_unique<TProgram>(*prog_);
-        prog_.reset();
-    }
-    uint64_t limitBytes = uint64_t(owned_->nReal) * 4;
-    size_t lo = std::min(dirtyFirst_, owned_->nReal);
-    size_t hi = std::min(dirtyLast_, owned_->nReal);
-    for (size_t i = lo; i < hi; ++i) {
-        const auto &s = core_.slots_[i];
-        owned_->slots[i] = lowerSlot(s.inst, s.flags, i, limitBytes);
-    }
-    dirtyPending_ = false;
-}
 
 ThreadedTier::Cursor
-ThreadedTier::makeCursor() const
+ThreadedTier::makeCursor(const FunctionalCore &c)
 {
-    const TProgram &p = prog();
     Cursor cur{};
-    cur.retired = core_.retired_;
-    uint64_t off = core_.pc_ - p.textBase;
-    if (off < uint64_t(p.nReal) * 4 && (off & 3) == 0) {
+    cur.retired = c.retired_;
+    uint64_t off = c.pc_ - c.textBase_;
+    if (off < c.textLimit_ && (off & 3) == 0) {
         cur.idx = size_t(off >> 2);
     } else {
-        // Invalid entry pc: route through the BadPc sentinel so the run
+        // Invalid entry pc: route through the kBadPc sentinel so the run
         // faults exactly like the reference fetch would.
-        cur.idx = p.nReal + 1;
-        cur.pendingBadPc = core_.pc_;
+        cur.idx = size_t(c.textLimit_ >> 2) + 1;
+        cur.pendingBadPc = c.pc_;
     }
     return cur;
 }
 
 void
-ThreadedTier::syncCore(const Cursor &cur)
+ThreadedTier::syncCore(FunctionalCore &c, const Cursor &cur)
 {
-    const TProgram &p = prog();
-    core_.retired_ = cur.retired;
-    core_.pc_ = cur.idx == p.nReal + 1 ? cur.pendingBadPc
-                                       : p.textBase + uint64_t(cur.idx) * 4;
+    c.retired_ = cur.retired;
+    c.pc_ = cur.idx == size_t(c.textLimit_ >> 2) + 1
+                ? cur.pendingBadPc
+                : c.textBase_ + uint64_t(cur.idx) * 4;
 }
 
 template <bool kTimed>
 size_t
-ThreadedTier::run(RetireInfo *out, InOrderTiming *timing, size_t cap)
+ThreadedTier::run(FunctionalCore &c, RetireInfo *out, InOrderTiming *timing,
+                  size_t cap)
 {
-    Cursor cur = makeCursor();
+    if (cap == 0)
+        return 0;
+    Cursor cur = makeCursor(c);
     uint64_t start = cur.retired;
     try {
-        while (cur.retired - start < cap) {
-            uint64_t done = cur.retired - start;
-            ExecStatus st = exec<kTimed>(cur, kTimed ? nullptr : out + done,
-                                         timing, cap - done);
-            if (st == ExecStatus::Exited)
-                break;
-            if (st == ExecStatus::Retranslate)
-                applyDirty();
-        }
+        exec<kTimed>(c, cur, out, timing, cap);
     } catch (...) {
-        syncCore(cur);
+        syncCore(c, cur);
         throw;
     }
-    syncCore(cur);
+    syncCore(c, cur);
     return size_t(cur.retired - start);
 }
 
 size_t
-ThreadedTier::runRecorded(RetireInfo *out, size_t cap)
+ThreadedTier::runRecorded(FunctionalCore &core, RetireInfo *out, size_t cap)
 {
-    return run<false>(out, nullptr, cap);
+    return run<false>(core, out, nullptr, cap);
 }
 
 size_t
-ThreadedTier::runTimed(InOrderTiming &timing, size_t cap)
+ThreadedTier::runTimed(FunctionalCore &core, InOrderTiming &timing,
+                       size_t cap)
 {
-    return run<true>(nullptr, &timing, cap);
+    return run<true>(core, nullptr, &timing, cap);
 }
 
 } // namespace scd::cpu

@@ -34,8 +34,9 @@ const char *regName(uint8_t r);
 std::string fregName(uint8_t r);
 
 /**
- * One decoded instruction. The simulator pre-decodes the text segment into
- * an array of these so the functional path never re-decodes words.
+ * One decoded instruction, as the assembler builds it and decode() reads
+ * it back. The simulator lowers each text word into a FunctionalCore
+ * slot (the same fields plus the cached flag word) once, at load time.
  */
 struct Instruction
 {
@@ -46,15 +47,7 @@ struct Instruction
     uint8_t bank = 0;   ///< SCD jump-table bank (multi-table extension)
     int32_t imm = 0;    ///< sign-extended immediate (branch/jal: in bytes)
 
-    bool isLoad() const { return hasFlag(op, FlagLoad); }
-    bool isStore() const { return hasFlag(op, FlagStore); }
     bool isBranch() const { return hasFlag(op, FlagBranch); }
-    bool isJump() const { return hasFlag(op, FlagJump); }
-    bool isControl() const { return isBranch() || isJump(); }
-    bool isIndirect() const { return hasFlag(op, FlagIndirect); }
-    bool writesIntRd() const { return hasFlag(op, FlagWritesRd) && rd != 0; }
-    bool writesFpRd() const { return hasFlag(op, FlagFpWritesRd); }
-    bool isOpSuffixLoad() const { return hasFlag(op, FlagOpSuffix); }
 };
 
 /**

@@ -2,8 +2,35 @@
 
 #include <cstring>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 namespace scd::mem
 {
+
+namespace
+{
+
+/**
+ * A sweep builds and drops one GuestMemory per point, each holding
+ * megabytes of pages. glibc hands a freed heap top larger than its trim
+ * threshold (128 KiB by default) back to the OS, so unless something
+ * long-lived sits above them, every point's freed pages go back and the
+ * next point takes a zero-fill fault per 4 KiB to get them again. Keep up
+ * to 64 MiB of freed heap per arena instead. Set once per process, on the
+ * first page allocation.
+ */
+void
+keepFreedPages()
+{
+#ifdef __GLIBC__
+    [[maybe_unused]] static const int once = mallopt(M_TRIM_THRESHOLD,
+                                                     64 << 20);
+#endif
+}
+
+} // namespace
 
 uint8_t *
 GuestMemory::page(uint64_t addr)
@@ -11,6 +38,7 @@ GuestMemory::page(uint64_t addr)
     uint64_t frame = addr >> kPageBits;
     auto it = pages_.find(frame);
     if (it == pages_.end()) {
+        keepFreedPages();
         auto fresh = std::make_unique<uint8_t[]>(kPageSize);
         std::memset(fresh.get(), 0, kPageSize);
         it = pages_.emplace(frame, std::move(fresh)).first;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Flag parsing shared by the bench binaries (bench/bench_util.hh): a
- * malformed --frontend spec ends the binary with exit code 2 and the
+ * Flag parsing shared by the bench binaries (bench/bench_util.hh): an
+ * argument a binary does not take, or a malformed --frontend spec, ends
+ * the binary with exit code 2 and the
  * reason instead of an uncaught FatalError, scd_trace's --events
  * accepts only a whole positive decimal within the window limit and an
  * unknown --vm, --workload or --scheme exits 2 too, and --point-timeout
@@ -33,6 +34,50 @@ withArgv(std::vector<std::string> args, Parse parse)
     for (std::string &a : args)
         argv.push_back(a.data());
     return parse(int(argv.size()), argv.data());
+}
+
+/** Run the figure binaries' flag check over a bench-binary-style argv. */
+void
+checkFigureFlags(std::vector<std::string> args)
+{
+    withArgv(std::move(args), bench::checkFigureFlags);
+}
+
+TEST(BenchFlags, FigureBinariesTakeTheirOwnFlags)
+{
+    checkFigureFlags({});
+    checkFigureFlags({"--size=test", "--jobs=4", "--json=out.json",
+                      "--frontend=mlbtb", "--no-replay",
+                      "--point-timeout=60"});
+    // Values are checked by each flag's own parser, not here.
+    checkFigureFlags({"--size=bogus", "--jobs=x"});
+}
+
+/** A misspelt flag or a stray argument used to run the default grid
+ *  with exit 0; every one now exits 2 with the reason. */
+TEST(BenchFlags, UnknownFlagOrArgumentExitsWithCode2)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(checkFigureFlags({"--size=test", "--jbos=1"}),
+                ::testing::ExitedWithCode(2), "unknown flag '--jbos=1'");
+    EXPECT_EXIT(checkFigureFlags({"--no-reply"}),
+                ::testing::ExitedWithCode(2), "unknown flag '--no-reply'");
+    // A standalone flag takes no value, and a value flag needs its '='.
+    EXPECT_EXIT(checkFigureFlags({"--no-replay=1"}),
+                ::testing::ExitedWithCode(2),
+                "unknown flag '--no-replay=1'");
+    EXPECT_EXIT(checkFigureFlags({"--size", "test"}),
+                ::testing::ExitedWithCode(2), "unknown flag '--size'");
+    EXPECT_EXIT(checkFigureFlags({"test"}), ::testing::ExitedWithCode(2),
+                "unexpected argument 'test'");
+    EXPECT_EXIT(checkFigureFlags({"-j4"}), ::testing::ExitedWithCode(2),
+                "unexpected argument '-j4'");
+    // A binary's own list: scd_trace takes --vm=, the figures do not.
+    EXPECT_EXIT(checkFigureFlags({"--vm=rlua"}),
+                ::testing::ExitedWithCode(2), "unknown flag '--vm=rlua'");
+    withArgv({"--vm=rlua", "--out=t.json"}, [](int argc, char **argv) {
+        bench::checkFlags(argc, argv, {"--vm=", "--out="});
+    });
 }
 
 /** Call applyFrontendFlag with a bench-binary-style argv. */

@@ -8,11 +8,12 @@
  * guest VMs, all four dispatch schemes, every Table III workload, and
  * the fuzz-corpus seed scripts. Plus the tier-specific machinery:
  * recording caps that pause at arbitrary boundaries, guest text
- * self-modification (copy-on-write retranslation), the process-global
- * translation cache, and byte-identical exports when the replay
- * producer runs on the threaded tier. The timed path (Core::run, which
- * retires each slot straight into the core's InOrderTiming) is compared
- * on its results and counters, on machines whose JTE probes hit.
+ * self-modification (a store re-lowers the core's one slot array in
+ * place, and both tiers run the new code from the next fetch on), and
+ * byte-identical exports when the replay producer runs on the threaded
+ * tier. The timed path (Core::run, which retires each slot straight into
+ * the core's InOrderTiming) is compared on its results and counters, on
+ * machines whose JTE probes hit.
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +32,6 @@
 #include "cpu/dispatch_tier.hh"
 #include "cpu/functional_core.hh"
 #include "cpu/retire_stream.hh"
-#include "cpu/threaded_tier.hh"
 #include "harness/experiment.hh"
 #include "harness/json_export.hh"
 #include "harness/machines.hh"
@@ -126,20 +126,16 @@ expectSameRetire(const cpu::RetireInfo &a, const cpu::RetireInfo &b)
 }
 
 /**
- * Run @p program on both tiers in recorded-chunk lockstep and compare
- * the streams entry by entry. The odd chunk size forces the threaded
- * tier to pause and resume at arbitrary instruction boundaries, not
- * just at its own burst-sized ones. Entries compare as whole records
- * (RetireInfo::operator==, so a field added later is compared too);
- * only the first mismatch pays for the per-field report.
+ * Run @p ref (Switch) and @p fast (Threaded) in recorded-chunk lockstep
+ * and compare the streams entry by entry. The odd chunk size forces the
+ * threaded tier to pause and resume at arbitrary instruction boundaries.
+ * Entries compare as whole records (RetireInfo::operator==, so a field
+ * added later is compared too); only the first mismatch pays for the
+ * per-field report.
  */
 void
-lockstepCompare(const guest::GuestProgram &program,
-                const cpu::CoreConfig &machine)
+lockstepCompare(TierRun &ref, TierRun &fast)
 {
-    TierRun ref(program, machine, DispatchTier::Switch);
-    TierRun fast(program, machine, DispatchTier::Threaded);
-
     constexpr size_t kCap = 509;
     std::vector<cpu::RetireInfo> a(kCap), b(kCap);
     for (;;) {
@@ -173,6 +169,24 @@ lockstepCompare(const guest::GuestProgram &program,
     ref.core->exportStats(refStats);
     fast.core->exportStats(fastStats);
     EXPECT_EQ(refStats.all(), fastStats.all());
+}
+
+void
+lockstepCompare(const guest::GuestProgram &program,
+                const cpu::CoreConfig &machine)
+{
+    TierRun ref(program, machine, DispatchTier::Switch);
+    TierRun fast(program, machine, DispatchTier::Threaded);
+    lockstepCompare(ref, fast);
+}
+
+/** A bare assembled program in recorded lockstep. */
+void
+lockstepCompare(const isa::Program &program)
+{
+    TierRun ref(program, DispatchTier::Switch);
+    TierRun fast(program, DispatchTier::Threaded);
+    lockstepCompare(ref, fast);
 }
 
 TEST(DispatchTier, RecordedRunsDefaultToTheThreadedTier)
@@ -271,89 +285,229 @@ TEST(DispatchTier, InstructionLimitPausesAtIdenticalBoundaries)
     }
 }
 
-/**
- * A program that patches two of its own upcoming instructions, then
- * executes them: the first store forces the copy-on-write clone of the
- * shared translation, the second retranslates in place on the clone.
- * Unpatched it would exit 2; both tiers must see the patched code.
- */
-isa::Program
-selfModifyingProgram()
+/** A guest program that stores into its own text. */
+struct SelfModifyingCase
 {
-    using namespace isa;
-    Assembler as;
-    Label ta = as.newLabel("t_a");
-    Label tb = as.newLabel("t_b");
-    as.li(reg::t0, int64_t(encode({Opcode::ADDI, reg::a0, reg::zero, 0, 0,
-                                   30})));
-    as.la(reg::t1, ta);
-    as.sw(reg::t0, 0, reg::t1);
-    as.li(reg::t2, int64_t(encode({Opcode::ADDI, reg::a0, reg::a0, 0, 0,
-                                   12})));
-    as.la(reg::t3, tb);
-    as.sw(reg::t2, 0, reg::t3);
-    as.bind(ta);
-    as.addi(reg::a0, reg::zero, 1);
-    as.bind(tb);
-    as.addi(reg::a0, reg::a0, 1);
-    as.li(reg::a7, 0);
-    as.ecall();
-    return as.finish();
+    std::string name;
+    isa::Program program;
+    int exitCode; ///< the exit code of the patched run
+};
+
+/** The word of `addi rd, rs1, imm`. */
+int64_t
+addiWord(uint8_t rd, uint8_t rs1, int32_t imm)
+{
+    return int64_t(isa::encode({isa::Opcode::ADDI, rd, rs1, 0, 0, imm}));
 }
 
-TEST(DispatchTier, SelfModifyingTextRetranslates)
+/**
+ * Guest programs that patch their own text, each exiting 42 only when
+ * both tiers run the patched code from the fetch after the patching
+ * store on:
+ *  - patch two upcoming instructions, one store after another;
+ *  - patch the slot right after the store, so the very next dispatch
+ *    must see it;
+ *  - patch a branch that was already taken once, so its second run
+ *    takes the new offset (the target is not remembered from the
+ *    first);
+ *  - patch an instruction in a loop body that already ran, so the later
+ *    iterations run the new code;
+ *  - a sw, and an fsd, that overwrite their own word, looping back to
+ *    run the new instruction; the store itself retires as the store it
+ *    was when fetched.
+ */
+std::vector<SelfModifyingCase>
+selfModifyingPrograms()
 {
-    isa::Program prog = selfModifyingProgram();
-    for (DispatchTier tier :
-         {DispatchTier::Switch, DispatchTier::Threaded}) {
-        SCOPED_TRACE(tier == DispatchTier::Switch ? "switch" : "threaded");
-        TierRun run(prog, tier);
-        EXPECT_EQ(run.run(10'000), 42);
-        EXPECT_TRUE(run.core->exited());
+    using namespace isa;
+    std::vector<SelfModifyingCase> cases;
+    {
+        Assembler as;
+        Label ta = as.newLabel("t_a");
+        Label tb = as.newLabel("t_b");
+        as.li(reg::t0, addiWord(reg::a0, reg::zero, 30));
+        as.la(reg::t1, ta);
+        as.sw(reg::t0, 0, reg::t1);
+        as.li(reg::t2, addiWord(reg::a0, reg::a0, 12));
+        as.la(reg::t3, tb);
+        as.sw(reg::t2, 0, reg::t3);
+        as.bind(ta);
+        as.addi(reg::a0, reg::zero, 1);
+        as.bind(tb);
+        as.addi(reg::a0, reg::a0, 1);
+        as.li(reg::a7, 0);
+        as.ecall();
+        cases.push_back({"patch-ahead", as.finish(), 42});
+    }
+    {
+        Assembler as;
+        Label next = as.newLabel("next");
+        as.li(reg::t0, addiWord(reg::a0, reg::zero, 42));
+        as.la(reg::t1, next);
+        as.sw(reg::t0, 0, reg::t1);
+        as.bind(next);
+        as.addi(reg::a0, reg::zero, 1);
+        as.li(reg::a7, 0);
+        as.ecall();
+        cases.push_back({"patch-next-slot", as.finish(), 42});
+    }
+    {
+        // br is taken to `bad` (+16), which patches it to +8 (`good`)
+        // and jumps back to it.
+        Assembler as;
+        Label br = as.newLabel("br");
+        Label bad = as.newLabel("bad");
+        Label done = as.newLabel("done");
+        as.li(reg::t0, int64_t(encode({Opcode::BEQ, 0, reg::zero,
+                                       reg::zero, 0, 8})));
+        as.la(reg::t1, br);
+        as.bind(br);
+        as.beq(reg::zero, reg::zero, bad);
+        as.ebreak();
+        as.addi(reg::a0, reg::zero, 42); // good: br + 8
+        as.j(done);
+        as.bind(bad); // br + 16
+        as.sw(reg::t0, 0, reg::t1);
+        as.j(br);
+        as.bind(done);
+        as.li(reg::a7, 0);
+        as.ecall();
+        cases.push_back({"patch-taken-branch", as.finish(), 42});
+    }
+    {
+        // Six passes; after the second, the body adds 10 instead of 1:
+        // 1 + 1 + 4 * 10. Unpatched it exits 6, patched from the start 60.
+        Assembler as;
+        Label body = as.newLabel("body");
+        Label skip = as.newLabel("skip");
+        as.li(reg::s1, 0);
+        as.li(reg::a0, 0);
+        as.li(reg::t0, addiWord(reg::a0, reg::a0, 10));
+        as.la(reg::t1, body);
+        as.bind(body);
+        as.addi(reg::a0, reg::a0, 1);
+        as.addi(reg::s1, reg::s1, 1);
+        as.li(reg::t2, 2);
+        as.bne(reg::s1, reg::t2, skip);
+        as.sw(reg::t0, 0, reg::t1);
+        as.bind(skip);
+        as.li(reg::t2, 6);
+        as.blt(reg::s1, reg::t2, body);
+        as.li(reg::a7, 0);
+        as.ecall();
+        cases.push_back({"patch-loop-body", as.finish(), 42});
+    }
+    // The first pass through `self` stores over it, the second runs the
+    // stored `addi a0, a2, 7`. The fsd writes the word after it too, with
+    // the word that is already there. The store's base register comes
+    // from the load just before it, so a record that names the new
+    // word's registers also retires with a different load-use stall.
+    for (bool fp : {false, true}) {
+        Assembler as;
+        Label loop = as.newLabel("loop");
+        Label self = as.newLabel("self");
+        as.li(reg::a2, 35);
+        as.li(reg::s1, 0);
+        as.li(reg::t0, addiWord(reg::a0, reg::a2, 7) |
+                           addiWord(reg::s1, reg::s1, 1) << 32);
+        as.fmvDX(1, reg::t0);
+        as.li(reg::s0, 0x100000);
+        as.la(reg::t1, self);
+        as.sd(reg::t1, 0, reg::s0);
+        as.bind(loop);
+        as.ld(reg::t1, 0, reg::s0);
+        as.bind(self);
+        if (fp)
+            as.fsd(1, 0, reg::t1);
+        else
+            as.sw(reg::t0, 0, reg::t1);
+        as.addi(reg::s1, reg::s1, 1);
+        as.li(reg::t2, 2);
+        as.blt(reg::s1, reg::t2, loop);
+        as.li(reg::a7, 0);
+        as.ecall();
+        cases.push_back({fp ? "fsd-over-itself" : "sw-over-itself",
+                         as.finish(), 42});
+    }
+    return cases;
+}
+
+TEST(DispatchTier, SelfModifyingTextRelowersInPlace)
+{
+    for (const SelfModifyingCase &c : selfModifyingPrograms()) {
+        SCOPED_TRACE(c.name);
+        for (DispatchTier tier :
+             {DispatchTier::Switch, DispatchTier::Threaded}) {
+            SCOPED_TRACE(tier == DispatchTier::Switch ? "switch" : "threaded");
+            TierRun run(c.program, tier);
+            EXPECT_EQ(run.run(10'000), c.exitCode);
+            EXPECT_TRUE(run.core->exited());
+        }
+        lockstepCompare(c.program);
     }
 }
 
-TEST(DispatchTier, TranslationCacheSharesPrograms)
+/** A store that overwrites its own word retires as the store it was
+ *  when fetched, on both tiers, and the next pass runs the new word. */
+TEST(DispatchTier, StoreOverwritingItselfRetiresAsFetched)
 {
-    const std::string text = R"(
-        li t0, 0
-    loop:
-        addi t0, t0, 1
-        blt t0, t1, loop
-        li a0, 7
-        li a7, 0
-        ecall
-    )";
-    isa::Program prog = isa::assembleText(text);
-    cpu::resetThreadedCache();
-
-    auto runOnce = [&prog]() {
-        return TierRun(prog, DispatchTier::Threaded).run(10'000);
-    };
-    EXPECT_EQ(runOnce(), 7);
-    cpu::ThreadedCacheStats first = cpu::threadedCacheStats();
-    EXPECT_EQ(first.compiles, 1u);
-    EXPECT_EQ(first.entries, 1u);
-
-    EXPECT_EQ(runOnce(), 7);
-    cpu::ThreadedCacheStats second = cpu::threadedCacheStats();
-    EXPECT_EQ(second.compiles, 1u);
-    EXPECT_EQ(second.hits, first.hits + 1);
-    EXPECT_EQ(second.entries, 1u);
+    for (const SelfModifyingCase &c : selfModifyingPrograms()) {
+        if (c.name.find("over-itself") == std::string::npos)
+            continue;
+        SCOPED_TRACE(c.name);
+        lockstepCompare(c.program);
+        for (DispatchTier tier :
+             {DispatchTier::Switch, DispatchTier::Threaded}) {
+            SCOPED_TRACE(tier == DispatchTier::Switch ? "switch" : "threaded");
+            TierRun run(c.program, tier);
+            std::vector<cpu::RetireInfo> trace(64);
+            size_t n = run.core->runRecorded(trace.data(), trace.size());
+            ASSERT_TRUE(run.core->exited());
+            EXPECT_EQ(run.core->exitCode(), c.exitCode);
+            // The first retire at `self` is the store, the second the addi.
+            uint64_t selfPc = 0;
+            for (size_t i = 0; i < n; ++i) {
+                if (trace[i].memIsStore && trace[i].memAddr == trace[i].pc) {
+                    selfPc = trace[i].pc;
+                    break;
+                }
+            }
+            ASSERT_NE(selfPc, 0u);
+            std::vector<const cpu::RetireInfo *> atSelf;
+            for (size_t i = 0; i < n; ++i) {
+                if (trace[i].pc == selfPc)
+                    atSelf.push_back(&trace[i]);
+            }
+            ASSERT_EQ(atSelf.size(), 2u);
+            auto store = c.name == "sw-over-itself" ? isa::Opcode::SW
+                                                    : isa::Opcode::FSD;
+            EXPECT_EQ(atSelf[0]->op, uint8_t(store));
+            EXPECT_EQ(atSelf[0]->rs1, isa::reg::t1);
+            EXPECT_TRUE(atSelf[0]->hasMem);
+            EXPECT_FALSE(atSelf[0]->writesInt);
+            EXPECT_EQ(atSelf[1]->op, uint8_t(isa::Opcode::ADDI));
+            EXPECT_EQ(atSelf[1]->rd, isa::reg::a0);
+            EXPECT_TRUE(atSelf[1]->writesInt);
+            EXPECT_FALSE(atSelf[1]->hasMem);
+        }
+    }
 }
 
 TEST(DispatchTier, SelfModificationDoesNotPoisonTheSharedCache)
 {
-    isa::Program prog = selfModifyingProgram();
-    cpu::resetThreadedCache();
-    auto runOnce = [&prog]() {
-        return TierRun(prog, DispatchTier::Threaded).run(10'000);
-    };
-    // The first run COW-clones before patching; a second fresh core must
-    // get the pristine shared translation back and see the same result.
-    EXPECT_EQ(runOnce(), 42);
-    EXPECT_EQ(runOnce(), 42);
-    EXPECT_EQ(cpu::threadedCacheStats().compiles, 1u);
+    // Each core lowers its own copy of the text. The loop-body case runs
+    // its unpatched body twice before the patch; a second core on the
+    // same program must run the pristine text again (exiting 60 instead
+    // would mean it started from the first core's patched slots).
+    for (const SelfModifyingCase &c : selfModifyingPrograms()) {
+        SCOPED_TRACE(c.name);
+        for (DispatchTier tier :
+             {DispatchTier::Switch, DispatchTier::Threaded}) {
+            SCOPED_TRACE(tier == DispatchTier::Switch ? "switch" : "threaded");
+            EXPECT_EQ(TierRun(c.program, tier).run(10'000), c.exitCode);
+            EXPECT_EQ(TierRun(c.program, tier).run(10'000), c.exitCode);
+        }
+    }
 }
 
 /** Both tiers must throw the same fatal for the same bad control flow. */
@@ -574,12 +728,13 @@ timedCompareBarePrograms()
 {
     cpu::CoreConfig cfg;
     cfg.name = "test";
-    {
-        isa::Program prog = selfModifyingProgram();
-        TimedRun ref(prog, cfg, DispatchTier::Switch);
-        TimedRun fast(prog, cfg, DispatchTier::Threaded);
+    for (const SelfModifyingCase &c : selfModifyingPrograms()) {
+        SCOPED_TRACE(c.name);
+        TimedRun ref(c.program, cfg, DispatchTier::Switch);
+        TimedRun fast(c.program, cfg, DispatchTier::Threaded);
         timedCompare(ref, fast);
-        EXPECT_EQ(fast.core.run().exitCode, 42);
+        EXPECT_EQ(ref.core.run().exitCode, c.exitCode);
+        EXPECT_EQ(fast.core.run().exitCode, c.exitCode);
     }
 
     cpu::CoreConfig ittage = minorConfig();
