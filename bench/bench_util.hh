@@ -2,10 +2,12 @@
  * @file
  * Small shared helpers for the figure/table bench binaries: command-line
  * flag parsing. An argument a binary does not take ends it with exit
- * code 2 and the reason on stderr before any work starts (checkFlags).
- * A flag value that cannot be honoured either falls back with a warning
- * (--size, --jobs) or exits 2 too (--frontend, and scd_trace's --events,
- * --vm, --workload and --scheme).
+ * code 2 and the reason on stderr before any work starts (checkFlags),
+ * and so does a flag value it cannot honour: a bad --size, --jobs or
+ * --point-timeout, an empty --json or --frontend, a --frontend spec that
+ * cannot be built (parseFlag, applyFrontendFlag), and scd_trace's
+ * --events, --vm, --workload and --scheme. Only $SCD_JOBS, which comes
+ * from the environment, warns and falls back (harness::resolveJobs).
  */
 
 #ifndef SCD_BENCH_BENCH_UTIL_HH
@@ -77,21 +79,53 @@ checkFigureFlags(int argc, char **argv)
 }
 
 /**
+ * Parse every value of @p flag (e.g. "--size=") in argv with @p parse,
+ * a bool(const char *, T &) that rejects a bad value, and return the
+ * first one, or @p fallback when the flag is absent. A rejected value
+ * prints the reason (@p want says what the flag takes) and exits 2
+ * before any work starts.
+ */
+template <typename T, typename Parse>
+T
+parseFlag(int argc, char **argv, const char *flag, T fallback, Parse parse,
+          const char *want)
+{
+    size_t len = std::strlen(flag);
+    bool found = false;
+    for (int n = 1; n < argc; ++n) {
+        if (std::strncmp(argv[n], flag, len) != 0)
+            continue;
+        const char *text = argv[n] + len;
+        T value{};
+        if (!parse(text, value)) {
+            std::fprintf(stderr, "bad %.*s value '%s' (want %s)\n",
+                         int(len - 1), flag, text, want);
+            std::exit(2);
+        }
+        if (!found)
+            fallback = value;
+        found = true;
+    }
+    return fallback;
+}
+
+/** parseFlag's parse for a flag that takes any non-empty string. */
+inline bool
+parseNonEmpty(const char *text, std::string &value)
+{
+    value = text;
+    return !value.empty();
+}
+
+/**
  * Parse --size=test|sim|fpga (default @p fallback). The quick "test"
  * size exists so `ctest`-adjacent smoke runs stay cheap.
  */
 inline harness::InputSize
 parseSize(int argc, char **argv, harness::InputSize fallback)
 {
-    for (int n = 1; n < argc; ++n) {
-        if (std::strncmp(argv[n], "--size=", 7) == 0) {
-            harness::InputSize size;
-            if (harness::parseInputSize(argv[n] + 7, size))
-                return size;
-            std::fprintf(stderr, "unknown --size value '%s'\n", argv[n] + 7);
-        }
-    }
-    return fallback;
+    return parseFlag(argc, argv, "--size=", fallback,
+                     harness::parseInputSize, "test, sim or fpga");
 }
 
 /**
@@ -102,16 +136,8 @@ parseSize(int argc, char **argv, harness::InputSize fallback)
 inline unsigned
 parseJobs(int argc, char **argv)
 {
-    for (int n = 1; n < argc; ++n) {
-        if (std::strncmp(argv[n], "--jobs=", 7) == 0) {
-            unsigned jobs = 0;
-            if (harness::parseJobCount(argv[n] + 7, jobs))
-                return jobs;
-            std::fprintf(stderr, "ignoring bad --jobs value '%s'\n",
-                         argv[n] + 7);
-        }
-    }
-    return 0;
+    return parseFlag(argc, argv, "--jobs=", 0u, harness::parseJobCount,
+                     "a positive whole number of workers");
 }
 
 /**
@@ -123,14 +149,8 @@ parseJobs(int argc, char **argv)
 inline std::string
 parseFrontend(int argc, char **argv)
 {
-    for (int n = 1; n < argc; ++n) {
-        if (std::strncmp(argv[n], "--frontend=", 11) == 0) {
-            if (argv[n][11] != '\0')
-                return argv[n] + 11;
-            std::fprintf(stderr, "ignoring empty --frontend value\n");
-        }
-    }
-    return "";
+    return parseFlag(argc, argv, "--frontend=", std::string(),
+                     parseNonEmpty, "a frontend spec");
 }
 
 /**
@@ -248,14 +268,8 @@ parseTracePoint(int argc, char **argv)
 inline std::string
 parseJsonPath(int argc, char **argv)
 {
-    for (int n = 1; n < argc; ++n) {
-        if (std::strncmp(argv[n], "--json=", 7) == 0) {
-            if (argv[n][7] != '\0')
-                return argv[n] + 7;
-            std::fprintf(stderr, "ignoring empty --json value\n");
-        }
-    }
-    return "";
+    return parseFlag(argc, argv, "--json=", std::string(), parseNonEmpty,
+                     "a file path");
 }
 
 /**
@@ -276,22 +290,14 @@ parseNoReplay(int argc, char **argv)
 /**
  * Parse --point-timeout=SECONDS: the per-point wall-clock deadline
  * (RunOptions::pointTimeout, checked by harness::parsePointTimeout).
- * Returns 0 (unlimited) when absent; a bad value warns and is ignored.
+ * Returns 0 (unlimited) when absent.
  */
 inline double
 parsePointTimeout(int argc, char **argv)
 {
-    for (int n = 1; n < argc; ++n) {
-        if (std::strncmp(argv[n], "--point-timeout=", 16) == 0) {
-            double seconds = 0.0;
-            if (harness::parsePointTimeout(argv[n] + 16, seconds))
-                return seconds;
-            std::fprintf(stderr,
-                         "ignoring bad --point-timeout value '%s'\n",
-                         argv[n] + 16);
-        }
-    }
-    return 0.0;
+    return parseFlag(argc, argv, "--point-timeout=", 0.0,
+                     harness::parsePointTimeout,
+                     "a finite positive number of seconds");
 }
 
 /**

@@ -92,10 +92,9 @@ main(int argc, char **argv)
     obs::StatsSink sink("fig11_sensitivity", bench::sizeName(size));
 
     std::vector<bench::Fig11Step> steps = bench::fig11Steps();
-    if (std::string spec = bench::parseFrontend(argc, argv); !spec.empty()) {
-        for (bench::Fig11Step &step : steps)
-            step.machine = withFrontend(std::move(step.machine), spec);
-    }
+    for (bench::Fig11Step &step : steps)
+        step.machine =
+            bench::applyFrontendFlag(argc, argv, std::move(step.machine));
     ExperimentPlan plan = bench::fig11Plan(steps, size);
     std::fprintf(stderr, "fig11: %zu points across %zu sweep steps%s...\n",
                  plan.size(), steps.size(),

@@ -151,7 +151,10 @@ falseHitTable(VmKind vm, const ExperimentSet *slices)
 int
 main(int argc, char **argv)
 {
-    bench::checkFigureFlags(argc, argv);
+    // The sweep picks its own frontends, so --frontend is not a flag here.
+    bench::checkFlags(argc, argv,
+                      {"--size=", "--jobs=", "--json=", "--no-replay",
+                       "--point-timeout="});
     InputSize size = bench::parseSize(argc, argv, InputSize::Sim);
     RunOptions options = bench::parseRunOptions(argc, argv);
     std::string jsonPath = bench::parseJsonPath(argc, argv);

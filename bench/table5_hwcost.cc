@@ -22,6 +22,9 @@ main(int argc, char **argv)
     using namespace scd::harness;
 
     bench::checkFigureFlags(argc, argv);
+    InputSize size = bench::parseSize(argc, argv, InputSize::Sim);
+    RunOptions options = bench::parseRunOptions(argc, argv);
+    std::string jsonPath = bench::parseJsonPath(argc, argv);
 
     core::ScdHardwareParams params;
     params.btbEntries = 62; // rocket's fully-associative BTB
@@ -53,9 +56,6 @@ main(int argc, char **argv)
                 100.0 * model.scdPowerDeltaMw() / base.totalPowerMw);
 
     // Measure the rocket-config SCD speedup to derive the EDP number.
-    InputSize size = bench::parseSize(argc, argv, InputSize::Sim);
-    RunOptions options = bench::parseRunOptions(argc, argv);
-    std::string jsonPath = bench::parseJsonPath(argc, argv);
     std::fprintf(stderr,
                  "table5: measuring rocket SCD speedup (%s inputs)...\n",
                  bench::sizeName(size));

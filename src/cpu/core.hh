@@ -92,6 +92,9 @@ class Core final
 
     const CoreConfig &config() const { return config_; }
 
+    /** The functional core: pc, retire count and exit state. */
+    const FunctionalCore &functional() const { return functional_; }
+
     /** Architectural register read (for tests). */
     uint64_t readReg(unsigned r) const { return functional_.readReg(r); }
     double readFreg(unsigned r) const { return functional_.readFreg(r); }

@@ -558,8 +558,15 @@ FunctionalCore::runRecorded(RetireInfo *out, size_t cap)
     HotState hs{pc_, retired_};
     size_t n = 0;
     bool live = true;
-    while (live && n < cap)
-        live = stepImpl(&out[n++], hs);
+    try {
+        while (live && n < cap)
+            live = stepImpl(&out[n++], hs);
+    } catch (...) {
+        // A fault leaves hs at the faulting instruction, as step() does.
+        pc_ = hs.pc;
+        retired_ = hs.retired;
+        throw;
+    }
     pc_ = hs.pc;
     retired_ = hs.retired;
     return n;

@@ -122,6 +122,12 @@ class FunctionalCore
     uint64_t retired() const { return retired_; }
 
     /**
+     * The pc of the next instruction to run; after a guest fault, the
+     * faulting instruction or the bad target.
+     */
+    uint64_t pc() const { return pc_; }
+
+    /**
      * Arm the cooperative wall-clock watchdog: the run loops throw
      * TimeoutError once @p seconds elapse (<= 0 disarms).
      */

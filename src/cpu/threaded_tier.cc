@@ -313,6 +313,15 @@ ThreadedTier::exec(FunctionalCore &c, Cursor &cur, RetireInfo *ri,
         SCD_CHAIN();                                                         \
     } while (0)
 
+// Write the executor's position back to the cursor: at a pause, and
+// before a call that can fault, so the core then reports the faulting
+// instruction and the count retired before it, as step() does.
+#define SCD_SAVE()                                                           \
+    do {                                                                     \
+        cur.idx = size_t(ip - base);                                         \
+        cur.retired = retired;                                               \
+    } while (0)
+
 // Point ip at a target pc: in-text targets go straight to their slot,
 // anything else parks the fault in the kBadPc sentinel so it throws at
 // the next fetch, like the reference slotAt().
@@ -539,6 +548,7 @@ ThreadedTier::exec(FunctionalCore &c, Cursor &cur, RetireInfo *ri,
     SCD_H_FPOP(FMV_D_X, LatClass::Alu, std::bit_cast<double>(urs1))
 
     SCD_CASE(ECALL) {
+        SCD_SAVE();
         c.handleSyscall();
         SCD_RETIRE(ECALL, SCD_PC() + 4, LatClass::Alu, NoEvent);
         ip = ip + 1;
@@ -549,6 +559,7 @@ ThreadedTier::exec(FunctionalCore &c, Cursor &cur, RetireInfo *ri,
 
     SCD_CASE(EBREAK) {
         // Guest-placed trap instruction: contain it as a guest error.
+        SCD_SAVE();
         fatal("ebreak executed at pc=", SCD_PC());
     }
 
@@ -609,16 +620,17 @@ ThreadedTier::exec(FunctionalCore &c, Cursor &cur, RetireInfo *ri,
     SCD_CASE(EndOfText) {
         // Sequential fall-through past the last instruction: fault at
         // the same pc the reference fetch would have.
+        SCD_SAVE();
         c.badFetch(tb + limit);
     }
 
     SCD_CASE(BadPc) {
+        SCD_SAVE();
         c.badFetch(cur.pendingBadPc);
     }
 
   pause:
-    cur.idx = size_t(ip - base);
-    cur.retired = retired;
+    SCD_SAVE();
 
 #undef SCD_H_BR
 #undef SCD_H_STORE
@@ -628,6 +640,7 @@ ThreadedTier::exec(FunctionalCore &c, Cursor &cur, RetireInfo *ri,
 #undef SCD_H_FPOP
 #undef SCD_H_INTOP
 #undef SCD_SEEK_PC
+#undef SCD_SAVE
 #undef SCD_NEXT
 #undef SCD_CHAIN
 #undef SCD_RETIRE

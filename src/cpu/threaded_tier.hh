@@ -94,7 +94,8 @@ class ThreadedTier
      * (> 0) instructions retired or the guest exited. Recording (kTimed
      * false) writes one RetireInfo per instruction at @p ri and advances
      * it; timed (kTimed true) ignores @p ri and retires each instruction
-     * into @p timing on the spot.
+     * into @p timing on the spot. It writes its position back to @p cur
+     * when it pauses and before each call that can fault.
      */
     template <bool kTimed>
     static void exec(FunctionalCore &c, Cursor &cur, RetireInfo *ri,

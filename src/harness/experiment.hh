@@ -3,7 +3,7 @@
  * The parallel experiment engine. A figure or sweep first enumerates
  * every (vm, workload, input size, scheme, machine) point it needs into
  * an ExperimentPlan, then executes the plan with runPlan(): points run
- * concurrently on a work-stealing pool (each simulation owns its private
+ * concurrently through parallelFor (each simulation owns its private
  * GuestMemory and Core, so there is no shared mutable state), and the
  * resulting ExperimentSet stores results in plan order — output derived
  * from a set is byte-identical whatever the job count.

@@ -1,7 +1,11 @@
 #include "pool.hh"
 
+#include <algorithm>
+#include <atomic>
 #include <exception>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
@@ -9,119 +13,31 @@
 namespace scd::harness
 {
 
-ThreadPool::ThreadPool(unsigned threads)
-{
-    if (threads == 0)
-        threads = 1;
-    queues_.resize(threads);
-    workers_.reserve(threads);
-    for (unsigned n = 0; n < threads; ++n)
-        workers_.emplace_back([this, n] { workerLoop(n); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    wait();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    workReady_.notify_all();
-    for (std::thread &t : workers_)
-        t.join();
-}
-
-void
-ThreadPool::submit(Task task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        queues_[nextQueue_].push_back(std::move(task));
-        nextQueue_ = (nextQueue_ + 1) % queues_.size();
-        ++pending_;
-    }
-    workReady_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    allDone_.wait(lock, [this] { return pending_ == 0; });
-}
-
-bool
-ThreadPool::takeTask(unsigned self, Task &out)
-{
-    // Own deque first, newest task first: keeps a worker on the cache-warm
-    // end of its queue.
-    if (!queues_[self].empty()) {
-        out = std::move(queues_[self].back());
-        queues_[self].pop_back();
-        return true;
-    }
-    // Steal from the other workers, oldest task first.
-    for (size_t n = 1; n < queues_.size(); ++n) {
-        auto &victim = queues_[(self + n) % queues_.size()];
-        if (!victim.empty()) {
-            out = std::move(victim.front());
-            victim.pop_front();
-            return true;
-        }
-    }
-    return false;
-}
-
-void
-ThreadPool::workerLoop(unsigned self)
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (true) {
-        Task task;
-        if (takeTask(self, task)) {
-            lock.unlock();
-            task();
-            lock.lock();
-            if (--pending_ == 0)
-                allDone_.notify_all();
-            continue;
-        }
-        if (stopping_)
-            return;
-        workReady_.wait(lock);
-    }
-}
-
 void
 parallelFor(unsigned jobs, size_t count,
             const std::function<void(size_t)> &fn)
 {
-    if (jobs <= 1 || count <= 1) {
-        for (size_t i = 0; i < count; ++i)
-            fn(i);
-        return;
-    }
-
-    // Every worker exception is collected; a lone failure rethrows the
-    // original exception (type preserved for callers that classify it),
-    // while multiple failures are folded into one FatalError carrying
-    // the count and the first few messages.
+    std::atomic<size_t> next{0};
     std::vector<std::exception_ptr> errors;
     std::mutex errorMutex;
-    {
-        ThreadPool pool(jobs);
-        for (size_t i = 0; i < count; ++i) {
-            pool.submit([&, i] {
-                try {
-                    fn(i);
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(errorMutex);
-                    errors.push_back(std::current_exception());
-                }
-            });
+    auto work = [&] {
+        for (size_t i = next++; i < count; i = next++) {
+            try {
+                fn(i);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(errorMutex);
+                errors.push_back(std::current_exception());
+            }
         }
-        pool.wait();
+    };
+    {
+        // A jthread joins when destroyed, also if starting one throws.
+        std::vector<std::jthread> helpers;
+        for (size_t n = 1; n < std::min<size_t>(jobs, count); ++n)
+            helpers.emplace_back(work);
+        work();
     }
+
     if (errors.empty())
         return;
     if (errors.size() == 1)
@@ -131,14 +47,13 @@ parallelFor(unsigned jobs, size_t count,
     std::string msg = std::to_string(errors.size()) +
                       " parallel tasks failed; first messages:";
     for (size_t n = 0; n < errors.size() && n < kMaxQuoted; ++n) {
+        msg += "\n  [" + std::to_string(n + 1) + "] ";
         try {
             std::rethrow_exception(errors[n]);
         } catch (const std::exception &e) {
-            msg += std::string("\n  [") + std::to_string(n + 1) + "] " +
-                   e.what();
+            msg += e.what();
         } catch (...) {
-            msg += std::string("\n  [") + std::to_string(n + 1) +
-                   "] (non-standard exception)";
+            msg += "(non-standard exception)";
         }
     }
     if (errors.size() > kMaxQuoted)

@@ -1,78 +1,24 @@
 /**
  * @file
- * A small work-stealing thread pool for the experiment harness.
- *
- * Tasks are whole simulations (milliseconds to minutes each), so the
- * scheduler optimizes for simplicity and ThreadSanitizer-cleanliness,
- * not for nanosecond dispatch: each worker owns a deque, submissions are
- * spread round-robin, an idle worker first drains its own deque (LIFO)
- * and then steals from its siblings (FIFO), so one long-running task
- * never strands the work queued behind it.
+ * parallelFor: the experiment harness's one scheduler.
  */
 
 #ifndef SCD_HARNESS_POOL_HH
 #define SCD_HARNESS_POOL_HH
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace scd::harness
 {
 
-/** Work-stealing pool; destruction waits for all submitted tasks. */
-class ThreadPool
-{
-  public:
-    using Task = std::function<void()>;
-
-    /** Spawn @p threads workers (at least one). */
-    explicit ThreadPool(unsigned threads);
-
-    /** Drains every pending task, then joins the workers. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    unsigned threadCount() const { return unsigned(workers_.size()); }
-
-    /**
-     * Enqueue @p task on the next worker's deque (round-robin). Tasks
-     * must not throw; wrap fallible work (see parallelFor).
-     */
-    void submit(Task task);
-
-    /** Block until every task submitted so far has finished running. */
-    void wait();
-
-  private:
-    void workerLoop(unsigned self);
-    bool takeTask(unsigned self, Task &out);
-
-    // One deque per worker. All deques share one mutex: tasks are entire
-    // simulations, so scheduling cost is irrelevant and a single lock
-    // keeps the stealing protocol easy to reason about (and race-free by
-    // construction under TSan).
-    std::vector<std::deque<Task>> queues_;
-    std::vector<std::thread> workers_;
-    std::mutex mutex_;
-    std::condition_variable workReady_;
-    std::condition_variable allDone_;
-    size_t pending_ = 0; ///< queued + running tasks
-    unsigned nextQueue_ = 0;
-    bool stopping_ = false;
-};
-
 /**
- * Run fn(0) ... fn(count - 1) on @p jobs threads and wait. jobs <= 1
- * runs inline, serially and in index order. Exceptions thrown by @p fn
- * are captured and the first one (by completion time) is rethrown after
- * all indices finish.
+ * Run fn(0) ... fn(count - 1) on min(jobs, count) threads, the caller's
+ * among them, and wait. The threads take indices from one shared atomic
+ * counter, so one long task never strands the rest; jobs <= 1 runs every
+ * index on the caller's thread, in index order. Every index runs even
+ * when some throw; one failure is rethrown as it is, several are folded
+ * into one FatalError carrying the count and the first few messages.
  */
 void parallelFor(unsigned jobs, size_t count,
                  const std::function<void(size_t)> &fn);

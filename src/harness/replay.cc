@@ -489,34 +489,15 @@ pointKey(const ExperimentPoint &point)
     return key;
 }
 
-/**
- * Split @p count work items into at most jobs*8 contiguous batches, one
- * pool task per batch. Small simulation points (the test-size grids the
- * unit tests run) take microseconds each, so at one point per task the
- * pool's queue mutex and condition-variable wakeups dominate and a
- * parallel plan loses to a serial one; batching amortizes the per-task
- * overhead while the 8x over-decomposition keeps the tail balanced when
- * point costs are skewed. Results still land at their plan index, so
- * collection order — and every artifact derived from it — is unchanged.
- */
-std::vector<std::pair<size_t, size_t>>
-batchRanges(size_t count, unsigned jobs)
-{
-    std::vector<std::pair<size_t, size_t>> ranges;
-    size_t batches = std::min(count, size_t(jobs) * 8);
-    ranges.reserve(batches);
-    for (size_t b = 0; b < batches; ++b)
-        ranges.emplace_back(count * b / batches, count * (b + 1) / batches);
-    return ranges;
-}
-
 void
 runPlanReplay(ExperimentSet &set, const RunOptions &options)
 {
-    // Group points by functional key. Instruction-limited runs (their
-    // stop point depends on the member's own retire count) cannot share a
-    // stream and run direct as singleton tasks, as do groups of one and,
-    // with options.replay off, every point.
+    // Group points by functional key. Each group of two or more is one
+    // task (one producer, shared stream); every other point is a task of
+    // its own on the direct path: instruction-limited runs (their stop
+    // point depends on the member's own retire count), groups of one
+    // and, with options.replay off, every point. Groups run first, in
+    // key order, then the direct points.
     std::map<std::string, std::vector<size_t>> byKey;
     std::vector<std::vector<size_t>> tasks;
     std::vector<size_t> singles;
@@ -535,28 +516,21 @@ runPlanReplay(ExperimentSet &set, const RunOptions &options)
         else
             tasks.push_back(std::move(entry.second));
     }
+    for (size_t idx : singles)
+        tasks.push_back({idx});
 
-    // Tasks [0, groupTasks) are replay groups (one producer, shared
-    // stream); the rest are contiguous batches of direct-path singleton
-    // points (see batchRanges()).
-    const size_t groupTasks = tasks.size();
     set.jobs = resolveJobs(options.jobs);
-    for (auto [lo, hi] : batchRanges(singles.size(), set.jobs)) {
-        tasks.emplace_back(singles.begin() + ptrdiff_t(lo),
-                           singles.begin() + ptrdiff_t(hi));
-    }
     // No point spinning up more workers than there are tasks.
     if (tasks.size() < set.jobs)
         set.jobs = tasks.empty() ? 1 : unsigned(tasks.size());
 
     parallelFor(set.jobs, tasks.size(), [&](size_t t) {
         const std::vector<size_t> &indices = tasks[t];
-        if (t < groupTasks) {
+        if (indices.size() == 1)
+            set.runs[indices[0]] =
+                runPointContained(set.points[indices[0]], options);
+        else
             runGroup(indices, set, options);
-            return;
-        }
-        for (size_t idx : indices)
-            set.runs[idx] = runPointContained(set.points[idx], options);
     });
 }
 

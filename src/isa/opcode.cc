@@ -5,17 +5,6 @@
 namespace scd::isa
 {
 
-namespace
-{
-
-const OpcodeInfo kOpcodeTable[] = {
-#define SCD_INFO_ENTRY(name, mnem, fmt, flags) {mnem, Format::fmt, (flags)},
-    SCD_OPCODE_LIST(SCD_INFO_ENTRY)
-#undef SCD_INFO_ENTRY
-};
-
-} // namespace
-
 const OpcodeInfo &
 opcodeInfo(Opcode op)
 {

@@ -184,19 +184,24 @@ struct OpcodeInfo
     uint32_t flags;
 };
 
-/** Metadata for @p op. */
+/**
+ * Every opcode's description, indexed by Opcode: the one table that
+ * compile-time and run-time callers share.
+ */
+inline constexpr OpcodeInfo kOpcodeTable[] = {
+#define SCD_INFO_ENTRY(name, mnem, fmt, flags) {mnem, Format::fmt, (flags)},
+    SCD_OPCODE_LIST(SCD_INFO_ENTRY)
+#undef SCD_INFO_ENTRY
+};
+
+/** Metadata for @p op (bounds-checked). */
 const OpcodeInfo &opcodeInfo(Opcode op);
 
-/** opcodeInfo(op).flags as a constant expression. */
+/** kOpcodeTable's flags for @p op, usable in a constant expression. */
 constexpr uint32_t
 opFlags(Opcode op)
 {
-    constexpr uint32_t kFlags[] = {
-#define SCD_FLAGS_ENTRY(name, mnem, fmt, flags) uint32_t(flags),
-        SCD_OPCODE_LIST(SCD_FLAGS_ENTRY)
-#undef SCD_FLAGS_ENTRY
-    };
-    return kFlags[static_cast<unsigned>(op)];
+    return kOpcodeTable[static_cast<unsigned>(op)].flags;
 }
 
 /** Mnemonic string for @p op. */

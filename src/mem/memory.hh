@@ -4,11 +4,12 @@
  * so workloads with large heaps (e.g. binary-trees with garbage collection
  * disabled, matching the paper's setup) stay cheap to host.
  *
- * The accessors keep a one-entry page cache so the dominant pattern —
- * repeated accesses within the interpreter's stack/heap page — costs one
- * compare and one memcpy instead of a hash lookup per access. Each
- * simulation owns a private GuestMemory, so the mutable cache needs no
- * synchronization.
+ * The accessors keep a direct-mapped page cache (kCacheWays entries,
+ * indexed by the low bits of the page frame) so the dominant pattern —
+ * repeated accesses within the interpreter's stack, heap and data pages
+ * — costs one compare and one memcpy instead of a hash lookup per
+ * access. Each simulation owns a private GuestMemory, so the mutable
+ * cache needs no synchronization.
  */
 
 #ifndef SCD_MEM_MEMORY_HH

@@ -1,12 +1,12 @@
 /**
  * @file
  * Flag parsing shared by the bench binaries (bench/bench_util.hh): an
- * argument a binary does not take, or a malformed --frontend spec, ends
- * the binary with exit code 2 and the
- * reason instead of an uncaught FatalError, scd_trace's --events
- * accepts only a whole positive decimal within the window limit and an
- * unknown --vm, --workload or --scheme exits 2 too, and --point-timeout
- * accepts only a finite positive decimal.
+ * argument a binary does not take, a bad --size, --jobs or
+ * --point-timeout, an empty --json or --frontend, or a malformed
+ * --frontend spec ends the binary with exit code 2 and the reason
+ * instead of a run with a default or an uncaught FatalError; scd_trace's
+ * --events accepts only a whole positive decimal within the window limit
+ * and an unknown --vm, --workload or --scheme exits 2 too.
  */
 
 #include <gtest/gtest.h>
@@ -196,16 +196,80 @@ TEST(BenchFlags, PointTimeoutAcceptsOnlyFinitePositiveDecimals)
         EXPECT_EQ(seconds, 7.0) << '"' << bad << '"';
     }
 
-    // The driver flag warns on a bad value and skips it; the first good
-    // value wins, and no good value means no deadline.
+    // The driver flag takes the first value; absent means no deadline.
     EXPECT_EQ(withArgv({}, bench::parsePointTimeout), 0.0);
-    EXPECT_EQ(withArgv({"--point-timeout=inf"}, bench::parsePointTimeout),
-              0.0);
     EXPECT_EQ(withArgv({"--point-timeout=30"}, bench::parsePointTimeout),
               30.0);
-    EXPECT_EQ(withArgv({"--point-timeout=nan", "--point-timeout=30"},
+    EXPECT_EQ(withArgv({"--point-timeout=30", "--point-timeout=60"},
                        bench::parsePointTimeout),
               30.0);
+    // A bad value used to warn and run with no deadline; it now exits 2
+    // before any work, also when a good value comes with it.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(withArgv({"--point-timeout=inf"}, bench::parsePointTimeout),
+                ::testing::ExitedWithCode(2),
+                "bad --point-timeout value 'inf'");
+    EXPECT_EXIT(withArgv({"--point-timeout=nan", "--point-timeout=30"},
+                         bench::parsePointTimeout),
+                ::testing::ExitedWithCode(2),
+                "bad --point-timeout value 'nan'");
+    EXPECT_EXIT(withArgv({"--point-timeout=30", "--point-timeout=5s"},
+                         bench::parsePointTimeout),
+                ::testing::ExitedWithCode(2),
+                "bad --point-timeout value '5s'");
+}
+
+/** Call parseSize with a bench-binary-style argv (default sim). */
+harness::InputSize
+sizeFlag(std::vector<std::string> args)
+{
+    return withArgv(std::move(args), [](int argc, char **argv) {
+        return bench::parseSize(argc, argv, harness::InputSize::Sim);
+    });
+}
+
+TEST(BenchFlags, ValueFlagsReturnTheirFirstValue)
+{
+    EXPECT_EQ(sizeFlag({}), harness::InputSize::Sim);
+    EXPECT_EQ(sizeFlag({"--size=test"}), harness::InputSize::Test);
+    EXPECT_EQ(sizeFlag({"--size=fpga", "--size=test"}),
+              harness::InputSize::Fpga);
+    EXPECT_EQ(withArgv({}, bench::parseJobs), 0u);
+    EXPECT_EQ(withArgv({"--jobs=4"}, bench::parseJobs), 4u);
+    EXPECT_EQ(withArgv({"--json=a.json"}, bench::parseJsonPath), "a.json");
+    EXPECT_EQ(withArgv({}, bench::parseJsonPath), "");
+    EXPECT_EQ(withArgv({"--frontend=fdip"}, bench::parseFrontend), "fdip");
+    EXPECT_EQ(withArgv({}, bench::parseFrontend), "");
+}
+
+/** A bad --size or --jobs, or an empty --json or --frontend, used to
+ *  warn and run the default anyway (exit 0); each now exits 2 with the
+ *  reason before any work starts. */
+TEST(BenchFlags, BadFlagValueExitsWithCode2)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(sizeFlag({"--size=tset"}), ::testing::ExitedWithCode(2),
+                "bad --size value 'tset' \\(want test, sim or fpga\\)");
+    EXPECT_EXIT(sizeFlag({"--size="}), ::testing::ExitedWithCode(2),
+                "bad --size value ''");
+    EXPECT_EXIT(sizeFlag({"--size=test", "--size=nope"}),
+                ::testing::ExitedWithCode(2), "bad --size value 'nope'");
+    for (const char *bad : {"x", "0", "-3", "2x", ""}) {
+        EXPECT_EXIT(withArgv({std::string("--jobs=") + bad},
+                             bench::parseJobs),
+                    ::testing::ExitedWithCode(2),
+                    std::string("bad --jobs value '") + bad + "'")
+            << bad;
+    }
+    EXPECT_EXIT(withArgv({"--json="}, bench::parseJsonPath),
+                ::testing::ExitedWithCode(2), "bad --json value ''");
+    EXPECT_EXIT(withArgv({"--frontend="}, bench::parseFrontend),
+                ::testing::ExitedWithCode(2), "bad --frontend value ''");
+    // Through the drivers' own entry points.
+    EXPECT_EXIT(withArgv({"--jobs=x"}, bench::parseRunOptions),
+                ::testing::ExitedWithCode(2), "bad --jobs value 'x'");
+    EXPECT_EXIT(applyFlags({"--frontend="}), ::testing::ExitedWithCode(2),
+                "bad --frontend value ''");
 }
 
 } // namespace

@@ -839,6 +839,80 @@ TEST(DispatchTier, TimedRunsMatchTheReferenceTier)
     EXPECT_GT(falseResteers, 0u);
 }
 
+/** Where a guest fault leaves a core. */
+struct FaultState
+{
+    uint64_t pc;
+    uint64_t retired;
+    std::vector<uint64_t> regs;
+
+    explicit FaultState(const cpu::FunctionalCore &core)
+        : pc(core.pc()), retired(core.retired())
+    {
+        for (unsigned r = 0; r < 32; ++r)
+            regs.push_back(core.readReg(r));
+    }
+};
+
+void
+expectSameFaultState(const FaultState &want, const FaultState &got)
+{
+    EXPECT_EQ(got.pc, want.pc);
+    EXPECT_EQ(got.retired, want.retired);
+    EXPECT_EQ(got.regs, want.regs);
+}
+
+TEST(DispatchTier, FaultsLeaveTheCoreAtTheFaultingInstruction)
+{
+    // Both tiers, recorded and timed, leave the core where step() does:
+    // pc() is the faulting instruction or the bad target, retired()
+    // counts the instructions before it, and the registers hold what
+    // those instructions wrote.
+    isa::Program fall = isa::assembleText("addi t0, t0, 1\naddi t0, t0, 2\n");
+    isa::Program trap = isa::assembleText("addi t0, t0, 5\nebreak\n");
+    isa::Program sys = isa::assembleText("addi a7, zero, 99\necall\n");
+    isa::Program jump = isa::assembleText("li t0, 0x999000\njr t0\n");
+    struct Case
+    {
+        const char *name;
+        const isa::Program &program;
+        uint64_t pc;
+        uint64_t retired;
+        uint64_t t0;
+    };
+    const std::vector<Case> cases = {
+        {"fall off the text", fall, fall.end(), 2, 3},
+        {"ebreak", trap, trap.base + 4, 1, 5},
+        {"unknown syscall", sys, sys.base + 4, 1, 0},
+        {"jalr out of the text", jump, 0x999000, jump.size(), 0x999000},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        TierRun ref(c.program, DispatchTier::Switch);
+        cpu::RetireInfo ri;
+        EXPECT_THROW(
+            while (ref.core->step(&ri)) {}, FatalError);
+        FaultState want(*ref.core);
+        ASSERT_EQ(want.pc, c.pc);
+        ASSERT_EQ(want.retired, c.retired);
+        ASSERT_EQ(want.regs[isa::reg::t0], c.t0);
+
+        for (DispatchTier tier :
+             {DispatchTier::Switch, DispatchTier::Threaded}) {
+            SCOPED_TRACE(tier == DispatchTier::Switch ? "switch" : "threaded");
+            TierRun recorded(c.program, tier);
+            std::vector<cpu::RetireInfo> chunk(cpu::RetireChunk::kCapacity);
+            EXPECT_THROW(recorded.core->runRecorded(chunk.data(), chunk.size()),
+                         FatalError);
+            expectSameFaultState(want, FaultState(*recorded.core));
+
+            TimedRun timed(c.program, minorConfig(), tier);
+            EXPECT_THROW(timed.core.run(), FatalError);
+            expectSameFaultState(want, FaultState(timed.core.functional()));
+        }
+    }
+}
+
 TEST(DispatchTier, ReplayProducerOnThreadedTierIsByteIdentical)
 {
     ExperimentPlan plan;

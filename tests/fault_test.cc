@@ -247,7 +247,7 @@ TEST(ExitCodes, FinishRunPrecedence)
     std::remove(good.c_str());
 }
 
-/** The pool reports every worker failure, not just the first. */
+/** parallelFor reports every failure, not just the first. */
 TEST(FaultContainment, ParallelForAggregatesFailures)
 {
     try {

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the parallel experiment engine: thread-pool scheduling and
- * stealing, exception propagation through parallelFor, serial/parallel
- * equivalence of runPlan, and byte-identical figure output whatever the
- * job count — the determinism guarantee every figure rests on.
+ * Tests for the parallel experiment engine: parallelFor's scheduling and
+ * exception propagation, serial/parallel equivalence of runPlan, and
+ * byte-identical figure output whatever the job count — the determinism
+ * guarantee every figure rests on.
  */
 
 #include <gtest/gtest.h>
@@ -28,55 +28,35 @@ namespace
 using namespace scd;
 using namespace scd::harness;
 
-TEST(ThreadPool, RunsEveryTaskExactlyOnce)
+TEST(ParallelFor, EveryIndexRunsExactlyOnce)
 {
-    ThreadPool pool(4);
-    constexpr size_t kTasks = 200;
-    std::vector<std::atomic<int>> ran(kTasks);
-    for (size_t i = 0; i < kTasks; ++i)
-        pool.submit([&ran, i] { ran[i].fetch_add(1); });
-    pool.wait();
-    for (size_t i = 0; i < kTasks; ++i)
-        EXPECT_EQ(ran[i].load(), 1) << "task " << i;
+    constexpr size_t kIndices = 200;
+    std::vector<std::atomic<int>> ran(kIndices);
+    parallelFor(4, kIndices, [&](size_t i) { ran[i].fetch_add(1); });
+    for (size_t i = 0; i < kIndices; ++i)
+        EXPECT_EQ(ran[i].load(), 1) << "index " << i;
 }
 
-TEST(ThreadPool, WaitIsReusableAcrossBatches)
+TEST(ParallelFor, ALongIndexDoesNotStrandTheRest)
 {
-    ThreadPool pool(2);
-    std::atomic<int> count{0};
-    for (int batch = 0; batch < 3; ++batch) {
-        for (int i = 0; i < 10; ++i)
-            pool.submit([&count] { count.fetch_add(1); });
-        pool.wait();
-        EXPECT_EQ(count.load(), (batch + 1) * 10);
-    }
-}
-
-TEST(ThreadPool, StealingUnblocksWorkBehindALongTask)
-{
-    // One task blocks until the other seven have run. Round-robin
-    // placement queues several of them behind the blocker, so the test
-    // only passes if idle workers steal from the blocked worker's deque.
-    ThreadPool pool(2);
+    // Index 0 blocks until indices 1-7 have run. On two jobs the test
+    // only passes if the other thread takes every index after the
+    // blocker instead of leaving some queued behind it.
     std::mutex m;
     std::condition_variable cv;
     int done = 0;
     bool timedOut = false;
-    pool.submit([&] {
+    parallelFor(2, 8, [&](size_t i) {
         std::unique_lock<std::mutex> lock(m);
-        if (!cv.wait_for(lock, std::chrono::seconds(10),
-                         [&] { return done == 7; }))
-            timedOut = true;
+        if (i == 0) {
+            timedOut = !cv.wait_for(lock, std::chrono::seconds(10),
+                                    [&] { return done == 7; });
+            return;
+        }
+        ++done;
+        cv.notify_all();
     });
-    for (int i = 0; i < 7; ++i) {
-        pool.submit([&] {
-            std::lock_guard<std::mutex> lock(m);
-            ++done;
-            cv.notify_all();
-        });
-    }
-    pool.wait();
-    EXPECT_FALSE(timedOut) << "tasks behind the blocker never got stolen";
+    EXPECT_FALSE(timedOut) << "indices behind the long one never ran";
 }
 
 TEST(ParallelFor, ResultsLandAtTheirOwnIndex)
@@ -113,12 +93,16 @@ TEST(ParallelFor, PropagatesExceptions)
 
 TEST(ParallelFor, PropagatesExceptionsSerially)
 {
+    std::vector<size_t> ran;
     EXPECT_THROW(parallelFor(1, 4,
-                             [](size_t i) {
+                             [&](size_t i) {
                                  if (i == 2)
                                      fatal("boom");
+                                 ran.push_back(i);
                              }),
                  FatalError);
+    // A serial run keeps going past a failure, as a parallel one does.
+    EXPECT_EQ(ran, (std::vector<size_t>{0, 1, 3}));
 }
 
 TEST(ResolveJobs, PrecedenceRequestThenEnvThenHardware)
