@@ -10,11 +10,14 @@
  *   3. The rop-forwarding distance (how early the .op load must execute
  *      for a stall-free bop).
  *
- * All ablation steps run as one combined plan so the execute-once,
- * time-many engine shares functional executions across machine variants
- * (each step's baseline half, in particular, re-times the same stream);
- * --no-replay runs every point directly instead. The printed report and
- * the --json export are bit-identical either way.
+ * All ablation steps run as one combined plan, so points with equal
+ * pointKeys run once: every step whose machine differs only in SCD-side
+ * knobs has the same baseline half, and predictor-scd, jte-overlay and
+ * rop-distance-3 time one SCD machine (104 points, 52 distinct). The
+ * execute-once, time-many engine then shares functional executions
+ * across the distinct machine variants; --no-replay runs each distinct
+ * point directly instead. The printed report and the --json export are
+ * bit-identical either way.
  */
 
 #include <cstdio>
@@ -139,8 +142,9 @@ main(int argc, char **argv)
         }
     }
     std::fprintf(stderr,
-                 "ablation: %zu points across %zu ablation steps%s...\n",
-                 plan.size(), steps.size(),
+                 "ablation: %zu points (%zu distinct) across %zu ablation "
+                 "steps%s...\n",
+                 plan.size(), bench::distinctPoints(plan), steps.size(),
                  options.replay ? "" : " (direct)");
     ExperimentSet all = runPlan(plan, options);
 

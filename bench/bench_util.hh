@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -27,6 +28,7 @@
 #include "common/logging.hh"
 #include "harness/experiment.hh"
 #include "harness/machines.hh"
+#include "harness/replay.hh"
 #include "harness/runner.hh"
 #include "harness/workloads.hh"
 
@@ -312,6 +314,19 @@ parseRunOptions(int argc, char **argv)
     options.replay = !parseNoReplay(argc, argv);
     options.pointTimeout = parsePointTimeout(argc, argv);
     return options;
+}
+
+/**
+ * The number of points of @p plan that runPlan() runs: one per distinct
+ * harness::pointKey, every other point copies its key's result.
+ */
+inline size_t
+distinctPoints(const harness::ExperimentPlan &plan)
+{
+    std::set<std::string> keys;
+    for (const harness::ExperimentPoint &p : plan.points())
+        keys.insert(harness::pointKey(p));
+    return keys.size();
 }
 
 inline const char *

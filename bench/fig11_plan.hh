@@ -7,10 +7,12 @@
  * The figure is 16 sweep steps — per VM, four BTB capacities and four
  * JTE-cap settings at the smallest BTB — each an 11-workload x
  * {Baseline, Scd} grid. Folding all of them into a single runPlan()
- * call is what lets the execute-once, time-many engine share functional
- * executions across the whole figure: per (vm, workload) the eight
- * baseline points group onto one stream and the eight SCD points onto
- * another, instead of each step paying for its own executions.
+ * call lets the plan executor see the whole figure. A JTE cap is
+ * unobservable without SCD, so every cap step's Baseline points equal
+ * the btb=64 step's, and the unlimited cap's SCD points equal it too:
+ * the 352 points hold 242 distinct pointKeys, and each runs once. Per
+ * (vm, workload) the four distinct baseline points then replay one
+ * stream and the seven distinct SCD points another.
  */
 
 #ifndef SCD_BENCH_FIG11_PLAN_HH

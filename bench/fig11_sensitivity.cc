@@ -96,8 +96,10 @@ main(int argc, char **argv)
         step.machine =
             bench::applyFrontendFlag(argc, argv, std::move(step.machine));
     ExperimentPlan plan = bench::fig11Plan(steps, size);
-    std::fprintf(stderr, "fig11: %zu points across %zu sweep steps%s...\n",
-                 plan.size(), steps.size(),
+    std::fprintf(stderr,
+                 "fig11: %zu points (%zu distinct) across %zu sweep "
+                 "steps%s...\n",
+                 plan.size(), bench::distinctPoints(plan), steps.size(),
                  options.replay ? "" : " (direct)");
 
     ExperimentSet all = runPlan(plan, options);

@@ -163,9 +163,9 @@ main(int argc, char **argv)
     std::vector<bench::Fig11Step> steps = frontendSteps();
     ExperimentPlan plan = bench::fig11Plan(steps, size);
     std::fprintf(stderr,
-                 "frontend_sensitivity: %zu points across %zu sweep "
-                 "steps%s...\n",
-                 plan.size(), steps.size(),
+                 "frontend_sensitivity: %zu points (%zu distinct) across "
+                 "%zu sweep steps%s...\n",
+                 plan.size(), bench::distinctPoints(plan), steps.size(),
                  options.replay ? "" : " (direct)");
     ExperimentSet all = runPlan(plan, options);
 

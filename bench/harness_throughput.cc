@@ -348,9 +348,11 @@ main(int argc, char **argv)
     ExperimentSet parallel2 = runPlan(plan, parallelOpts);
 
     // Replay-engine measurement: the fig11 sweep wall-clocked direct
-    // then replayed. The guest compile cache is warm either way (the
-    // passes above compiled every (vm, workload, dispatch) already), so
-    // the ratio isolates the execute-once, time-many win.
+    // then replayed. Both passes run each distinct pointKey once, so
+    // the direct side is already deduplicated. The guest compile cache
+    // is warm either way (the passes above compiled every (vm,
+    // workload, dispatch) already), so the ratio isolates the
+    // execute-once, time-many win.
     ExperimentPlan fig11 = bench::fig11Plan(bench::fig11Steps(), size);
     RunOptions fig11Opts;
     fig11Opts.jobs = jobs;

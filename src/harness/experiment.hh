@@ -149,7 +149,7 @@ struct RunOptions
      * FunctionalCore and replay its retired-instruction stream through
      * every timing model (src/harness/replay.hh). Results are
      * bit-identical to direct execution. The CLI escape hatch
-     * --no-replay turns it off.
+     * --no-replay turns it off; equal points run once either way.
      */
     bool replay = true;
 

@@ -61,13 +61,15 @@ addCacheSignature(std::string &s, const cache::CacheConfig &c)
 
 /**
  * Serialization of every timing-relevant CoreConfig field (the machine
- * name is presentation-only). Two group members with equal signatures
- * deterministically produce equal results, so the second becomes a copy
- * of the first instead of running a timing model. The SCD-side knobs are
- * only observable when JTEs exist (branch/btb.cc touches jteCap and the
- * adaptive-cap state exclusively on the JTE insert path), so they are
- * gated out for non-SCD members — a BTB-size sweep's baseline points
- * dedup against an equal-geometry cap sweep's baseline points.
+ * name is presentation-only); pointKey() is its one caller. Two points
+ * with equal keys deterministically produce equal results, so the plan
+ * executor runs the first and copies its result to the rest. The
+ * SCD-side knobs are only observable when JTEs exist (branch/btb.cc
+ * touches jteCap and the adaptive-cap state exclusively on the JTE
+ * insert path), so they are gated out for non-SCD points — a BTB-size
+ * sweep's baseline points dedup against an equal-geometry cap sweep's
+ * baseline points. tests/point_key_test.cc perturbs every config field
+ * and fails when a field moves the results but not this signature.
  */
 std::string
 timingSignature(const cpu::CoreConfig &c)
@@ -140,8 +142,6 @@ struct Member
 {
     size_t idx = 0;      ///< plan (and result) index
     cpu::CoreConfig cfg; ///< withScheme() applied; referenced by timing
-    std::string sig;
-    int copyOf = -1; ///< members index whose result this point shares
     std::unique_ptr<cpu::TimingModel> timing;
 
     /**
@@ -269,21 +269,12 @@ runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
             m.idx = idx;
             m.cfg =
                 core::withScheme(points[idx].machine, points[idx].scheme);
-            m.sig = timingSignature(m.cfg);
             members.push_back(std::move(m));
         }
-        for (size_t i = 0; i < members.size(); ++i) {
-            for (size_t j = 0; j < i; ++j) {
-                if (members[j].copyOf < 0 &&
-                    members[j].sig == members[i].sig) {
-                    members[i].copyOf = int(j);
-                    break;
-                }
-            }
-            if (members[i].copyOf < 0)
-                members[i].timing = cpu::makeTimingModel(members[i].cfg);
+        for (Member &m : members) {
+            m.timing = cpu::makeTimingModel(m.cfg);
             if (options.verbose)
-                printProgress(points[members[i].idx]);
+                printProgress(points[m.idx]);
         }
 
         // The producer: one functional execution against a
@@ -322,7 +313,7 @@ runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
 
             bool anyLive = false;
             for (Member &m : members) {
-                if (m.copyOf >= 0 || m.fellBack)
+                if (m.fellBack)
                     continue;
                 auto drainStart = steady::now();
                 consume(m, *chunk);
@@ -338,7 +329,7 @@ runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
                   " (replay group ", first.label(), "): ", func.output());
         }
         for (Member &m : members) {
-            if (m.copyOf < 0 && !m.fellBack && m.skipping)
+            if (!m.fellBack && m.skipping)
                 m.fellBack = true; // stream ended inside a skip span
         }
 
@@ -350,13 +341,11 @@ runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
         func.exportStats(funcStats);
         size_t liveCount = 0;
         for (const Member &m : members)
-            liveCount += m.copyOf < 0 && !m.fellBack;
+            liveCount += !m.fellBack;
         double producerShare =
             liveCount ? producerSeconds / double(liveCount) : 0.0;
 
         for (Member &m : members) {
-            if (m.copyOf >= 0)
-                continue;
             if (m.fellBack) {
                 // The pre-existing benign fallback: the stream cannot
                 // describe this member (malformed skip span). A clean
@@ -379,13 +368,6 @@ runGroup(const std::vector<size_t> &indices, ExperimentSet &set,
             set.runs[m.idx].result = std::move(r);
             set.runs[m.idx].status = PointStatus::Ok;
             set.runs[m.idx].error.clear();
-        }
-        for (Member &m : members) {
-            if (m.copyOf < 0)
-                continue;
-            const ExperimentRun &src = set.runs[members[m.copyOf].idx];
-            set.runs[m.idx] = src;
-            set.runs[m.idx].seconds = 0.0; // no wall time of its own
         }
     } catch (const std::exception &e) {
         // The shared producer (or group setup) failed; every member of
@@ -492,18 +474,25 @@ pointKey(const ExperimentPoint &point)
 void
 runPlanReplay(ExperimentSet &set, const RunOptions &options)
 {
-    // Group points by functional key. Each group of two or more is one
-    // task (one producer, shared stream); every other point is a task of
-    // its own on the direct path: instruction-limited runs (their stop
-    // point depends on the member's own retire count), groups of one
-    // and, with options.replay off, every point. Groups run first, in
-    // key order, then the direct points.
+    // Equal points run once: only the first point of each pointKey
+    // becomes a task, grouped by functional key. Each group of two or
+    // more is one task (one producer, shared stream); every other point
+    // is a task of its own on the direct path: instruction-limited runs
+    // (their stop point depends on the member's own retire count),
+    // groups of one and, with options.replay off, every point. Groups
+    // run first, in key order, then the direct points.
+    std::map<std::string, size_t> firstWithKey;
+    std::vector<size_t> representative(set.points.size());
     std::map<std::string, std::vector<size_t>> byKey;
     std::vector<std::vector<size_t>> tasks;
     std::vector<size_t> singles;
     for (size_t i = 0; i < set.points.size(); ++i) {
         const ExperimentPoint &p = set.points[i];
         SCD_ASSERT(p.workload, "experiment point without a workload");
+        representative[i] = firstWithKey.try_emplace(pointKey(p), i)
+                                .first->second;
+        if (representative[i] != i)
+            continue;
         if (!options.replay || p.maxInstructions != 0) {
             singles.push_back(i);
             continue;
@@ -532,6 +521,14 @@ runPlanReplay(ExperimentSet &set, const RunOptions &options)
         else
             runGroup(indices, set, options);
     });
+
+    // A duplicate shares its representative's run, whatever its status.
+    for (size_t i = 0; i < set.points.size(); ++i) {
+        if (representative[i] != i) {
+            set.runs[i] = set.runs[representative[i]];
+            set.runs[i].seconds = 0.0; // no wall time of its own
+        }
+    }
 }
 
 } // namespace scd::harness

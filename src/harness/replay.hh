@@ -2,16 +2,17 @@
  * @file
  * The execute-once, time-many plan executor (docs/SIMULATOR.md).
  *
- * Points of an ExperimentPlan that share a functional key — VM,
- * interpreter binary (dispatch kind), workload source, and the
+ * Points of an ExperimentPlan with equal pointKey()s run once, on
+ * either path: every later point of a key copies the first one's
+ * result. Of the distinct points, those that share a functional key —
+ * VM, interpreter binary (dispatch kind), workload source, and the
  * architecturally-visible SCD knobs — retire the same instruction
- * stream on every machine configuration. runPlanReplay() executes each
+ * stream on every machine configuration: runPlanReplay() executes each
  * such group's FunctionalCore once and feeds the recorded stream to
- * every member's timing model, so a 16-machine sensitivity sweep pays
- * for one functional execution instead of sixteen. Results are
- * bit-identical to direct execution (tests/replay_test.cc); the
- * --no-replay escape hatch (RunOptions::replay = false) selects the
- * direct path for cross-checking.
+ * every member's timing model. Results are bit-identical to direct
+ * execution (tests/replay_test.cc); the --no-replay escape hatch
+ * (RunOptions::replay = false) selects the direct path for
+ * cross-checking.
  */
 
 #ifndef SCD_HARNESS_REPLAY_HH
@@ -43,8 +44,8 @@ ExperimentRun runPointContained(const ExperimentPoint &point,
 /**
  * Stable identity of a point's full configuration — label, input size,
  * instruction limit, and the timing-relevant machine fields. Two points
- * with equal keys deterministically produce equal results, so a caller
- * can run one and reuse its result for the other.
+ * with equal keys deterministically produce equal results, so
+ * runPlanReplay() runs one and copies its result to the other.
  */
 std::string pointKey(const ExperimentPoint &point);
 
@@ -57,8 +58,9 @@ std::string replayGroupKey(const ExperimentPoint &point);
 
 /**
  * The plan executor behind runPlan(): fills set.runs[i] for every point
- * of @p set. Points sharing a replay group key run as one replay group;
- * the rest — and, with options.replay off, every point — run direct.
+ * of @p set. The first point of each pointKey runs; distinct points
+ * sharing a replay group key run as one replay group, the rest — and,
+ * with options.replay off, every one — run direct.
  */
 void runPlanReplay(ExperimentSet &set, const RunOptions &options);
 

@@ -111,6 +111,34 @@ TEST(FaultContainment, GuestTrapContainedOnReplayPath)
     EXPECT_EQ(reportTroubledPoints({&set}), 2);
 }
 
+/**
+ * A trap point listed twice runs once, on either path; the copy carries
+ * the same failure, and both count as troubled.
+ */
+TEST(FaultContainment, DuplicatedTrapPointFailsTwice)
+{
+    ExperimentPlan plan;
+    plan.add(point(trapWorkload(), core::Scheme::Baseline, minorConfig()));
+    plan.add(point(trapWorkload(), core::Scheme::Baseline, minorConfig()));
+
+    for (bool replay : {true, false}) {
+        SCOPED_TRACE(replay ? "replay" : "direct");
+        RunOptions options;
+        options.jobs = 2;
+        options.replay = replay;
+        ExperimentSet set = runPlan(plan, options);
+
+        ASSERT_EQ(set.runs.size(), 2u);
+        for (const ExperimentRun &run : set.runs) {
+            EXPECT_EQ(run.status, PointStatus::Failed);
+            EXPECT_NE(run.error.find("guest exited"), std::string::npos);
+        }
+        EXPECT_EQ(set.runs[1].error, set.runs[0].error);
+        EXPECT_EQ(set.troubled(), 2u);
+        EXPECT_EQ(reportTroubledPoints({&set}), 2);
+    }
+}
+
 /** A tiny per-point deadline classifies points TimedOut, not Failed. */
 TEST(FaultContainment, TimeoutClassifiedAsTimedOut)
 {

@@ -4,9 +4,10 @@
  * (src/harness/replay.hh): replayed runs must be byte-identical to
  * direct execution — cycle counts, the full stat group, and the --json
  * export — across every dispatch scheme and a spread of machine
- * configurations on both VMs; and the guest compile cache must compile
- * each (vm, workload, dispatch kind) exactly once however many points
- * share it.
+ * configurations on both VMs; a point that copies the result of an
+ * equal point must match its own run; and the guest compile cache must
+ * compile each (vm, workload, dispatch kind) exactly once however many
+ * points share it.
  */
 
 #include <gtest/gtest.h>
@@ -16,9 +17,11 @@
 #include <tuple>
 #include <vector>
 
+#include "fig11_plan.hh"
 #include "harness/experiment.hh"
 #include "harness/json_export.hh"
 #include "harness/machines.hh"
+#include "harness/pool.hh"
 #include "harness/replay.hh"
 #include "harness/runner.hh"
 #include "obs/stats_sink.hh"
@@ -141,6 +144,47 @@ TEST(Replay, InstructionLimitedPointsMatchDirect)
         SCOPED_TRACE(a.points[i].label());
         EXPECT_EQ(a.at(i).run.cycles, b.at(i).run.cycles);
         EXPECT_EQ(a.at(i).stats.all(), b.at(i).stats.all());
+    }
+}
+
+/**
+ * Fig. 11's plan repeats points: a JTE cap is unobservable without SCD.
+ * runPlan() runs the first point of each pointKey and copies its run to
+ * the rest; every copy must equal that point run on its own.
+ */
+TEST(PlanDedup, Fig11CopiesMatchTheirOwnRuns)
+{
+    ExperimentPlan plan =
+        bench::fig11Plan(bench::fig11Steps(), InputSize::Test);
+    RunOptions options;
+    options.jobs = 4;
+    ExperimentSet set = runPlan(plan, options);
+
+    std::set<std::string> keys;
+    std::vector<size_t> copies;
+    for (size_t i = 0; i < set.points.size(); ++i) {
+        if (!keys.insert(pointKey(set.points[i])).second)
+            copies.push_back(i);
+    }
+    ASSERT_EQ(set.points.size(), 352u);
+    ASSERT_EQ(copies.size(), 110u);
+
+    std::vector<ExperimentRun> alone(copies.size());
+    parallelFor(4, copies.size(), [&](size_t k) {
+        alone[k] = runPointContained(set.points[copies[k]], options);
+    });
+    for (size_t k = 0; k < copies.size(); ++k) {
+        const ExperimentRun &copy = set.runs[copies[k]];
+        SCOPED_TRACE(set.points[copies[k]].label() + " at plan index " +
+                     std::to_string(copies[k]));
+        EXPECT_EQ(copy.status, alone[k].status);
+        EXPECT_EQ(copy.seconds, 0.0);
+        EXPECT_EQ(copy.result.run.cycles, alone[k].result.run.cycles);
+        EXPECT_EQ(copy.result.run.instructions,
+                  alone[k].result.run.instructions);
+        EXPECT_EQ(copy.result.run.exitCode, alone[k].result.run.exitCode);
+        EXPECT_EQ(copy.result.output, alone[k].result.output);
+        EXPECT_EQ(copy.result.stats.all(), alone[k].result.stats.all());
     }
 }
 
