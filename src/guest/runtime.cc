@@ -1,5 +1,8 @@
 #include "runtime.hh"
 
+#include <utility>
+
+#include "common/logging.hh"
 #include "cpu/syscalls.hh"
 #include "layout.hh"
 
@@ -713,12 +716,27 @@ RuntimeLib::emitArithSlow()
         as.ret();
     };
 
-    // Floor of f2 into f2 (used by IDIV/MOD float paths).
-    auto emitFloorF2 = [&] {
+    const std::pair<Label, vm::ArithOp> entries[] = {
+        {arithSlowAdd, vm::ArithOp::Add},   {arithSlowSub, vm::ArithOp::Sub},
+        {arithSlowMul, vm::ArithOp::Mul},   {arithSlowDiv, vm::ArithOp::Div},
+        {arithSlowIDiv, vm::ArithOp::IDiv}, {arithSlowMod, vm::ArithOp::Mod},
+    };
+    for (auto [entry, op] : entries) {
+        emitLoadDoubles(entry);
+        emitFloatArith(as, op);
+        emitReturnDouble();
+    }
+}
+
+void
+emitFloatArith(Assembler &as, vm::ArithOp op)
+{
+    // f2 = floor(f2): truncate, then step down when that rounded up.
+    auto floorF2 = [&] {
         Label noAdjust = as.newLabel();
-        as.fcvtLD(t0, 2);       // trunc
-        as.fcvtDL(3, t0);       // back to double
-        as.fle(t1, 3, 2);       // trunc <= x ?
+        as.fcvtLD(t0, 2);
+        as.fcvtDL(3, t0);
+        as.fle(t1, 3, 2); // trunc <= x ?
         as.bnez(t1, noAdjust);
         as.li(t2, 1);
         as.fcvtDL(4, t2);
@@ -727,35 +745,33 @@ RuntimeLib::emitArithSlow()
         as.fmvXD(t0, 3);
         as.fmvDX(2, t0);
     };
-
-    emitLoadDoubles(arithSlowAdd);
-    as.fadd(2, 0, 1);
-    emitReturnDouble();
-
-    emitLoadDoubles(arithSlowSub);
-    as.fsub(2, 0, 1);
-    emitReturnDouble();
-
-    emitLoadDoubles(arithSlowMul);
-    as.fmul(2, 0, 1);
-    emitReturnDouble();
-
-    emitLoadDoubles(arithSlowDiv);
-    as.fdiv(2, 0, 1);
-    emitReturnDouble();
-
-    emitLoadDoubles(arithSlowIDiv);
-    as.fdiv(2, 0, 1);
-    emitFloorF2();
-    emitReturnDouble();
-
-    emitLoadDoubles(arithSlowMod);
-    // r = a - floor(a/b) * b
-    as.fdiv(2, 0, 1);
-    emitFloorF2();
-    as.fmul(2, 2, 1);
-    as.fsub(2, 0, 2);
-    emitReturnDouble();
+    switch (op) {
+      case vm::ArithOp::Add:
+        as.fadd(2, 0, 1);
+        break;
+      case vm::ArithOp::Sub:
+        as.fsub(2, 0, 1);
+        break;
+      case vm::ArithOp::Mul:
+        as.fmul(2, 0, 1);
+        break;
+      case vm::ArithOp::Div:
+        as.fdiv(2, 0, 1);
+        break;
+      case vm::ArithOp::IDiv:
+        as.fdiv(2, 0, 1);
+        floorF2();
+        break;
+      case vm::ArithOp::Mod:
+        // r = a - floor(a/b) * b
+        as.fdiv(2, 0, 1);
+        floorF2();
+        as.fmul(2, 2, 1);
+        as.fsub(2, 0, 2);
+        break;
+      default:
+        panic("not a binary arith op");
+    }
 }
 
 void

@@ -17,6 +17,7 @@
 
 #include "data_image.hh"
 #include "isa/assembler.hh"
+#include "vm/arith.hh"
 
 namespace scd::guest
 {
@@ -90,6 +91,13 @@ class RuntimeLib
     uint64_t emptyString_;
     uint64_t nilStr_, trueStr_, falseStr_, tableStr_, funcStr_, trapStr_;
 };
+
+/**
+ * f2 = f0 @p op f1 for a binary Lua operator, IDIV and MOD flooring via
+ * truncate-and-adjust (clobbers t0-t2, f3, f4). Shared by the runtime's
+ * arithmetic slow paths and the RLua handlers' inline float path.
+ */
+void emitFloatArith(isa::Assembler &as, vm::ArithOp op);
 
 } // namespace scd::guest
 

@@ -1,92 +1,42 @@
 #include "sjs_guest.hh"
 
-#include <array>
-
-#include "common/logging.hh"
-#include "cpu/syscalls.hh"
-#include "module_data.hh"
-#include "runtime.hh"
+#include "interp_builder.hh"
+#include "layout.hh"
 
 namespace scd::guest
 {
 
 using namespace scd::isa;
 using namespace scd::isa::reg;
+using vm::ArithOp;
 using vm::sjs::Op;
 
 namespace
 {
 
 /**
- * Emits the SJS guest interpreter.
- *
- * Global register plan:
- *   s0  = VM state struct (virtual PC)
- *   s1  = operand stack top (address of the next free TValue slot)
- *   s2  = dispatch jump table base
- *   s3  = current frame's locals base
- *   s4  = current constants array
- *   s5  = globals table
- *   s6  = current CallInfo
- *   s7  = current proto descriptor
- *   s8  = intern table
- *   s10 = current opcode byte
- *   s11 = heap bump pointer
+ * Byte opcodes decoded against the full 229-entry opcode space, and
+ * three SCD banks: the main dispatcher (0), the branch handler's own
+ * tail (1) and the FUNCALL site (2).
  */
-class SjsBuilder
+constexpr DispatchShape kSjsShape = {1, 255, vm::sjs::kNumOps, 3};
+
+/**
+ * Emits the SJS guest interpreter: SpiderMonkey-style stack-machine
+ * handlers on the shared skeleton (register plan in interp_builder.hh),
+ * with s1 = operand stack top (address of the next free TValue slot),
+ * s3 = the current frame's locals, and s10 = the current opcode byte.
+ */
+class SjsBuilder : public InterpBuilder
 {
   public:
     SjsBuilder(const vm::sjs::Module &module, DispatchKind kind)
-        : as_(kTextBase), data_(kDataBase), rt_(as_, data_), kind_(kind)
+        : InterpBuilder(
+              kind, kSjsShape,
+              [&](DataImage &data) { return serializeSjsModule(data, module); },
+              [](unsigned n) { return vm::sjs::opName(Op(n)); }),
+          uncovered_(as_.newLabel("dispatch_uncovered"))
     {
-        serialized_ = serializeSjsModule(data_, module);
-        dispatch_ = as_.newLabel("dispatch");
-        uncovered_ = as_.newLabel("dispatch_uncovered");
-        exit_ = as_.newLabel("exit_program");
-        for (unsigned n = 0; n < vm::sjs::kNumOps; ++n) {
-            handlers_[n] =
-                as_.newLabel(std::string("op_") + vm::sjs::opName(Op(n)));
-        }
-        for (size_t n = 0; n < builtinLabels_.size(); ++n)
-            builtinLabels_[n] = as_.newLabel("builtin_" + std::to_string(n));
-    }
-
-    GuestProgram
-    build()
-    {
-        emitEntry();
-        if (kind_ != DispatchKind::Threaded) {
-            rangeStart_.push_back(as_.newLabel());
-            as_.bind(rangeStart_.back());
-            emitDispatcher(/*bank=*/0);
-            // The dispatcher copy the SCD retargeting does not reach.
-            as_.bind(uncovered_);
-            rangeStart_.push_back(as_.newLabel());
-            as_.bind(rangeStart_.back());
-            emitDispatcher(0, /*scdApplied=*/false);
-        }
-        emitHandlers();
-        emitExit();
-        rt_.emit();
-
-        GuestProgram out;
-        out.text = as_.finish();
-        out.dataBase = data_.base();
-        for (unsigned n = 0; n < vm::sjs::kNumOps; ++n) {
-            data_.write64(serialized_.jumpTable + n * 8,
-                          as_.address(handlers_[n]));
-        }
-        out.data = data_.bytes();
-        for (size_t n = 0; n < rangeStart_.size(); ++n) {
-            out.meta.dispatchRanges.push_back(
-                {as_.address(rangeStart_[n]), as_.address(rangeEnd_[n])});
-        }
-        for (Label l : jumpPcs_) {
-            uint64_t pc = as_.address(l);
-            out.meta.dispatchJumpPcs.insert(pc);
-            out.meta.vbbiHints[pc] = t1;
-        }
-        return out;
     }
 
   private:
@@ -95,8 +45,7 @@ class SjsBuilder
     void
     emitPush(uint8_t tagReg, uint8_t payReg)
     {
-        as_.sd(tagReg, 0, s1);
-        as_.sd(payReg, 8, s1);
+        storeValue(tagReg, payReg, s1);
         as_.addi(s1, s1, kTValueSize);
     }
 
@@ -104,17 +53,16 @@ class SjsBuilder
     emitPop(uint8_t tagReg, uint8_t payReg)
     {
         as_.addi(s1, s1, -int(kTValueSize));
-        as_.ld(tagReg, 0, s1);
-        as_.ld(payReg, 8, s1);
+        loadValue(tagReg, payReg, s1);
     }
+
+    void emitPushTag(uint8_t tagReg) { emitPush(tagReg, zero); }
 
     void
     emitPushImmTag(int64_t tag)
     {
         as_.li(t1, tag);
-        as_.sd(t1, 0, s1);
-        as_.sd(zero, 8, s1);
-        as_.addi(s1, s1, kTValueSize);
+        emitPushTag(t1);
     }
 
     // --- operand decoding -----------------------------------------------------
@@ -149,137 +97,65 @@ class SjsBuilder
         as_.sd(tmp, kVmVpc, s0);
     }
 
-    /**
-     * The dispatcher: byte fetch, (hook check), decode, bound check
-     * against the full 229-entry opcode space, table load, indirect jump.
-     * @param scdApplied false emits the plain (non-SCD) form even in SCD
-     * builds — SpiderMonkey has dispatch paths the .op transformation
-     * does not reach (paper Section VI-A1).
-     */
+    /** t1 = &constants[u16 operand]. */
     void
-    emitDispatcher(uint8_t bank, bool scdApplied = true)
+    emitConstAddr()
     {
-        bool scd = kind_ == DispatchKind::Scd && scdApplied;
-        as_.ld(t5, kVmVpc, s0);
-        if (scd)
-            as_.lbuOp(s10, 0, t5, bank);
-        else
-            as_.lbu(s10, 0, t5);
-        as_.addi(t5, t5, 1);
-        as_.sd(t5, kVmVpc, s0);
-        as_.sd(t5, kVmSavedPc, s0);
-        as_.lbu(t2, kVmHookMask, s0);
-        as_.bnez(t2, rt_.trap);
-        if (scd)
-            as_.bop(bank);
-        as_.andi(t1, s10, 255);
-        as_.sltiu(t2, t1, vm::sjs::kNumOps);
-        as_.beqz(t2, rt_.trap);
-        as_.slli(t3, t1, 3);
-        as_.add(t3, t3, s2);
-        as_.ld(t4, 0, t3);
-        Label jumpPc = as_.newLabel();
-        as_.bind(jumpPc);
-        jumpPcs_.push_back(jumpPc);
-        if (scd)
-            as_.jru(t4, bank);
-        else
-            as_.jalr(zero, t4, 0);
-        Label end = as_.newLabel();
-        as_.bind(end);
-        rangeEnd_.push_back(end);
+        emitReadU16(t1, t3);
+        as_.slli(t1, t1, 4);
+        as_.add(t1, t1, s4);
     }
 
-    /** Handler epilogue returning to the main dispatch site. */
+    /** t1 = &locals[u8 operand]. */
     void
-    emitNext()
+    emitLocalAddr()
     {
-        if (kind_ == DispatchKind::Threaded) {
-            rangeStart_.push_back(as_.newLabel());
-            as_.bind(rangeStart_.back());
-            emitDispatcher(0);
-        } else {
-            as_.j(dispatch_);
-        }
+        emitReadU8(t1, t3);
+        as_.slli(t1, t1, 4);
+        as_.add(t1, t1, s3);
     }
+
+    /** t1 = the vpc past a 16-bit branch offset, t2 = that offset. */
+    void
+    emitReadBranchOffset()
+    {
+        as_.ld(t1, kVmVpc, s0);
+        as_.lh(t2, 0, t1);
+        as_.addi(t1, t1, 2);
+    }
+
+    // --- dispatch paths ---------------------------------------------------------
 
     /**
      * Epilogue via the dispatch path SCD was not applied to (a distinct
      * code path into the dispatcher, as several SpiderMonkey handlers
-     * have). In threaded builds it behaves like any other copy.
+     * have; paper Section VI-A1). In threaded builds it behaves like any
+     * other copy.
      */
     void
     emitNextUncovered()
     {
-        if (kind_ == DispatchKind::Threaded) {
-            rangeStart_.push_back(as_.newLabel());
-            as_.bind(rangeStart_.back());
-            emitDispatcher(0);
-        } else {
+        if (kind_ == DispatchKind::Threaded)
+            emitDispatcher();
+        else
             as_.j(uncovered_);
-        }
-    }
-
-    /** Private dispatch tail for the branch/call handlers (own bank). */
-    void
-    emitPrivateTail(uint8_t bank)
-    {
-        rangeStart_.push_back(as_.newLabel());
-        as_.bind(rangeStart_.back());
-        emitDispatcher(kind_ == DispatchKind::Threaded ? 0 : bank);
     }
 
     // --- skeleton ------------------------------------------------------------
 
+    /** The operand stack begins above the main chunk's locals. */
     void
-    emitEntry()
+    emitFrameSetup() override
     {
-        as_.li(sp, kNativeStackTop);
-        as_.li(s8, static_cast<int64_t>(data_.internTable()));
-        as_.li(s11, kHeapBase);
-        as_.li(s5, static_cast<int64_t>(serialized_.globalsTable));
-        as_.li(s0, static_cast<int64_t>(serialized_.vmStruct));
-        as_.li(s2, static_cast<int64_t>(serialized_.jumpTable));
-        as_.li(s6, kCallInfoBase);
-        as_.li(s3, kValueStackBase);
-        as_.li(s7, static_cast<int64_t>(serialized_.protoDescs[0]));
-        as_.ld(s4, kProtoConsts, s7);
-        as_.ld(t0, kProtoCode, s7);
-        as_.sd(t0, kVmVpc, s0);
-        // Operand stack begins above the main chunk's locals.
         as_.ld(t0, kProtoFrameSize, s7);
         as_.slli(t0, t0, 4);
         as_.add(s1, s3, t0);
-        if (kind_ == DispatchKind::Scd) {
-            as_.li(t0, 255);
-            as_.setmask(t0, 0);
-            as_.setmask(t0, 1);
-            as_.setmask(t0, 2);
-        }
-        if (kind_ != DispatchKind::Threaded) {
-            as_.bind(dispatch_);
-        } else {
-            rangeStart_.push_back(as_.newLabel());
-            as_.bind(rangeStart_.back());
-            emitDispatcher(0);
-        }
-    }
-
-    void
-    emitExit()
-    {
-        as_.bind(exit_);
-        if (kind_ == DispatchKind::Scd)
-            as_.jteFlush();
-        as_.li(a0, 0);
-        as_.li(a7, static_cast<int64_t>(cpu::Syscall::Exit));
-        as_.ecall();
     }
 
     void
     bindHandler(Op op)
     {
-        as_.bind(handlers_[static_cast<unsigned>(op)]);
+        InterpBuilder::bindHandler(unsigned(op));
         // SpiderMonkey-style per-op bookkeeping: bump this opcode's
         // execution counter (standing in for SM17's type-inference and
         // profiling hooks) and keep regs.sp mirrored in memory the way
@@ -296,9 +172,14 @@ class SjsBuilder
     // --- handlers ---------------------------------------------------------------
 
     void
-    emitHandlers()
+    emitHandlers() override
     {
-        // NOP
+        // The dispatcher copy the SCD retargeting does not reach.
+        if (kind_ != DispatchKind::Threaded) {
+            as_.bind(uncovered_);
+            emitDispatcher(0, /*scdApplied=*/false);
+        }
+
         bindHandler(Op::NOP);
         emitNext();
 
@@ -312,12 +193,8 @@ class SjsBuilder
         bindHandler(Op::PUSH_FALSE);
         emitPushImmTag(kTagFalse);
         emitNext();
-
         bindHandler(Op::PUSH_INT0);
-        as_.li(t1, kTagInt);
-        as_.sd(t1, 0, s1);
-        as_.sd(zero, 8, s1);
-        as_.addi(s1, s1, kTValueSize);
+        emitPushImmTag(kTagInt);
         emitNext();
 
         bindHandler(Op::PUSH_INT1);
@@ -333,96 +210,65 @@ class SjsBuilder
         emitNext();
 
         bindHandler(Op::PUSH_CONST);
-        emitReadU16(t1, t3);
-        as_.slli(t1, t1, 4);
-        as_.add(t1, t1, s4);
-        as_.ld(t2, 0, t1);
-        as_.ld(t3, 8, t1);
+        emitConstAddr();
+        loadValue(t2, t3, t1);
         emitPush(t2, t3);
         emitNext();
 
         // Locals.
         bindHandler(Op::GET_LOCAL);
-        emitReadU8(t1, t3);
-        as_.slli(t1, t1, 4);
-        as_.add(t1, t1, s3);
-        as_.ld(t2, 0, t1);
-        as_.ld(t3, 8, t1);
+        emitLocalAddr();
+        loadValue(t2, t3, t1);
         emitPush(t2, t3);
         emitNext();
 
         bindHandler(Op::SET_LOCAL);
-        emitReadU8(t1, t3);
-        as_.slli(t1, t1, 4);
-        as_.add(t1, t1, s3);
+        emitLocalAddr();
         emitPop(t2, t3);
-        as_.sd(t2, 0, t1);
-        as_.sd(t3, 8, t1);
+        storeValue(t2, t3, t1);
         emitNext();
 
         for (unsigned slot = 0; slot < 4; ++slot) {
             bindHandler(Op(unsigned(Op::GET_LOCAL0) + slot));
-            as_.ld(t2, int32_t(slot * 16), s3);
-            as_.ld(t3, int32_t(slot * 16 + 8), s3);
+            loadValue(t2, t3, s3, int32_t(slot * 16));
             emitPush(t2, t3);
             emitNext();
         }
         for (unsigned slot = 0; slot < 4; ++slot) {
             bindHandler(Op(unsigned(Op::SET_LOCAL0) + slot));
             emitPop(t2, t3);
-            as_.sd(t2, int32_t(slot * 16), s3);
-            as_.sd(t3, int32_t(slot * 16 + 8), s3);
+            storeValue(t2, t3, s3, int32_t(slot * 16));
             emitNext();
         }
 
         // Globals.
         bindHandler(Op::GET_GLOBAL);
-        emitReadU16(t1, t3);
-        as_.slli(t1, t1, 4);
-        as_.add(t1, t1, s4);
+        emitConstAddr();
         as_.mv(a0, s5);
-        as_.ld(a1, 0, t1);
-        as_.ld(a2, 8, t1);
+        loadValue(a1, a2, t1);
         as_.call(rt_.tableGet);
         emitPush(a0, a1);
         emitNext();
 
         bindHandler(Op::SET_GLOBAL);
-        emitReadU16(t1, t3);
-        as_.slli(t1, t1, 4);
-        as_.add(t1, t1, s4);
-        as_.ld(a1, 0, t1);
-        as_.ld(a2, 8, t1);
+        emitConstAddr();
+        loadValue(a1, a2, t1);
         emitPop(a3, a4);
         as_.mv(a0, s5);
         as_.call(rt_.tableSet);
         emitNext();
 
         // Arithmetic.
-        emitArith(Op::ADD, rt_.arithSlowAdd);
-        emitArith(Op::SUB, rt_.arithSlowSub);
-        emitArith(Op::MUL, rt_.arithSlowMul);
-        emitArith(Op::DIV, rt_.arithSlowDiv);
-        emitArith(Op::IDIV, rt_.arithSlowIDiv);
-        emitArith(Op::MOD, rt_.arithSlowMod);
+        emitArith(Op::ADD, ArithOp::Add, rt_.arithSlowAdd);
+        emitArith(Op::SUB, ArithOp::Sub, rt_.arithSlowSub);
+        emitArith(Op::MUL, ArithOp::Mul, rt_.arithSlowMul);
+        emitArith(Op::DIV, ArithOp::Div, rt_.arithSlowDiv);
+        emitArith(Op::IDIV, ArithOp::IDiv, rt_.arithSlowIDiv);
+        emitArith(Op::MOD, ArithOp::Mod, rt_.arithSlowMod);
 
         bindHandler(Op::NEG);
         emitPop(t2, t3);
-        {
-            Label flt = as_.newLabel();
-            Label done = as_.newLabel();
-            as_.li(t4, kTagInt);
-            as_.bne(t2, t4, flt);
-            as_.neg(t3, t3);
-            as_.j(done);
-            as_.bind(flt);
-            as_.li(t4, kTagFloat);
-            as_.bne(t2, t4, rt_.trap);
-            as_.fmvDX(0, t3);
-            as_.fneg(0, 0);
-            as_.fmvXD(t3, 0);
-            as_.bind(done);
-        }
+        emitNegate();
         emitPush(t2, t3);
         emitNext();
 
@@ -430,26 +276,12 @@ class SjsBuilder
         emitPop(t2, t3);
         as_.sltiu(t2, t2, 2);
         as_.addi(t2, t2, kTagFalse);
-        as_.sd(t2, 0, s1);
-        as_.sd(zero, 8, s1);
-        as_.addi(s1, s1, kTValueSize);
+        emitPushTag(t2);
         emitNext();
 
         bindHandler(Op::LEN);
         emitPop(t2, t3);
-        {
-            Label isTab = as_.newLabel();
-            Label done = as_.newLabel();
-            as_.li(t4, kTagStr);
-            as_.bne(t2, t4, isTab);
-            as_.ld(t3, kStrLen, t3);
-            as_.j(done);
-            as_.bind(isTab);
-            as_.li(t4, kTagTab);
-            as_.bne(t2, t4, rt_.trap);
-            as_.ld(t3, kTabArrSize, t3);
-            as_.bind(done);
-        }
+        emitLength();
         as_.li(t2, kTagInt);
         emitPush(t2, t3);
         emitNext();
@@ -474,42 +306,18 @@ class SjsBuilder
 
         // Control flow.
         bindHandler(Op::JUMP);
-        as_.ld(t1, kVmVpc, s0);
-        as_.lh(t2, 0, t1);
-        as_.addi(t1, t1, 2);
+        emitReadBranchOffset();
         as_.add(t1, t1, t2);
         as_.sd(t1, kVmVpc, s0);
         emitNextUncovered();
 
         bindHandler(Op::JUMP_IF_FALSE);
-        emitPop(t3, t4);
-        as_.ld(t1, kVmVpc, s0);
-        as_.lh(t2, 0, t1);
-        as_.addi(t1, t1, 2);
-        {
-            Label notTaken = as_.newLabel();
-            as_.sltiu(t3, t3, 2); // 1 when falsy
-            as_.beqz(t3, notTaken);
-            as_.add(t1, t1, t2);
-            as_.bind(notTaken);
-            as_.sd(t1, kVmVpc, s0);
-        }
+        emitConditionalJump(/*onTruthy=*/false);
         // SpiderMonkey-style: the branch handler re-dispatches itself.
-        emitPrivateTail(1);
+        emitDispatcher(1);
 
         bindHandler(Op::JUMP_IF_TRUE);
-        emitPop(t3, t4);
-        as_.ld(t1, kVmVpc, s0);
-        as_.lh(t2, 0, t1);
-        as_.addi(t1, t1, 2);
-        {
-            Label notTaken = as_.newLabel();
-            as_.sltiu(t3, t3, 2);
-            as_.bnez(t3, notTaken);
-            as_.add(t1, t1, t2);
-            as_.bind(notTaken);
-            as_.sd(t1, kVmVpc, s0);
-        }
+        emitConditionalJump(/*onTruthy=*/true);
         emitNextUncovered();
 
         emitCallHandler();
@@ -545,75 +353,41 @@ class SjsBuilder
         emitNext();
 
         bindHandler(Op::DUP);
-        as_.ld(t2, -16, s1);
-        as_.ld(t3, -8, s1);
+        loadValue(t2, t3, s1, -16);
         emitPush(t2, t3);
         emitNext();
 
         bindHandler(Op::HALT);
         as_.j(exit_);
+        // The reserved opcodes (the SpiderMonkey-sized tail) are left to
+        // the skeleton, which routes every unbound opcode to the trap.
+    }
 
-        // Reserved opcodes (the SpiderMonkey-sized tail) trap.
-        for (unsigned n = vm::sjs::kNumRealOps; n < vm::sjs::kNumOps; ++n) {
-            as_.bind(handlers_[n]);
-            as_.j(rt_.trap);
-        }
-
-        emitBuiltins();
+    /** Pop the condition; take the branch when its truthiness is @p onTruthy. */
+    void
+    emitConditionalJump(bool onTruthy)
+    {
+        emitPop(t3, t4);
+        emitReadBranchOffset();
+        Label notTaken = as_.newLabel();
+        as_.sltiu(t3, t3, 2); // 1 when falsy
+        if (onTruthy)
+            as_.bnez(t3, notTaken);
+        else
+            as_.beqz(t3, notTaken);
+        as_.add(t1, t1, t2);
+        as_.bind(notTaken);
+        as_.sd(t1, kVmVpc, s0);
     }
 
     void
-    emitArith(Op op, Label slowTarget)
+    emitArith(Op op, ArithOp arith, Label slowTarget)
     {
         bindHandler(op);
         emitPop(t4, a4); // rhs
         emitPop(t3, a2); // lhs
-        Label slow = as_.newLabel();
         Label push = as_.newLabel();
-        as_.li(t6, kTagInt);
-        if (op != Op::DIV) {
-            as_.bne(t3, t6, slow);
-            as_.bne(t4, t6, slow);
-            switch (op) {
-              case Op::ADD:
-                as_.add(a1, a2, a4);
-                break;
-              case Op::SUB:
-                as_.sub(a1, a2, a4);
-                break;
-              case Op::MUL:
-                as_.mul(a1, a2, a4);
-                break;
-              case Op::IDIV: {
-                as_.beqz(a4, rt_.trap);
-                as_.div(a1, a2, a4);
-                as_.rem(t0, a2, a4);
-                Label ok = as_.newLabel();
-                as_.beqz(t0, ok);
-                as_.xor_(t0, a2, a4);
-                as_.bgez(t0, ok);
-                as_.addi(a1, a1, -1);
-                as_.bind(ok);
-                break;
-              }
-              case Op::MOD: {
-                as_.beqz(a4, rt_.trap);
-                as_.rem(a1, a2, a4);
-                Label ok = as_.newLabel();
-                as_.beqz(a1, ok);
-                as_.xor_(t0, a1, a4);
-                as_.bgez(t0, ok);
-                as_.add(a1, a1, a4);
-                as_.bind(ok);
-                break;
-              }
-              default:
-                break;
-            }
-            as_.mv(a0, t6);
-            as_.j(push);
-        }
-        as_.bind(slow);
+        emitIntArith(arith, push);
         as_.mv(a1, t3);
         as_.mv(a3, t4);
         as_.call(slowTarget);
@@ -629,10 +403,8 @@ class SjsBuilder
         bindHandler(op);
         emitPop(t4, a4); // rhs
         emitPop(t3, a2); // lhs
-        bool isEquality = op == Op::EQ || op == Op::NE;
         // Normalize GT/GE into LT/LE by swapping.
-        bool swapped = op == Op::GT || op == Op::GE;
-        if (swapped) {
+        if (op == Op::GT || op == Op::GE) {
             as_.mv(t0, t3);
             as_.mv(t3, t4);
             as_.mv(t4, t0);
@@ -640,95 +412,16 @@ class SjsBuilder
             as_.mv(a2, a4);
             as_.mv(a4, t0);
         }
-        bool lessEqual = op == Op::LE || op == Op::GE;
-
-        Label slow = as_.newLabel();
-        Label decide = as_.newLabel();
-        as_.li(t6, kTagInt);
-        as_.bne(t3, t6, slow);
-        as_.bne(t4, t6, slow);
-        if (isEquality) {
-            as_.xor_(a0, a2, a4);
-            as_.seqz(a0, a0);
-        } else if (lessEqual) {
-            as_.slt(a0, a4, a2);
-            as_.xori(a0, a0, 1);
-        } else {
-            as_.slt(a0, a2, a4);
-        }
-        as_.j(decide);
-
-        as_.bind(slow);
-        {
-            Label notNumeric = as_.newLabel();
-            auto numericCheck = [&](uint8_t tag) {
-                as_.addi(t0, tag, -kTagInt);
-                as_.sltiu(t0, t0, 2);
-            };
-            numericCheck(t3);
-            as_.beqz(t0, notNumeric);
-            numericCheck(t4);
-            as_.beqz(t0, notNumeric);
-            Label lFloat = as_.newLabel();
-            Label lDone = as_.newLabel();
-            as_.li(t0, kTagInt);
-            as_.bne(t3, t0, lFloat);
-            as_.fcvtDL(0, a2);
-            as_.j(lDone);
-            as_.bind(lFloat);
-            as_.fmvDX(0, a2);
-            as_.bind(lDone);
-            Label rFloat = as_.newLabel();
-            Label rDone = as_.newLabel();
-            as_.bne(t4, t0, rFloat);
-            as_.fcvtDL(1, a4);
-            as_.j(rDone);
-            as_.bind(rFloat);
-            as_.fmvDX(1, a4);
-            as_.bind(rDone);
-            if (isEquality)
-                as_.feq(a0, 0, 1);
-            else if (lessEqual)
-                as_.fle(a0, 0, 1);
-            else
-                as_.flt(a0, 0, 1);
-            as_.j(decide);
-
-            as_.bind(notNumeric);
-            if (isEquality) {
-                Label differ = as_.newLabel();
-                as_.bne(t3, t4, differ);
-                as_.xor_(a0, a2, a4);
-                as_.seqz(a0, a0);
-                as_.j(decide);
-                as_.bind(differ);
-                as_.li(a0, 0);
-                as_.j(decide);
-            } else {
-                Label bad = as_.newLabel();
-                as_.li(t0, kTagStr);
-                as_.bne(t3, t0, bad);
-                as_.bne(t4, t0, bad);
-                as_.mv(a0, a2);
-                as_.mv(a1, a4);
-                as_.call(rt_.strCmp);
-                if (lessEqual)
-                    as_.slti(a0, a0, 1);
-                else
-                    as_.slti(a0, a0, 0);
-                as_.j(decide);
-                as_.bind(bad);
-                as_.j(rt_.trap);
-            }
-        }
-
-        as_.bind(decide);
+        if (op == Op::EQ || op == Op::NE)
+            emitCompareCore(CmpOp::Eq);
+        else if (op == Op::LE || op == Op::GE)
+            emitCompareCore(CmpOp::Le);
+        else
+            emitCompareCore(CmpOp::Lt);
         if (op == Op::NE)
             as_.xori(a0, a0, 1);
         as_.addi(a0, a0, kTagFalse);
-        as_.sd(a0, 0, s1);
-        as_.sd(zero, 8, s1);
-        as_.addi(s1, s1, kTValueSize);
+        emitPushTag(a0);
         // LT and LE are on the retargeted path (the paper applies .op to
         // the LT macro); the other comparisons reach the dispatcher
         // through code SCD does not cover.
@@ -759,44 +452,24 @@ class SjsBuilder
         as_.sd(t2, 0, sp);
         as_.sd(t1, 8, sp);
         as_.ld(t4, kProtoBuiltinId, t3);
-        for (unsigned id = 0; id < builtinLabels_.size(); ++id) {
-            as_.li(t5, static_cast<int64_t>(id));
-            as_.beq(t4, t5, builtinLabels_[id]);
-        }
-        as_.j(rt_.trap);
+        emitBuiltinSwitch(t4, t5);
 
         as_.bind(bytecode);
-        // Push a CallInfo: saved vpc / locals base / proto / callee slot.
-        as_.addi(s6, s6, kCiSize);
-        as_.ld(t4, kVmVpc, s0);
-        as_.sd(t4, kCiSavedVpc, s6);
-        as_.sd(s3, kCiSavedBase, s6);
-        as_.sd(s7, kCiSavedProto, s6);
-        as_.sd(t2, kCiRetInfo, s6); // callee slot address
+        // Push a CallInfo; its ret info is the callee slot address.
+        emitPushCallInfo(t4);
+        as_.sd(t2, kCiRetInfo, s6);
         // New locals base = first argument slot.
         as_.addi(s3, t2, kTValueSize);
         as_.mv(s7, t3);
-        as_.ld(s4, kProtoConsts, s7);
-        as_.ld(t4, kProtoCode, s7);
-        as_.sd(t4, kVmVpc, s0);
+        emitLoadProto(t4);
         // Nil-fill locals beyond the passed arguments.
         as_.ld(t4, kProtoFrameSize, s7); // numLocals
-        Label fill = as_.newLabel();
-        Label fillDone = as_.newLabel();
-        as_.bind(fill);
-        as_.bge(t1, t4, fillDone);
-        as_.slli(t6, t1, 4);
-        as_.add(t6, t6, s3);
-        as_.sd(zero, 0, t6);
-        as_.sd(zero, 8, t6);
-        as_.addi(t1, t1, 1);
-        as_.j(fill);
-        as_.bind(fillDone);
+        emitNilFill();
         // Operand stack restarts above the locals.
         as_.slli(t4, t4, 4);
         as_.add(s1, s3, t4);
         // FUNCALL dispatch site (bank 2).
-        emitPrivateTail(2);
+        emitDispatcher(2);
     }
 
     void
@@ -813,13 +486,7 @@ class SjsBuilder
         as_.li(a4, 0);
 
         as_.bind(unwind);
-        as_.ld(t3, kCiSavedVpc, s6);
-        as_.sd(t3, kVmVpc, s0);
-        as_.ld(s3, kCiSavedBase, s6);
-        as_.ld(s7, kCiSavedProto, s6);
-        as_.ld(s4, kProtoConsts, s7);
-        as_.ld(t4, kCiRetInfo, s6); // callee slot address
-        as_.addi(s6, s6, -int(kCiSize));
+        emitPopCallInfo();
         // Pop callee + args + locals + temps, then push the result.
         as_.mv(s1, t4);
         emitPush(a3, a4);
@@ -827,139 +494,18 @@ class SjsBuilder
     }
 
     /**
-     * Builtin bodies. Entered with &callee spilled at 0(sp) and nargs at
-     * 8(sp). They pop that spill, cut the operand stack back to the
-     * callee slot, push their result, and dispatch via the call tail.
+     * A builtin cuts the operand stack back to the callee slot (t0),
+     * pushes its result, and returns through the FUNCALL dispatch site.
      */
     void
-    emitBuiltins()
+    emitBuiltinResult() override
     {
-        Label storeResult = as_.newLabel("builtin_store");
-
-        as_.bind(builtinLabels_[size_t(vm::Builtin::Print)]);
-        as_.ld(t0, 0, sp);
-        as_.ld(a0, 16, t0); // first argument
-        as_.ld(a1, 24, t0);
-        as_.call(rt_.printValue);
-        as_.li(a0, '\n');
-        as_.li(a7, static_cast<int64_t>(cpu::Syscall::PutChar));
-        as_.ecall();
-        as_.li(a0, kTagNil);
-        as_.li(a1, 0);
-        as_.j(storeResult);
-
-        as_.bind(builtinLabels_[size_t(vm::Builtin::Sqrt)]);
-        as_.ld(t0, 0, sp);
-        as_.ld(t1, 16, t0);
-        as_.ld(t2, 24, t0);
-        {
-            Label flt = as_.newLabel();
-            Label go = as_.newLabel();
-            as_.li(t3, kTagInt);
-            as_.bne(t1, t3, flt);
-            as_.fcvtDL(0, t2);
-            as_.j(go);
-            as_.bind(flt);
-            as_.li(t3, kTagFloat);
-            as_.bne(t1, t3, rt_.trap);
-            as_.fmvDX(0, t2);
-            as_.bind(go);
-            as_.fsqrt(0, 0);
-            as_.fmvXD(a1, 0);
-            as_.li(a0, kTagFloat);
-            as_.j(storeResult);
-        }
-
-        as_.bind(builtinLabels_[size_t(vm::Builtin::StrSub)]);
-        as_.ld(t0, 0, sp);
-        as_.ld(t1, 16, t0);
-        as_.li(t2, kTagStr);
-        as_.bne(t1, t2, rt_.trap);
-        as_.ld(a0, 24, t0);
-        as_.ld(a1, 40, t0);
-        as_.ld(a2, 56, t0);
-        as_.call(rt_.strSub);
-        as_.mv(a1, a0);
-        as_.li(a0, kTagStr);
-        as_.j(storeResult);
-
-        as_.bind(builtinLabels_[size_t(vm::Builtin::StrByte)]);
-        as_.ld(t0, 0, sp);
-        as_.ld(t1, 16, t0);
-        as_.li(t2, kTagStr);
-        as_.bne(t1, t2, rt_.trap);
-        as_.ld(t3, 24, t0);
-        as_.ld(t4, 40, t0);
-        {
-            Label nil = as_.newLabel();
-            as_.ld(t5, kStrLen, t3);
-            as_.addi(t6, t4, -1);
-            as_.bgeu(t6, t5, nil);
-            as_.add(t3, t3, t6);
-            as_.lbu(a1, kStrBytes, t3);
-            as_.li(a0, kTagInt);
-            as_.j(storeResult);
-            as_.bind(nil);
-            as_.li(a0, kTagNil);
-            as_.li(a1, 0);
-            as_.j(storeResult);
-        }
-
-        as_.bind(builtinLabels_[size_t(vm::Builtin::StrChar)]);
-        as_.ld(t0, 0, sp);
-        as_.ld(t1, 24, t0);
-        as_.addi(sp, sp, -16);
-        as_.sb(t1, 0, sp);
-        as_.mv(a0, sp);
-        as_.li(a1, 1);
-        as_.call(rt_.internBytes);
-        as_.addi(sp, sp, 16);
-        as_.mv(a1, a0);
-        as_.li(a0, kTagStr);
-        as_.j(storeResult);
-
-        as_.bind(builtinLabels_[size_t(vm::Builtin::ToFloat)]);
-        as_.ld(t0, 0, sp);
-        as_.ld(t1, 16, t0);
-        as_.ld(t2, 24, t0);
-        {
-            Label flt = as_.newLabel();
-            as_.li(t3, kTagInt);
-            as_.bne(t1, t3, flt);
-            as_.fcvtDL(0, t2);
-            as_.fmvXD(a1, 0);
-            as_.li(a0, kTagFloat);
-            as_.j(storeResult);
-            as_.bind(flt);
-            as_.li(t3, kTagFloat);
-            as_.bne(t1, t3, rt_.trap);
-            as_.mv(a1, t2);
-            as_.li(a0, kTagFloat);
-            as_.j(storeResult);
-        }
-
-        as_.bind(storeResult);
-        as_.ld(t0, 0, sp); // callee slot
-        as_.addi(sp, sp, 16);
-        as_.mv(s1, t0);    // cut args + callee
+        as_.mv(s1, t0);
         emitPush(a0, a1);
-        // Builtins return through the FUNCALL dispatch site as well.
-        emitPrivateTail(2);
+        emitDispatcher(2);
     }
 
-    Assembler as_;
-    DataImage data_;
-    RuntimeLib rt_;
-    DispatchKind kind_;
-    SerializedModule serialized_;
-    Label dispatch_;
     Label uncovered_;
-    Label exit_;
-    Label handlers_[vm::sjs::kNumOps];
-    std::array<Label, size_t(vm::Builtin::NumBuiltins)> builtinLabels_;
-    std::vector<Label> rangeStart_;
-    std::vector<Label> rangeEnd_;
-    std::vector<Label> jumpPcs_;
 };
 
 } // namespace
@@ -967,8 +513,7 @@ class SjsBuilder
 GuestProgram
 buildSjsGuest(const vm::sjs::Module &module, DispatchKind kind)
 {
-    SjsBuilder builder(module, kind);
-    return builder.build();
+    return SjsBuilder(module, kind).build();
 }
 
 } // namespace scd::guest
