@@ -317,18 +317,22 @@ assembleText(const std::string &source, uint64_t base)
             need(2);
             as.fmvDX(f(0), r(1));
         } else if (m == "ecall") {
+            need(0);
             as.ecall();
         } else if (m == "ebreak") {
+            need(0);
             as.ebreak();
         } else if (m == "setmask") {
             need(1);
             as.setmask(r(0));
         } else if (m == "bop") {
+            need(0);
             as.bop();
         } else if (m == "jru") {
             need(1);
             as.jru(r(0));
         } else if (m == "jte.flush") {
+            need(0);
             as.jteFlush();
         } else if (m == "lbu.op" || m == "lhu.op" || m == "lw.op" ||
                    m == "ld.op") {
@@ -346,6 +350,7 @@ assembleText(const std::string &source, uint64_t base)
             else
                 as.ldOp(r(0), o, breg);
         } else if (m == "nop") {
+            need(0);
             as.nop();
         } else if (m == "mv") {
             need(2);
@@ -375,6 +380,7 @@ assembleText(const std::string &source, uint64_t base)
             need(1);
             as.call(lbl(0));
         } else if (m == "ret") {
+            need(0);
             as.ret();
         } else if (m == "jr") {
             need(1);

@@ -272,6 +272,17 @@ TEST(TextAssembler, RejectsUnknownMnemonic)
     EXPECT_THROW(assembleText("frobnicate a0, a1"), FatalError);
 }
 
+TEST(TextAssembler, RejectsOperandsOnOperandlessMnemonics)
+{
+    // Each of these takes no operand; a stray one (say, a bank number on
+    // bop) must not be dropped silently.
+    for (const char *line : {"bop 2", "ecall x5", "ebreak 1", "jte.flush 1",
+                             "nop 7", "ret ra"})
+        EXPECT_THROW(assembleText(line), FatalError) << line;
+    Program p = assembleText("bop\necall\nebreak\njte.flush\nnop\nret");
+    EXPECT_EQ(p.words.size(), 6u);
+}
+
 TEST(Disassembler, ShowsSymbolsAndMnemonics)
 {
     Assembler as(0x1000);
