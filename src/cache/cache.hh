@@ -78,11 +78,6 @@ class Cache
     const CacheConfig &config() const { return config_; }
     uint64_t accesses() const { return accesses_; }
     uint64_t misses() const { return misses_; }
-    double
-    missRate() const
-    {
-        return accesses_ ? double(misses_) / double(accesses_) : 0.0;
-    }
 
     /** Export counters into @p group under "<name>." prefixes. */
     void exportStats(StatGroup &group) const;

@@ -7,7 +7,6 @@
  * fatal()  — the user asked for something impossible (bad configuration,
  *            malformed input script, ...); exits with status 1.
  * warn()   — something suspicious but survivable happened.
- * inform() — plain status output.
  */
 
 #ifndef SCD_COMMON_LOGGING_HH
@@ -86,17 +85,6 @@ warn(Args &&...args)
     std::string line =
         "warn: " + detail::formatMessage(std::forward<Args>(args)...) + "\n";
     std::fwrite(line.data(), 1, line.size(), stderr);
-}
-
-/** Emit a status message (tear-free, like warn()). */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    std::string line =
-        "info: " + detail::formatMessage(std::forward<Args>(args)...) + "\n";
-    std::fwrite(line.data(), 1, line.size(), stdout);
-    std::fflush(stdout);
 }
 
 /** panic() unless the given condition holds. */

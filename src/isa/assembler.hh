@@ -50,9 +50,6 @@ class Assembler
         return l;
     }
 
-    /** Number of instruction slots emitted so far (pre-relaxation). */
-    size_t slotCount() const { return items_.size(); }
-
     // --- raw emission -----------------------------------------------------
     void emit(const Instruction &inst);
 

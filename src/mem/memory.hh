@@ -89,9 +89,6 @@ class GuestMemory
     /** Copy the encoded text segment of @p prog into memory. */
     void loadProgram(const isa::Program &prog);
 
-    /** Number of live 64 KiB pages (for footprint reporting). */
-    size_t pageCount() const { return pages_.size(); }
-
   private:
     static constexpr uint64_t
     offsetIn(uint64_t addr)
