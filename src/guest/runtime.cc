@@ -731,12 +731,12 @@ RuntimeLib::emitArithSlow()
 void
 emitFloatArith(Assembler &as, vm::ArithOp op)
 {
-    // f2 = floor(f2): truncate, then step down when that rounded up.
+    // Floor of f2 into f2 (used by the IDIV/MOD float paths).
     auto floorF2 = [&] {
         Label noAdjust = as.newLabel();
-        as.fcvtLD(t0, 2);
-        as.fcvtDL(3, t0);
-        as.fle(t1, 3, 2); // trunc <= x ?
+        as.fcvtLD(t0, 2);       // trunc
+        as.fcvtDL(3, t0);       // back to double
+        as.fle(t1, 3, 2);       // trunc <= x ?
         as.bnez(t1, noAdjust);
         as.li(t2, 1);
         as.fcvtDL(4, t2);
