@@ -13,11 +13,7 @@
  * All ablation steps run as one combined plan, so points with equal
  * pointKeys run once: every step whose machine differs only in SCD-side
  * knobs has the same baseline half, and predictor-scd, jte-overlay and
- * rop-distance-3 time one SCD machine (104 points, 52 distinct). The
- * execute-once, time-many engine then shares functional executions
- * across the distinct machine variants; --no-replay runs each distinct
- * point directly instead. The printed report and the --json export are
- * bit-identical either way.
+ * rop-distance-3 time one SCD machine (104 points, 52 distinct).
  */
 
 #include <cstdio>
@@ -143,9 +139,8 @@ main(int argc, char **argv)
     }
     std::fprintf(stderr,
                  "ablation: %zu points (%zu distinct) across %zu ablation "
-                 "steps%s...\n",
-                 plan.size(), bench::distinctPoints(plan), steps.size(),
-                 options.replay ? "" : " (direct)");
+                 "steps...\n",
+                 plan.size(), bench::distinctPoints(plan), steps.size());
     ExperimentSet all = runPlan(plan, options);
 
     // Subset geomean speedup of each step's scheme over its baseline,

@@ -38,7 +38,7 @@ namespace scd::bench
 /**
  * Reject every argument a binary does not take. @p accepted lists its
  * flags: one ending in '=' takes a value ("--size="), any other stands
- * alone ("--no-replay"). A binary takes no positional arguments, so
+ * alone. A binary takes no positional arguments, so
  * anything else — a misspelt flag, or "--size test" with a space —
  * prints the reason and exits 2 before any work starts, rather than
  * running with a default the caller did not ask for.
@@ -69,14 +69,13 @@ checkFlags(int argc, char **argv, std::initializer_list<const char *> accepted)
 
 /**
  * checkFlags for the figure and table binaries: --size, --json,
- * --frontend and parseRunOptions' --jobs, --no-replay and
- * --point-timeout.
+ * --frontend and parseRunOptions' --jobs and --point-timeout.
  */
 inline void
 checkFigureFlags(int argc, char **argv)
 {
     checkFlags(argc, argv,
-               {"--size=", "--jobs=", "--json=", "--frontend=", "--no-replay",
+               {"--size=", "--jobs=", "--json=", "--frontend=",
                 "--point-timeout="});
 }
 
@@ -275,21 +274,6 @@ parseJsonPath(int argc, char **argv)
 }
 
 /**
- * Parse --no-replay: disable the execute-once, time-many plan executor
- * and run every experiment point directly (docs/SIMULATOR.md). The
- * cross-check escape hatch; results are bit-identical either way.
- */
-inline bool
-parseNoReplay(int argc, char **argv)
-{
-    for (int n = 1; n < argc; ++n) {
-        if (std::strcmp(argv[n], "--no-replay") == 0)
-            return true;
-    }
-    return false;
-}
-
-/**
  * Parse --point-timeout=SECONDS: the per-point wall-clock deadline
  * (RunOptions::pointTimeout, checked by harness::parsePointTimeout).
  * Returns 0 (unlimited) when absent.
@@ -303,15 +287,14 @@ parsePointTimeout(int argc, char **argv)
 }
 
 /**
- * Assemble the RunOptions every figure driver shares: --jobs,
- * --no-replay and --point-timeout.
+ * Assemble the RunOptions every figure driver shares: --jobs and
+ * --point-timeout.
  */
 inline harness::RunOptions
 parseRunOptions(int argc, char **argv)
 {
     harness::RunOptions options;
     options.jobs = parseJobs(argc, argv);
-    options.replay = !parseNoReplay(argc, argv);
     options.pointTimeout = parsePointTimeout(argc, argv);
     return options;
 }

@@ -1,8 +1,8 @@
 /**
  * @file
- * The Figure 11 sweep as one combined experiment plan, shared between
- * fig11_sensitivity (which renders it) and harness_throughput (which
- * times it as the replay engine's reference workload).
+ * The Figure 11 sweep as one combined experiment plan, rendered by
+ * fig11_sensitivity; frontend_sensitivity and perfbench build their
+ * plans with the same fig11Plan().
  *
  * The figure is 16 sweep steps — per VM, four BTB capacities and four
  * JTE-cap settings at the smallest BTB — each an 11-workload x
@@ -10,9 +10,7 @@
  * call lets the plan executor see the whole figure. A JTE cap is
  * unobservable without SCD, so every cap step's Baseline points equal
  * the btb=64 step's, and the unlimited cap's SCD points equal it too:
- * the 352 points hold 242 distinct pointKeys, and each runs once. Per
- * (vm, workload) the four distinct baseline points then replay one
- * stream and the seven distinct SCD points another.
+ * the 352 points hold 242 distinct pointKeys, and each runs once.
  */
 
 #ifndef SCD_BENCH_FIG11_PLAN_HH

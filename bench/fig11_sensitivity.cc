@@ -5,9 +5,7 @@
  * with the smallest (64-entry) BTB.
  *
  * All 16 sweep steps run as one combined plan (bench/fig11_plan.hh) so
- * the execute-once, time-many engine shares functional executions across
- * the whole figure; --no-replay runs every point directly instead. The
- * rendered tables and the --json export are bit-identical either way.
+ * the plan executor runs each distinct point of the whole figure once.
  */
 
 #include <cstdio>
@@ -98,9 +96,8 @@ main(int argc, char **argv)
     ExperimentPlan plan = bench::fig11Plan(steps, size);
     std::fprintf(stderr,
                  "fig11: %zu points (%zu distinct) across %zu sweep "
-                 "steps%s...\n",
-                 plan.size(), bench::distinctPoints(plan), steps.size(),
-                 options.replay ? "" : " (direct)");
+                 "steps...\n",
+                 plan.size(), bench::distinctPoints(plan), steps.size());
 
     ExperimentSet all = runPlan(plan, options);
 

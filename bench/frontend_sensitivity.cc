@@ -153,8 +153,7 @@ main(int argc, char **argv)
 {
     // The sweep picks its own frontends, so --frontend is not a flag here.
     bench::checkFlags(argc, argv,
-                      {"--size=", "--jobs=", "--json=", "--no-replay",
-                       "--point-timeout="});
+                      {"--size=", "--jobs=", "--json=", "--point-timeout="});
     InputSize size = bench::parseSize(argc, argv, InputSize::Sim);
     RunOptions options = bench::parseRunOptions(argc, argv);
     std::string jsonPath = bench::parseJsonPath(argc, argv);
@@ -164,9 +163,8 @@ main(int argc, char **argv)
     ExperimentPlan plan = bench::fig11Plan(steps, size);
     std::fprintf(stderr,
                  "frontend_sensitivity: %zu points (%zu distinct) across "
-                 "%zu sweep steps%s...\n",
-                 plan.size(), bench::distinctPoints(plan), steps.size(),
-                 options.replay ? "" : " (direct)");
+                 "%zu sweep steps...\n",
+                 plan.size(), bench::distinctPoints(plan), steps.size());
     ExperimentSet all = runPlan(plan, options);
 
     const size_t perStep = all.points.size() / steps.size();

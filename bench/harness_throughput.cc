@@ -5,8 +5,8 @@
  * in BENCH_harness.json so the perf trajectory is tracked across PRs.
  *
  * The plan is the fig07-10 grid shape (2 VMs x 11 workloads x 4 schemes)
- * at the chosen input size. Every point first runs as a replay producer
- * would — FunctionalCore::runRecorded() against RecorderTiming, in
+ * at the chosen input size. Every point first runs through the recording
+ * executor — FunctionalCore::runRecorded() against RecorderTiming, in
  * RetireChunk-sized fills — twice per dispatch tier, threaded and the
  * reference switch interpreter interleaved so allocator drift hits both
  * equally. The plan then runs twice serially (--jobs=1) and twice on the
@@ -23,12 +23,6 @@
  * shared machine swings single measurements by >10%, and the
  * per-experiment minimum is the usual noise-robust estimator of the
  * achievable speed.
- *
- * A final pair of passes times the execute-once, time-many plan executor
- * on its reference workload — the Figure 11 sweep (bench/fig11_plan.hh),
- * whose 16 machine variants per (vm, scheme) are exactly the shape replay
- * accelerates — once directly and once replayed, recording the wall
- * times and their ratio (fig11_replay_speedup).
  */
 
 #include <algorithm>
@@ -47,7 +41,6 @@
 #include "cpu/dispatch_tier.hh"
 #include "cpu/functional_core.hh"
 #include "cpu/retire_stream.hh"
-#include "fig11_plan.hh"
 #include "harness/experiment.hh"
 #include "harness/machines.hh"
 #include "harness/runner.hh"
@@ -85,7 +78,7 @@ instructionsPerSecond(const scd::harness::ExperimentSet &first,
                           : 0.0;
 }
 
-/** One replay-producer (or timed) pass over a plan on one tier. */
+/** One recording (or timed) pass over a plan on one tier. */
 struct TierPass
 {
     std::vector<double> seconds; ///< per point, guest compile excluded
@@ -93,9 +86,9 @@ struct TierPass
 };
 
 /**
- * Run every point of @p plan the way a replay group's producer does:
- * the guest to exit through FunctionalCore::runRecorded() against
- * RecorderTiming, one RetireChunk-sized fill at a time.
+ * Run every point of @p plan to exit through the recording executor,
+ * FunctionalCore::runRecorded() against RecorderTiming, one
+ * RetireChunk-sized fill at a time.
  */
 TierPass
 producerPass(const scd::harness::ExperimentPlan &plan,
@@ -347,30 +340,6 @@ main(int argc, char **argv)
                  "harness_throughput: parallel pass 2 (%u jobs)...\n", jobs);
     ExperimentSet parallel2 = runPlan(plan, parallelOpts);
 
-    // Replay-engine measurement: the fig11 sweep wall-clocked direct
-    // then replayed. Both passes run each distinct pointKey once, so
-    // the direct side is already deduplicated. The guest compile cache
-    // is warm either way (the passes above compiled every (vm,
-    // workload, dispatch) already), so the ratio isolates the
-    // execute-once, time-many win.
-    ExperimentPlan fig11 = bench::fig11Plan(bench::fig11Steps(), size);
-    RunOptions fig11Opts;
-    fig11Opts.jobs = jobs;
-    std::fprintf(stderr,
-                 "harness_throughput: fig11 direct pass (%zu points, %u "
-                 "jobs)...\n",
-                 fig11.size(), jobs);
-    fig11Opts.replay = false;
-    auto t0 = std::chrono::steady_clock::now();
-    runPlan(fig11, fig11Opts);
-    auto t1 = std::chrono::steady_clock::now();
-    std::fprintf(stderr, "harness_throughput: fig11 replay pass...\n");
-    fig11Opts.replay = true;
-    runPlan(fig11, fig11Opts);
-    auto t2 = std::chrono::steady_clock::now();
-    double fig11Direct = std::chrono::duration<double>(t1 - t0).count();
-    double fig11Replay = std::chrono::duration<double>(t2 - t1).count();
-
     std::fprintf(stderr, "harness_throughput: frontend-overhead "
                          "microbench...\n");
     double frontendOverhead = frontendOverheadRatio();
@@ -407,10 +376,6 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"speedup\": %.3f,\n", speedup);
     std::fprintf(f, "  \"timed_instructions_per_second\": %.0f,\n",
                  timedIps);
-    std::fprintf(f, "  \"fig11_direct_seconds\": %.6f,\n", fig11Direct);
-    std::fprintf(f, "  \"fig11_replay_seconds\": %.6f,\n", fig11Replay);
-    std::fprintf(f, "  \"fig11_replay_speedup\": %.3f,\n",
-                 fig11Replay > 0 ? fig11Direct / fig11Replay : 0.0);
     std::fprintf(f, "  \"producer_switch_ips\": %.0f,\n", switchIps);
     std::fprintf(f, "  \"producer_threaded_ips\": %.0f,\n", threadedIps);
     std::fprintf(f, "  \"producer_threaded_speedup\": %.3f,\n",
@@ -436,12 +401,11 @@ main(int argc, char **argv)
     std::printf("harness throughput: %zu points, serial %.2fs, %u jobs "
                 "%.2fs, speedup %.2fx, timed %.0f Minst/s, producer "
                 "threaded %.0f Minst/s (%.2fx switch), timed threaded "
-                "%.0f Minst/s (%.2fx switch), fig11 replay %.2fx, "
-                "frontend overhead %.3fx -> %s\n",
+                "%.0f Minst/s (%.2fx switch), frontend overhead %.3fx "
+                "-> %s\n",
                 plan.size(), serialSeconds, parallel.jobs, parallelSeconds,
                 speedup, timedIps / 1e6, threadedIps / 1e6, threadedSpeedup,
-                timedThreadedIps / 1e6, timedSpeedup,
-                fig11Replay > 0 ? fig11Direct / fig11Replay : 0.0,
-                frontendOverhead, path);
+                timedThreadedIps / 1e6, timedSpeedup, frontendOverhead,
+                path);
     return reportTroubledPoints({&serial, &serial2, &parallel, &parallel2});
 }

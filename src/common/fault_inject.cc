@@ -27,7 +27,6 @@ const std::vector<std::string> &
 registeredSites()
 {
     static const std::vector<std::string> sites = {
-        "replay-ring",
         "point-oom",
     };
     return sites;
@@ -76,24 +75,20 @@ hit(const char *site)
     if (!armedFlag_.load(std::memory_order_acquire))
         return;
 
-    unsigned occurrence = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         if (armedSite_ != site)
             return;
         if (++hits_ != armedNth_)
             return;
-        // One-shot: disarm before throwing so recovery paths (e.g. the
-        // replay->direct fallback) do not re-trip the same fault.
-        occurrence = hits_;
+        // One-shot: disarm before throwing so a rerun does not re-trip
+        // the same fault.
         armedSite_.clear();
         armedNth_ = 0;
         hits_ = 0;
         armedFlag_.store(false, std::memory_order_release);
     }
-    if (std::string(site) == "point-oom")
-        throw std::bad_alloc();
-    fatal("injected fault at ", site, " (occurrence ", occurrence, ")");
+    throw std::bad_alloc();
 }
 
 } // namespace scd::faultinj

@@ -5,18 +5,14 @@
  *
  * The sites are compiled into every build; a fault is armed only from
  * code, with faultinj::arm(). When the armed site is hit for the nth
- * time, the layer disarms itself (one-shot) and throws a FatalError
- * "injected fault at <site> (occurrence <n>)" — except the "point-oom"
- * site, which throws std::bad_alloc to exercise the per-point
- * out-of-memory guard. A visit to a site while nothing is armed costs
- * one atomic load; sites run once per point or once per replay chunk.
+ * time, the layer disarms itself (one-shot) and throws std::bad_alloc
+ * to exercise the per-point out-of-memory guard. A visit to a site
+ * while nothing is armed costs one atomic load; sites run once per
+ * point.
  *
  * Registered sites (tests iterate registeredSites() to prove every
  * recovery path fires):
- *   replay-ring  replay.cc, producer chunk loop — a failure inside the
- *                execute-once replay engine: the group falls back to
- *                the direct path and its points end Degraded
- *   point-oom    replay.cc, contained point wrapper — an allocation
+ *   point-oom    experiment.cc, runPointContained — an allocation
  *                failure inside one experiment point
  */
 

@@ -6,14 +6,42 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
+#include <new>
 #include <thread>
 
+#include "common/fault_inject.hh"
 #include "common/logging.hh"
 #include "pool.hh"
 #include "replay.hh"
 
 namespace scd::harness
 {
+
+namespace
+{
+
+using steady = std::chrono::steady_clock;
+
+double
+secondsSince(steady::time_point start)
+{
+    return std::chrono::duration<double>(steady::now() - start).count();
+}
+
+/**
+ * One buffered write per progress line: concurrent tasks then interleave
+ * whole lines on stderr instead of tearing mid-line through stdio's
+ * character-level buffering.
+ */
+void
+printProgress(const ExperimentPoint &point)
+{
+    std::string line = "  running " + point.label() + "...\n";
+    std::fwrite(line.data(), 1, line.size(), stderr);
+}
+
+} // namespace
 
 const char *
 pointStatusName(PointStatus status)
@@ -25,8 +53,6 @@ pointStatusName(PointStatus status)
         return "failed";
       case PointStatus::TimedOut:
         return "timed_out";
-      case PointStatus::Degraded:
-        return "degraded";
     }
     return "unknown";
 }
@@ -136,19 +162,73 @@ parsePointTimeout(const char *text, double &seconds)
     return true;
 }
 
+ExperimentRun
+runPointContained(const ExperimentPoint &point, const RunOptions &options)
+{
+    SCD_ASSERT(point.workload, "experiment point without a workload");
+    ExperimentRun run;
+    auto start = steady::now();
+    try {
+        faultinj::hit("point-oom");
+        if (options.verbose)
+            printProgress(point);
+        run.result = runWorkload(point.vm, *point.workload, point.size,
+                                 point.scheme, point.machine,
+                                 point.maxInstructions, nullptr,
+                                 options.pointTimeout, options.dispatchTier);
+    } catch (const TimeoutError &e) {
+        run.status = PointStatus::TimedOut;
+        run.error = e.what();
+    } catch (const FatalError &e) {
+        run.status = PointStatus::Failed;
+        run.error = e.what();
+    } catch (const std::bad_alloc &) {
+        run.status = PointStatus::Failed;
+        run.error = "out of memory";
+    }
+    run.seconds = secondsSince(start);
+    return run;
+}
+
 ExperimentSet
 runPlan(const ExperimentPlan &plan, const RunOptions &options)
 {
-    using clock = std::chrono::steady_clock;
-
+    auto planStart = steady::now();
     ExperimentSet set;
     set.points = plan.points();
     set.runs.resize(set.points.size());
 
-    auto planStart = clock::now();
-    runPlanReplay(set, options);
-    set.totalSeconds =
-        std::chrono::duration<double>(clock::now() - planStart).count();
+    // Equal points run once: the first point of each pointKey becomes a
+    // task, every later one copies its run.
+    std::map<std::string, size_t> firstWithKey;
+    std::vector<size_t> representative(set.points.size());
+    std::vector<size_t> tasks;
+    for (size_t i = 0; i < set.points.size(); ++i) {
+        SCD_ASSERT(set.points[i].workload,
+                   "experiment point without a workload");
+        representative[i] =
+            firstWithKey.try_emplace(pointKey(set.points[i]), i)
+                .first->second;
+        if (representative[i] == i)
+            tasks.push_back(i);
+    }
+
+    set.jobs = resolveJobs(options.jobs);
+    // No point spinning up more workers than there are tasks.
+    if (tasks.size() < set.jobs)
+        set.jobs = tasks.empty() ? 1 : unsigned(tasks.size());
+    parallelFor(set.jobs, tasks.size(), [&](size_t t) {
+        set.runs[tasks[t]] = runPointContained(set.points[tasks[t]], options);
+    });
+
+    // A duplicate shares its representative's run, whatever its status.
+    for (size_t i = 0; i < set.points.size(); ++i) {
+        if (representative[i] != i) {
+            set.runs[i] = set.runs[representative[i]];
+            set.runs[i].seconds = 0.0; // no wall time of its own
+        }
+    }
+    set.totalSeconds = secondsSince(planStart);
     return set;
 }
 

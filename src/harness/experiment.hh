@@ -63,17 +63,15 @@ class ExperimentPlan
 };
 
 /**
- * How one point of a plan ended. A point is usable (its result holds
- * real data) when Ok or Degraded; Failed and TimedOut points carry a
- * default-constructed result plus diagnostic text in
- * ExperimentRun::error.
+ * How one point of a plan ended. Only an Ok point's result holds real
+ * data; Failed and TimedOut points carry a default-constructed result
+ * plus diagnostic text in ExperimentRun::error.
  */
 enum class PointStatus
 {
     Ok,       ///< completed normally
     Failed,   ///< FatalError / guest failure / allocation failure
     TimedOut, ///< cancelled by the per-point wall-clock watchdog
-    Degraded, ///< replay path failed; direct-path fallback succeeded
 };
 
 /** Stable lower-case name, as exported in the failure manifest. */
@@ -87,12 +85,8 @@ struct ExperimentRun
     PointStatus status = PointStatus::Ok;
     std::string error; ///< diagnostic text for non-Ok statuses
 
-    /** True when result holds real data (Ok or Degraded). */
-    bool
-    usable() const
-    {
-        return status == PointStatus::Ok || status == PointStatus::Degraded;
-    }
+    /** True when result holds real data (status Ok). */
+    bool usable() const { return status == PointStatus::Ok; }
 };
 
 /** All results of a plan, in plan order. */
@@ -118,7 +112,7 @@ struct ExperimentSet
  * harness::finishRun in json_export.hh, which applies it in one place):
  * kExitOk for a clean run, kExitExportFailure when the --json export
  * could not be written, kExitTroubled when any experiment point ended
- * non-Ok (degraded, failed, or timed out). Export failure outranks
+ * non-Ok (failed or timed out). Export failure outranks
  * troubled points: a document that was never written is the more
  * urgent signal.
  */
@@ -132,8 +126,8 @@ enum : int
 /**
  * Print one warn() line per non-Ok point of each set and return a
  * process exit code: kExitOk when every point of every set is Ok,
- * kExitTroubled otherwise. The bench drivers call this so a degraded
- * or partial figure never masquerades as a clean run.
+ * kExitTroubled otherwise. The bench drivers call this so a partial
+ * figure never masquerades as a clean run.
  */
 int reportTroubledPoints(const std::vector<const ExperimentSet *> &sets);
 
@@ -144,13 +138,7 @@ struct RunOptions
     unsigned jobs = 0;
     bool verbose = false; ///< per-point progress on stderr
 
-    /**
-     * Execute-once, time-many: points sharing a functional key run one
-     * FunctionalCore and replay its retired-instruction stream through
-     * every timing model (src/harness/replay.hh). Results are
-     * bit-identical to direct execution. The CLI escape hatch
-     * --no-replay turns it off; equal points run once either way.
-     */
+    /** Ignored by runPlan(); perfbench/scd_perfbench.cc still sets it. */
     bool replay = true;
 
     /**
@@ -161,11 +149,10 @@ struct RunOptions
     double pointTimeout = 0.0;
 
     /**
-     * Execution tier of replay's shared producer (direct points run
-     * Core::run on its default, the threaded tier). Host-speed only —
-     * results are bit-identical across tiers (cpu/dispatch_tier.hh) — so
-     * it is not part of the replay grouping key or pointKey(). Tests pin
-     * Switch as the reference.
+     * Execution tier of every point's Core::run (Core::setDispatchTier).
+     * Host-speed only — results are bit-identical across tiers
+     * (cpu/dispatch_tier.hh) — so it is not part of pointKey(). Tests
+     * pin Switch as the reference.
      */
     cpu::DispatchTier dispatchTier = cpu::DispatchTier::Threaded;
 };
@@ -192,10 +179,22 @@ unsigned resolveJobs(unsigned requested);
 bool parsePointTimeout(const char *text, double &seconds);
 
 /**
- * Execute every point of @p plan; results land in plan order. Point
- * failures (guest errors, timeouts, allocation failures) are contained:
- * the failing point is recorded with a non-Ok PointStatus and the rest
- * of the plan still runs. Internal simulator bugs (panic) still abort.
+ * Execute one point on its own through runWorkload (Core::run on
+ * options.dispatchTier), timing its wall clock. FatalError,
+ * TimeoutError and bad_alloc become a non-Ok PointStatus with
+ * diagnostic text instead of propagating.
+ */
+ExperimentRun runPointContained(const ExperimentPoint &point,
+                                const RunOptions &options);
+
+/**
+ * Execute every point of @p plan; results land in plan order. Points
+ * with equal pointKey()s (src/harness/replay.hh) run once: the first
+ * point of each key runs through runPointContained() and every later
+ * one copies its run with seconds = 0. Point failures (guest errors,
+ * timeouts, allocation failures) are contained: the failing point is
+ * recorded with a non-Ok PointStatus and the rest of the plan still
+ * runs. Internal simulator bugs (panic) still abort.
  */
 ExperimentSet runPlan(const ExperimentPlan &plan,
                       const RunOptions &options = {});

@@ -95,22 +95,22 @@ struct ExperimentResult
  * run, which then records its pipeline events (src/obs/trace.hh) and
  * steps the reference interpreter; the numbers are the same either way.
  * A positive @p timeoutSeconds arms the core's cooperative watchdog:
- * the run throws TimeoutError when the deadline expires.
+ * the run throws TimeoutError when the deadline expires. @p tier picks
+ * Core::run's execution tier; the results do not depend on it.
  */
-ExperimentResult runExperiment(VmKind vm, const std::string &source,
-                               core::Scheme scheme,
-                               const cpu::CoreConfig &machine,
-                               uint64_t maxInstructions = 0,
-                               obs::TraceBuffer *trace = nullptr,
-                               double timeoutSeconds = 0.0);
+ExperimentResult runExperiment(
+    VmKind vm, const std::string &source, core::Scheme scheme,
+    const cpu::CoreConfig &machine, uint64_t maxInstructions = 0,
+    obs::TraceBuffer *trace = nullptr, double timeoutSeconds = 0.0,
+    cpu::DispatchTier tier = cpu::DispatchTier::Threaded);
 
 /** Convenience: run a Table III workload at the given input size. */
-ExperimentResult runWorkload(VmKind vm, const Workload &workload,
-                             InputSize size, core::Scheme scheme,
-                             const cpu::CoreConfig &machine,
-                             uint64_t maxInstructions = 0,
-                             obs::TraceBuffer *trace = nullptr,
-                             double timeoutSeconds = 0.0);
+ExperimentResult runWorkload(
+    VmKind vm, const Workload &workload, InputSize size,
+    core::Scheme scheme, const cpu::CoreConfig &machine,
+    uint64_t maxInstructions = 0, obs::TraceBuffer *trace = nullptr,
+    double timeoutSeconds = 0.0,
+    cpu::DispatchTier tier = cpu::DispatchTier::Threaded);
 
 /** The interpreter binary variant a scheme runs on. */
 guest::DispatchKind dispatchForScheme(core::Scheme scheme);

@@ -47,8 +47,7 @@ TEST(BenchFlags, FigureBinariesTakeTheirOwnFlags)
 {
     checkFigureFlags({});
     checkFigureFlags({"--size=test", "--jobs=4", "--json=out.json",
-                      "--frontend=mlbtb", "--no-replay",
-                      "--point-timeout=60"});
+                      "--frontend=mlbtb", "--point-timeout=60"});
     // Values are checked by each flag's own parser, not here.
     checkFigureFlags({"--size=bogus", "--jobs=x"});
 }
@@ -62,10 +61,10 @@ TEST(BenchFlags, UnknownFlagOrArgumentExitsWithCode2)
                 ::testing::ExitedWithCode(2), "unknown flag '--jbos=1'");
     EXPECT_EXIT(checkFigureFlags({"--no-reply"}),
                 ::testing::ExitedWithCode(2), "unknown flag '--no-reply'");
-    // A standalone flag takes no value, and a value flag needs its '='.
-    EXPECT_EXIT(checkFigureFlags({"--no-replay=1"}),
-                ::testing::ExitedWithCode(2),
-                "unknown flag '--no-replay=1'");
+    // The plan executor has one path, so its old switch is gone too.
+    EXPECT_EXIT(checkFigureFlags({"--no-replay"}),
+                ::testing::ExitedWithCode(2), "unknown flag '--no-replay'");
+    // A value flag needs its '='.
     EXPECT_EXIT(checkFigureFlags({"--size", "test"}),
                 ::testing::ExitedWithCode(2), "unknown flag '--size'");
     EXPECT_EXIT(checkFigureFlags({"test"}), ::testing::ExitedWithCode(2),

@@ -10,8 +10,8 @@
  * recording caps that pause at arbitrary boundaries, guest text
  * self-modification (a store re-lowers the core's one slot array in
  * place, and both tiers run the new code from the next fetch on), and
- * byte-identical exports when the replay producer runs on the threaded
- * tier. The timed path (Core::run, which retires each slot straight into
+ * byte-identical exports when a plan runs on the threaded tier. The
+ * timed path (Core::run, which retires each slot straight into
  * the core's InOrderTiming) is compared on its results and counters, on
  * machines whose JTE probes hit.
  */

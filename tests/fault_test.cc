@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <limits>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,7 +66,6 @@ TEST(FaultContainment, GuestTrapContainedOnDirectPath)
 
     RunOptions options;
     options.jobs = 2;
-    options.replay = false;
     ExperimentSet set = runPlan(plan, options);
 
     ASSERT_EQ(set.runs.size(), 2u);
@@ -81,39 +81,8 @@ TEST(FaultContainment, GuestTrapContainedOnDirectPath)
 }
 
 /**
- * A trap inside a replay group poisons the whole group's producer; the
- * members fall back to the direct path, fail again there, and must end
- * up Failed with a diagnostic naming both attempts.
- */
-TEST(FaultContainment, GuestTrapContainedOnReplayPath)
-{
-    // Two timing variants of the trap workload share one functional
-    // stream, so both flow through a single poisoned group.
-    ExperimentPlan plan;
-    plan.add(point(trapWorkload(), core::Scheme::Baseline, minorConfig()));
-    plan.add(point(trapWorkload(), core::Scheme::Baseline,
-                   rocketConfig()));
-
-    RunOptions options;
-    options.jobs = 1;
-    options.replay = true;
-    ExperimentSet set = runPlan(plan, options);
-
-    ASSERT_EQ(set.runs.size(), 2u);
-    for (size_t i = 0; i < set.runs.size(); ++i) {
-        SCOPED_TRACE(set.points[i].label());
-        EXPECT_EQ(set.runs[i].status, PointStatus::Failed);
-        EXPECT_NE(set.runs[i].error.find("guest exited"),
-                  std::string::npos);
-        EXPECT_NE(set.runs[i].error.find("direct fallback"),
-                  std::string::npos);
-    }
-    EXPECT_EQ(reportTroubledPoints({&set}), 2);
-}
-
-/**
- * A trap point listed twice runs once, on either path; the copy carries
- * the same failure, and both count as troubled.
+ * A trap point listed twice runs once; the copy carries the same
+ * failure, and both count as troubled.
  */
 TEST(FaultContainment, DuplicatedTrapPointFailsTwice)
 {
@@ -121,22 +90,18 @@ TEST(FaultContainment, DuplicatedTrapPointFailsTwice)
     plan.add(point(trapWorkload(), core::Scheme::Baseline, minorConfig()));
     plan.add(point(trapWorkload(), core::Scheme::Baseline, minorConfig()));
 
-    for (bool replay : {true, false}) {
-        SCOPED_TRACE(replay ? "replay" : "direct");
-        RunOptions options;
-        options.jobs = 2;
-        options.replay = replay;
-        ExperimentSet set = runPlan(plan, options);
+    RunOptions options;
+    options.jobs = 2;
+    ExperimentSet set = runPlan(plan, options);
 
-        ASSERT_EQ(set.runs.size(), 2u);
-        for (const ExperimentRun &run : set.runs) {
-            EXPECT_EQ(run.status, PointStatus::Failed);
-            EXPECT_NE(run.error.find("guest exited"), std::string::npos);
-        }
-        EXPECT_EQ(set.runs[1].error, set.runs[0].error);
-        EXPECT_EQ(set.troubled(), 2u);
-        EXPECT_EQ(reportTroubledPoints({&set}), 2);
+    ASSERT_EQ(set.runs.size(), 2u);
+    for (const ExperimentRun &run : set.runs) {
+        EXPECT_EQ(run.status, PointStatus::Failed);
+        EXPECT_NE(run.error.find("guest exited"), std::string::npos);
     }
+    EXPECT_EQ(set.runs[1].error, set.runs[0].error);
+    EXPECT_EQ(set.troubled(), 2u);
+    EXPECT_EQ(reportTroubledPoints({&set}), 2);
 }
 
 /** A tiny per-point deadline classifies points TimedOut, not Failed. */
@@ -148,7 +113,6 @@ TEST(FaultContainment, TimeoutClassifiedAsTimedOut)
 
     RunOptions options;
     options.jobs = 1;
-    options.replay = false;
     options.pointTimeout = 1e-9;
     ExperimentSet set = runPlan(plan, options);
 
@@ -182,27 +146,22 @@ TEST(Watchdog, HugeDeadlinesNeverExpire)
     EXPECT_THROW(tiny.expire(), TimeoutError);
 }
 
-/** A huge per-point deadline leaves every point Ok, direct and replay. */
+/** A huge per-point deadline leaves every point Ok. */
 TEST(FaultContainment, HugePointTimeoutFinishesOk)
 {
-    // Two machines, one functional key: a replay group with replay on.
     ExperimentPlan plan;
     plan.add(point(workload("fibo"), core::Scheme::Baseline,
                    minorConfig()));
     plan.add(point(workload("fibo"), core::Scheme::Baseline,
                    rocketConfig()));
 
-    for (bool replay : {false, true}) {
-        RunOptions options;
-        options.jobs = 1;
-        options.replay = replay;
-        options.pointTimeout = 1e10;
-        ExperimentSet set = runPlan(plan, options);
-        ASSERT_EQ(set.runs.size(), 2u);
-        for (const ExperimentRun &run : set.runs)
-            EXPECT_EQ(run.status, PointStatus::Ok)
-                << "replay=" << replay << ": " << run.error;
-    }
+    RunOptions options;
+    options.jobs = 1;
+    options.pointTimeout = 1e10;
+    ExperimentSet set = runPlan(plan, options);
+    ASSERT_EQ(set.runs.size(), 2u);
+    for (const ExperimentRun &run : set.runs)
+        EXPECT_EQ(run.status, PointStatus::Ok) << run.error;
 }
 
 /** Failed points vanish from the export's points[] but are named in
@@ -216,7 +175,6 @@ TEST(FaultContainment, FailureManifestInExport)
 
     RunOptions options;
     options.jobs = 1;
-    options.replay = false;
     ExperimentSet set = runPlan(plan, options);
 
     obs::StatsSink sink("fault_test", "test");
@@ -300,8 +258,8 @@ class FaultInjection : public ::testing::Test
 };
 
 /**
- * Every registered site, when armed, must poison at least one point
- * (named in the set) while the rest of the plan completes.
+ * Every registered site, when armed, must fail exactly the point it
+ * fires in (named in the set) while the rest of the plan completes.
  */
 TEST_F(FaultInjection, EveryPlanSiteFiresAndIsContained)
 {
@@ -316,50 +274,20 @@ TEST_F(FaultInjection, EveryPlanSiteFiresAndIsContained)
                        rocketConfig()));
         RunOptions options;
         options.jobs = 1;
-        options.replay = true;
         ExperimentSet set = runPlan(plan, options);
 
         EXPECT_FALSE(faultinj::armed()) << "site never hit: " << site;
-        EXPECT_GT(set.troubled(), 0u);
-        for (const ExperimentRun &run : set.runs)
-            EXPECT_NE(run.status, PointStatus::Failed)
-                << "one-shot fault should degrade, not fail: "
-                << run.error;
+        ASSERT_EQ(set.troubled(), 1u);
+        for (const ExperimentRun &run : set.runs) {
+            if (run.status == PointStatus::Ok) {
+                EXPECT_GT(run.result.run.instructions, 0u);
+                continue;
+            }
+            EXPECT_EQ(run.status, PointStatus::Failed);
+            EXPECT_EQ(run.error, "out of memory");
+        }
         faultinj::disarm();
     }
-}
-
-/**
- * A replay-ring fault degrades its group onto the direct path; the
- * degraded results must carry the same data a clean run produces.
- */
-TEST_F(FaultInjection, ReplayFaultDegradesWithIdenticalData)
-{
-    ExperimentPlan plan;
-    plan.add(point(workload("fibo"), core::Scheme::Baseline,
-                   minorConfig()));
-    plan.add(point(workload("fibo"), core::Scheme::Baseline,
-                   rocketConfig()));
-    RunOptions options;
-    options.jobs = 1;
-    options.replay = true;
-
-    ExperimentSet clean = runPlan(plan, options);
-
-    faultinj::arm("replay-ring", 1);
-    ExperimentSet faulty = runPlan(plan, options);
-    ASSERT_EQ(faulty.runs.size(), clean.runs.size());
-    for (size_t i = 0; i < faulty.runs.size(); ++i) {
-        SCOPED_TRACE(faulty.points[i].label());
-        EXPECT_EQ(faulty.runs[i].status, PointStatus::Degraded);
-        EXPECT_TRUE(faulty.runs[i].usable());
-        EXPECT_EQ(faulty.at(i).run.cycles, clean.at(i).run.cycles);
-        EXPECT_EQ(faulty.at(i).run.instructions,
-                  clean.at(i).run.instructions);
-        EXPECT_EQ(faulty.at(i).stats.all(), clean.at(i).stats.all());
-    }
-    // Degraded points are usable data but still flag the run.
-    EXPECT_EQ(reportTroubledPoints({&faulty}), 2);
 }
 
 /** arm() validates the site name against the registry: a typo must
@@ -372,7 +300,7 @@ TEST_F(FaultInjection, UnknownSiteRejectedAtArmTime)
     } catch (const FatalError &e) {
         std::string what = e.what();
         EXPECT_NE(what.find("unknown fault site"), std::string::npos);
-        EXPECT_NE(what.find("replay-ring"), std::string::npos)
+        EXPECT_NE(what.find("point-oom"), std::string::npos)
             << "the error should list the registered sites";
     }
     EXPECT_FALSE(faultinj::armed());
@@ -381,16 +309,16 @@ TEST_F(FaultInjection, UnknownSiteRejectedAtArmTime)
 /** Only the nth hit of the armed site fires, once. */
 TEST_F(FaultInjection, NthOccurrenceCounts)
 {
-    faultinj::arm("replay-ring", 3);
+    faultinj::arm("point-oom", 3);
     // Two hits: not yet.
-    EXPECT_NO_THROW(faultinj::hit("replay-ring"));
-    EXPECT_NO_THROW(faultinj::hit("replay-ring"));
-    // Hits at other sites never count toward replay-ring's total.
     EXPECT_NO_THROW(faultinj::hit("point-oom"));
+    EXPECT_NO_THROW(faultinj::hit("point-oom"));
+    // Hits at other sites never count toward point-oom's total.
+    EXPECT_NO_THROW(faultinj::hit("elsewhere"));
     EXPECT_TRUE(faultinj::armed());
-    EXPECT_THROW(faultinj::hit("replay-ring"), FatalError);
+    EXPECT_THROW(faultinj::hit("point-oom"), std::bad_alloc);
     EXPECT_FALSE(faultinj::armed()) << "faults are one-shot";
-    EXPECT_NO_THROW(faultinj::hit("replay-ring"));
+    EXPECT_NO_THROW(faultinj::hit("point-oom"));
 }
 
 } // namespace

@@ -1,13 +1,13 @@
 /**
  * @file
- * Tests for the execute-once, time-many plan executor
- * (src/harness/replay.hh): replayed runs must be byte-identical to
- * direct execution — cycle counts, the full stat group, and the --json
- * export — across every dispatch scheme and a spread of machine
- * configurations on both VMs; a point that copies the result of an
- * equal point must match its own run; and the guest compile cache must
- * compile each (vm, workload, dispatch kind) exactly once however many
- * points share it.
+ * Tests for the plan executor (harness::runPlan): a plan must produce
+ * the same results on either dispatch tier — stats, output, exit codes
+ * and the --json export — across every scheme, both VMs and the machine
+ * corners whose JTE probes hit, miss falsely or meet a cap; a point that
+ * copies the result of an equal point must match its own run; points
+ * of distinct frontends must not share a key; and the guest compile
+ * cache must compile each (vm, workload, dispatch kind) exactly once
+ * however many points share it.
  */
 
 #include <gtest/gtest.h>
@@ -38,39 +38,41 @@ const std::vector<core::Scheme> kSchemes = {
     core::Scheme::Vbbi, core::Scheme::Scd};
 
 /**
- * Machine configurations chosen to cover the timing-state corners the
- * replay consumers must reproduce: the default minor core, a small BTB
- * with a JTE cap (capped insert path), the LRU Rocket-like core, and a
- * dedicated JTE table (non-overlay storage).
+ * Machines whose timing state differs most from the default: a 64-entry
+ * multi-level BTB with 4-bit partial tags (JTE probes falsely hit and
+ * resteer mid-dispatch), FDIP over the multi-level BTB, and a 64-entry
+ * BTB under a JTE cap of 8 and under the adaptive cap.
  */
 std::vector<cpu::CoreConfig>
-replayMachines()
+cornerMachines()
 {
     std::vector<cpu::CoreConfig> machines;
-    machines.push_back(minorConfig());
+    cpu::CoreConfig alias = withFrontend(minorConfig(), "mlbtb+tag4");
+    alias.btb.entries = 64;
+    machines.push_back(alias);
+
+    machines.push_back(withFrontend(minorConfig(), "mlbtb+fdip"));
 
     cpu::CoreConfig capped = minorConfig();
     capped.btb.entries = 64;
     capped.btb.jteCap = 8;
     machines.push_back(capped);
 
-    machines.push_back(rocketConfig());
-
-    cpu::CoreConfig dedicated = minorConfig();
-    dedicated.scdDedicatedTable = true;
-    dedicated.dedicatedJteEntries = 64;
-    machines.push_back(dedicated);
+    cpu::CoreConfig adaptive = minorConfig();
+    adaptive.btb.entries = 64;
+    adaptive.btb.adaptiveJteCap = true;
+    machines.push_back(adaptive);
     return machines;
 }
 
-/** All schemes x all replayMachines() x both VMs over kWorkloads. */
+/** Every scheme x cornerMachines() x both VMs over kWorkloads. */
 ExperimentPlan
 matrixPlan()
 {
     ExperimentPlan plan;
-    for (const cpu::CoreConfig &machine : replayMachines()) {
+    for (const cpu::CoreConfig &machine : cornerMachines()) {
         for (VmKind vm : {VmKind::Rlua, VmKind::Sjs}) {
-            for (const auto &name : kWorkloads) {
+            for (const std::string &name : kWorkloads) {
                 for (core::Scheme scheme : kSchemes) {
                     ExperimentPoint p;
                     p.vm = vm;
@@ -86,65 +88,49 @@ matrixPlan()
     return plan;
 }
 
-TEST(Replay, ByteIdenticalToDirectAcrossSchemesAndMachines)
+/**
+ * The plan executor runs every point on RunOptions::dispatchTier. The
+ * switch tier is the reference interpreter, so a threaded plan must
+ * match it point for point, including a point cut by its instruction
+ * limit mid-run.
+ */
+TEST(PlanTiers, SwitchAndThreadedPlansAreByteIdentical)
 {
     ExperimentPlan plan = matrixPlan();
-    RunOptions direct;
-    direct.jobs = 4;
-    direct.replay = false;
-    RunOptions replay;
-    replay.jobs = 4;
-    replay.replay = true;
-    ExperimentSet a = runPlan(plan, direct);
-    ExperimentSet b = runPlan(plan, replay);
+    // sjs/n-sieve/scd on the adaptive cap, cut mid-run.
+    ExperimentPoint limited = plan.points().back();
+    limited.maxInstructions = 20000;
+    plan.add(limited);
+
+    RunOptions ref;
+    ref.jobs = 4;
+    ref.dispatchTier = cpu::DispatchTier::Switch;
+    RunOptions fast = ref;
+    fast.dispatchTier = cpu::DispatchTier::Threaded;
+    ExperimentSet a = runPlan(plan, ref);
+    ExperimentSet b = runPlan(plan, fast);
     ASSERT_EQ(a.points.size(), b.points.size());
     for (size_t i = 0; i < a.points.size(); ++i) {
         SCOPED_TRACE(a.points[i].label());
+        ASSERT_EQ(a.runs[i].status, PointStatus::Ok) << a.runs[i].error;
+        ASSERT_EQ(b.runs[i].status, PointStatus::Ok) << b.runs[i].error;
         EXPECT_EQ(a.at(i).run.cycles, b.at(i).run.cycles);
         EXPECT_EQ(a.at(i).run.instructions, b.at(i).run.instructions);
         EXPECT_EQ(a.at(i).run.exitCode, b.at(i).run.exitCode);
+        EXPECT_EQ(a.at(i).run.exited, b.at(i).run.exited);
         EXPECT_EQ(a.at(i).output, b.at(i).output);
         EXPECT_EQ(a.at(i).stats.all(), b.at(i).stats.all());
     }
+    EXPECT_FALSE(a.at(a.points.size() - 1).run.exited);
+    EXPECT_EQ(a.at(a.points.size() - 1).run.instructions, 20000u);
 
     // The machine-readable export only records deterministic fields, so
     // the full documents must match byte for byte too.
-    obs::StatsSink directSink("replay_test", "test");
-    obs::StatsSink replaySink("replay_test", "test");
-    exportSet(directSink, "matrix", a);
-    exportSet(replaySink, "matrix", b);
-    EXPECT_EQ(directSink.render(), replaySink.render());
-}
-
-TEST(Replay, InstructionLimitedPointsMatchDirect)
-{
-    // maxInstructions truncates execution mid-stream; such points are
-    // forced onto the direct path inside the replay executor, which must
-    // stay invisible in the results.
-    ExperimentPlan plan;
-    for (core::Scheme scheme : kSchemes) {
-        ExperimentPoint p;
-        p.vm = VmKind::Rlua;
-        p.workload = &workload("fibo");
-        p.size = InputSize::Test;
-        p.scheme = scheme;
-        p.machine = minorConfig();
-        p.maxInstructions = 100000;
-        plan.add(std::move(p));
-    }
-    RunOptions direct;
-    direct.jobs = 2;
-    direct.replay = false;
-    RunOptions replay;
-    replay.jobs = 2;
-    ExperimentSet a = runPlan(plan, direct);
-    ExperimentSet b = runPlan(plan, replay);
-    ASSERT_EQ(a.points.size(), b.points.size());
-    for (size_t i = 0; i < a.points.size(); ++i) {
-        SCOPED_TRACE(a.points[i].label());
-        EXPECT_EQ(a.at(i).run.cycles, b.at(i).run.cycles);
-        EXPECT_EQ(a.at(i).stats.all(), b.at(i).stats.all());
-    }
+    obs::StatsSink refSink("plan_test", "test");
+    obs::StatsSink fastSink("plan_test", "test");
+    exportSet(refSink, "matrix", a);
+    exportSet(fastSink, "matrix", b);
+    EXPECT_EQ(refSink.render(), fastSink.render());
 }
 
 /**
@@ -231,6 +217,41 @@ TEST(PointKey, DistinguishesTimingVariants)
     EXPECT_NE(pointKey(a), pointKey(b));
     EXPECT_NE(pointKey(a), pointKey(c));
     EXPECT_EQ(pointKey(a), pointKey(a));
+}
+
+TEST(FrontendReplay, OrganizationsDoNotShareTimingSignatures)
+{
+    // Five points that differ only in their frontend. If the timing
+    // signature ignored the frontend fields, the dedup layer would hand
+    // several of them the same cycle count; distinct cycles prove
+    // distinct signatures end to end.
+    ExperimentPlan plan;
+    std::vector<cpu::CoreConfig> machines = {
+        minorConfig(), // ideal reference
+        withFrontend(minorConfig(), "mlbtb"),
+        cornerMachines()[0], // mlbtb+tag4 on a 64-entry BTB
+        withFrontend(minorConfig(), "fdip"),
+        cornerMachines()[1], // mlbtb+fdip
+    };
+    for (const cpu::CoreConfig &machine : machines) {
+        ExperimentPoint p;
+        p.vm = VmKind::Rlua;
+        p.workload = &workload("fibo");
+        p.size = InputSize::Test;
+        p.scheme = core::Scheme::Scd;
+        p.machine = machine;
+        plan.add(std::move(p));
+    }
+    RunOptions options;
+    options.jobs = 2;
+    ExperimentSet set = runPlan(plan, options);
+    ASSERT_EQ(set.points.size(), machines.size());
+    // ideal vs mlbtb vs the alias geometry must all time differently;
+    // fdip variants may coincide with their base only if the FTQ never
+    // converts a miss, so assert just the pairs that must differ.
+    EXPECT_NE(set.at(0).run.cycles, set.at(1).run.cycles); // ideal/mlbtb
+    EXPECT_NE(set.at(1).run.cycles, set.at(2).run.cycles); // mlbtb/alias
+    EXPECT_NE(set.at(0).run.cycles, set.at(2).run.cycles);
 }
 
 } // namespace

@@ -290,11 +290,13 @@ base(Gate gate)
     return c;
 }
 
-/** The collectStats() of one run of @p p (runPlan's direct path). */
+/** The collectStats() of one run of @p p (runPlan's point executor). */
 std::vector<StatGroup::Entry>
 statsOf(const ExperimentPoint &p)
 {
-    return runPointDirect(p, RunOptions{}).result.stats.all();
+    ExperimentRun run = runPointContained(p, RunOptions{});
+    EXPECT_EQ(run.status, PointStatus::Ok) << p.label() << ": " << run.error;
+    return run.result.stats.all();
 }
 
 TEST(PointKey, MovesWheneverAConfigFieldMovesTheStats)

@@ -2,24 +2,29 @@
  * @file
  * Tests of the FunctionalCore/TimingModel split: the timing model must
  * never change what the guest computes (all four dispatch schemes agree
- * on guest output), and InOrderTiming alone counts what the retired
- * stream implies.
+ * on guest output), InOrderTiming alone counts what the retired stream
+ * implies, and a recorded Baseline stream timed off-line through
+ * InOrderTiming::consume matches the fused Core::run.
  */
 
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/scheme.hh"
 #include "cpu/config.hh"
+#include "cpu/core.hh"
 #include "cpu/functional_core.hh"
 #include "cpu/inorder_timing.hh"
 #include "cpu/retire_info.hh"
+#include "cpu/retire_stream.hh"
 #include "harness/machines.hh"
 #include "harness/runner.hh"
 #include "harness/workloads.hh"
 #include "isa/opcode.hh"
+#include "mem/memory.hh"
 
 namespace
 {
@@ -138,6 +143,57 @@ TEST(InOrderTimingCounts, RetiredStreamCountsComeFromTheTimingModel)
     EXPECT_EQ(g.get("scd.jteInserts"), 1u);
     // Zero counts are exported too: every document keeps its key set.
     EXPECT_EQ(g.snapshot().count("branch.return.count"), 1u);
+}
+
+/**
+ * The recording executor and the batched retire body: a Baseline
+ * guest's runRecorded() stream, fed chunk by chunk through
+ * InOrderTiming::consume, must time exactly as Core::run does.
+ * perfbench's traced profile times this pair against Core::run.
+ */
+TEST(RecordedStream, BaselineConsumeMatchesCoreRun)
+{
+    const cpu::CoreConfig cfg =
+        core::withScheme(minorConfig(), core::Scheme::Baseline);
+    for (VmKind vm : {VmKind::Rlua, VmKind::Sjs}) {
+        for (const char *name : {"fibo", "n-sieve"}) {
+            SCOPED_TRACE(std::string(vmName(vm)) + "/" + name);
+            auto program = compileGuest(
+                vm, workload(name).text(InputSize::Test),
+                dispatchForScheme(core::Scheme::Baseline));
+
+            mem::GuestMemory directMemory;
+            program->loadInto(directMemory);
+            cpu::Core direct(cfg, directMemory);
+            direct.loadProgram(program->text);
+            direct.setDispatchMeta(program->meta);
+            const cpu::RunResult want = direct.run();
+            ASSERT_TRUE(want.exited);
+
+            mem::GuestMemory memory;
+            program->loadInto(memory);
+            cpu::RecorderTiming recorder;
+            cpu::FunctionalCore func(cfg, memory, recorder);
+            func.loadProgram(program->text);
+            func.setDispatchMeta(program->meta);
+            cpu::InOrderTiming timing(cfg);
+            std::vector<cpu::RetireInfo> chunk(cpu::RetireChunk::kCapacity);
+            while (!func.exited()) {
+                size_t n = func.runRecorded(chunk.data(), chunk.size());
+                ASSERT_GT(n, 0u);
+                timing.consume(chunk.data(), n);
+            }
+
+            StatGroup got;
+            func.exportStats(got);
+            got.counter("cycles") = timing.cycles();
+            timing.exportStats(got);
+            EXPECT_EQ(func.retired(), want.instructions);
+            EXPECT_EQ(timing.cycles(), want.cycles);
+            EXPECT_EQ(func.output(), direct.output());
+            EXPECT_EQ(got.all(), direct.collectStats().all());
+        }
+    }
 }
 
 } // namespace
