@@ -13,13 +13,21 @@
  *   run_script fibo
  *   run_script --vm=sjs --scheme=scd mandelbrot
  *   run_script --host my_script.lua
+ *
+ * An unknown --vm, --scheme, --machine or --size value exits 2; a
+ * script error (syntax, or a runtime error on either path) prints its
+ * message and exits 1.
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
+#include <vector>
 
+#include "common/logging.hh"
 #include "harness/figures.hh"
 #include "harness/machines.hh"
 #include "vm/rlua_compiler.hh"
@@ -56,17 +64,47 @@ hasFlag(int argc, char **argv, const char *name)
     return false;
 }
 
+/**
+ * The value of --@p name mapped through @p choices (@p fallback when
+ * the flag is absent); an unknown value exits 2 with the reason.
+ */
+template <typename T>
+T
+choice(int argc, char **argv, const char *name, T fallback,
+       const std::vector<std::pair<const char *, T>> &choices)
+{
+    std::string value;
+    if (!flagValue(argc, argv, name, value))
+        return fallback;
+    for (const auto &c : choices)
+        if (value == c.first)
+            return c.second;
+    std::fprintf(stderr, "unknown --%s value '%s'\n", name, value.c_str());
+    std::exit(2);
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    std::string vmFlag = "rlua", schemeFlag = "scd", machineFlag = "minor",
-                sizeFlag = "sim";
-    flagValue(argc, argv, "vm", vmFlag);
-    flagValue(argc, argv, "scheme", schemeFlag);
-    flagValue(argc, argv, "machine", machineFlag);
-    flagValue(argc, argv, "size", sizeFlag);
+    VmKind vm = choice(argc, argv, "vm", VmKind::Rlua,
+                       {{"rlua", VmKind::Rlua}, {"sjs", VmKind::Sjs}});
+    core::Scheme scheme =
+        choice(argc, argv, "scheme", core::Scheme::Scd,
+               {{"baseline", core::Scheme::Baseline},
+                {"jump-threading", core::Scheme::JumpThreading},
+                {"vbbi", core::Scheme::Vbbi},
+                {"scd", core::Scheme::Scd}});
+    cpu::CoreConfig machine =
+        choice(argc, argv, "machine", minorConfig(),
+               {{"minor", minorConfig()},
+                {"rocket", rocketConfig()},
+                {"a8", cortexA8Config()}});
+    InputSize size = choice(argc, argv, "size", InputSize::Sim,
+                            {{"test", InputSize::Test},
+                             {"sim", InputSize::Sim},
+                             {"fpga", InputSize::Fpga}});
     bool hostOnly = hasFlag(argc, argv, "host");
 
     std::string target;
@@ -87,9 +125,6 @@ main(int argc, char **argv)
     bool isWorkload = false;
     for (const auto &w : workloads())
         isWorkload = isWorkload || w.name == target;
-    InputSize size = sizeFlag == "test"   ? InputSize::Test
-                     : sizeFlag == "fpga" ? InputSize::Fpga
-                                          : InputSize::Sim;
     if (isWorkload) {
         source = workload(target).text(size);
     } else {
@@ -103,32 +138,30 @@ main(int argc, char **argv)
         source = ss.str();
     }
 
-    VmKind vm = vmFlag == "sjs" ? VmKind::Sjs : VmKind::Rlua;
-
     if (hostOnly) {
-        std::string out = vm == VmKind::Rlua
-                              ? vm::rlua::run(vm::rlua::compileSource(source))
-                              : vm::sjs::run(vm::sjs::compileSource(source));
-        std::printf("%s", out.c_str());
-        return 0;
+        try {
+            std::string out =
+                vm == VmKind::Rlua
+                    ? vm::rlua::run(vm::rlua::compileSource(source))
+                    : vm::sjs::run(vm::sjs::compileSource(source));
+            std::printf("%s", out.c_str());
+            return 0;
+        } catch (const FatalError &e) {
+            std::fprintf(stderr, "%s: %s\n", target.c_str(), e.what());
+            return 1;
+        }
     }
-
-    core::Scheme scheme = core::Scheme::Scd;
-    if (schemeFlag == "baseline")
-        scheme = core::Scheme::Baseline;
-    else if (schemeFlag == "jump-threading")
-        scheme = core::Scheme::JumpThreading;
-    else if (schemeFlag == "vbbi")
-        scheme = core::Scheme::Vbbi;
-
-    cpu::CoreConfig machine = machineFlag == "rocket" ? rocketConfig()
-                              : machineFlag == "a8"   ? cortexA8Config()
-                                                      : minorConfig();
 
     std::fprintf(stderr, "simulating %s on %s/%s (%s)...\n", target.c_str(),
                  vmName(vm), core::schemeName(scheme),
                  machine.name.c_str());
-    ExperimentResult r = runExperiment(vm, source, scheme, machine);
+    ExperimentResult r;
+    try {
+        r = runExperiment(vm, source, scheme, machine);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s: %s\n", target.c_str(), e.what());
+        return 1;
+    }
 
     std::printf("---- guest output "
                 "------------------------------------------\n");

@@ -40,10 +40,7 @@
  * frontend changes the retire stream only through *true* JTE hits and
  * misses. A false JTE hit is reported via FrontendProbe::falseHit and
  * must be treated as a miss architecturally (the slow dispatch path
- * retires); only its resteer penalty is timing. This is what keeps the
- * execute-once/time-many replay engine valid for every organization:
- * replay members perform the same real probes against their own frontend
- * that direct execution performs mid-instruction.
+ * retires); only its resteer penalty is timing.
  */
 
 #ifndef SCD_BRANCH_FRONTEND_HH

@@ -13,13 +13,13 @@
  *
  * The tier drives both run loops: Core::run's timed path
  * (FunctionalCore::runTimed, which retires each instruction into the
- * core's InOrderTiming before the next one executes) and the replay
- * producer (FunctionalCore::runRecorded). FunctionalCore::step() is
+ * core's InOrderTiming before the next one executes) and the recording
+ * executor (FunctionalCore::runRecorded). FunctionalCore::step() is
  * always the reference interpreter.
  *
- * The tier is deliberately NOT part of CoreConfig: replay grouping keys
- * and pointKey hash timing-relevant config fields, and the tier is
- * timing-irrelevant by contract.
+ * The tier is deliberately NOT part of CoreConfig: pointKey hashes
+ * timing-relevant config fields, and the tier is timing-irrelevant by
+ * contract.
  */
 
 #ifndef SCD_CPU_DISPATCH_TIER_HH

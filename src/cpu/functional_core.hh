@@ -5,7 +5,7 @@
  * memory, syscalls), the lowered text segment, and one-instruction
  * execution. Each step emits a compact RetireInfo record: runTimed()
  * retires each one straight into the core's InOrderTiming, runRecorded()
- * fills a buffer for a replay group's timing consumers.
+ * fills a buffer (the record lockstep tests and perfbench's profile).
  *
  * The text is decoded once: loadProgram() lowers every word into a
  * 16-byte Slot, and the reference step() and both executors of the
@@ -96,11 +96,10 @@ class FunctionalCore
 
     /**
      * Execute and record: fill up to @p cap RetireInfo records (the
-     * stream a timing model or replay consumer would see) and return the
-     * number filled. Stops early only when the guest exits; a partial
-     * fill with exited() == false never happens. Equivalent to a step()
-     * loop but runs on the selected dispatch tier, which is what makes
-     * replay's execute-once producers fast.
+     * stream a timing model would see) and return the number filled.
+     * Stops early only when the guest exits; a partial fill with
+     * exited() == false never happens. Equivalent to a step() loop but
+     * runs on the selected dispatch tier.
      */
     size_t runRecorded(RetireInfo *out, size_t cap);
 

@@ -25,8 +25,8 @@ FunctionalCore::jruConsume(uint8_t bank, uint64_t &jteOpcode)
     if (config_.scdEnabled && b.ropValid) {
         jteOpcode = b.ropData;
         b.ropValid = false;
-        // The insertion itself happens when the timing model (or a replay
-        // consumer) retires the jru, after the B entry.
+        // The insertion itself happens when the timing model retires the
+        // jru, after the B entry.
         return true;
     }
     return false;
@@ -54,11 +54,9 @@ FunctionalCore::bopExec(Port &port, uint8_t bankIdx, uint64_t pc,
     }
     std::optional<uint64_t> target;
     if (eligible) {
-        // Record the probe for replay: jteOpcode keeps the probed Rop
-        // value (a hit invalidates the bank's copy below), and bopProbed
-        // marks where a replay consumer must perform the same lookup
-        // against its own JTE state — the one place timing-model state
-        // feeds the architectural stream.
+        // Record the probe: jteOpcode keeps the probed Rop value (a hit
+        // invalidates the bank's copy below), and bopProbed marks the one
+        // place timing-model state feeds the architectural stream.
         bopProbed = true;
         jteOpcode = bank.ropData;
         target = port.jteLookup(bankIdx, bank.ropData);

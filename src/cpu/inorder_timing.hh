@@ -14,8 +14,7 @@
  * simulator. Every organization runs through the same non-virtual
  * frontend port; non-ideal ones add probe bubbles and treat a false JTE
  * hit as a slow-path dispatch plus a resteer penalty (jteLookup reports
- * such probes as misses, so direct execution and the replay consumers
- * retire the same stream).
+ * such probes as misses, so the slow dispatch path retires).
  */
 
 #ifndef SCD_CPU_INORDER_TIMING_HH
@@ -52,7 +51,7 @@ namespace scd::cpu
  * One retire body, retireAs(), composed of the pipeline's stages: fetch,
  * issue (the scoreboard), execute (result latency and the data access),
  * control flow, and writeback. retire(), consume() and with them the
- * switch reference loop, replay and perfbench run it over a RetireInfo.
+ * switch reference loop and perfbench run it over a RetireInfo.
  * The fused timed path (ThreadedTier::exec<true>) runs the same body
  * inline in each threaded handler, over a record type whose handler-
  * known facts are compile-time constants, so those tests fold away.
@@ -87,8 +86,8 @@ class InOrderTiming final : public TimingModel
      *  attached trace buffer, if any (the traced retire body). */
     void retire(const RetireInfo &ri) override;
 
-    /** Batched retirement for replay consumers: the untraced retire body
-     *  inline in a loop over a bop-free span. */
+    /** Batched retirement of a recorded span with no probed bop: the
+     *  untraced retire body inline in a loop. */
     void consume(const RetireInfo *ri, size_t n) override;
 
     /**
@@ -209,8 +208,7 @@ class InOrderTiming final : public TimingModel
     cache::Tlb dtlb_;
 
     // Statistics. The counts of the retired stream itself live here too:
-    // this is the one place every retired instruction passes through, in
-    // direct runs and replay alike.
+    // this is the one place every retired instruction passes through.
     uint64_t instructions_ = 0;
     uint64_t dispatchInstructions_ = 0;
     uint64_t branchCount_[size_t(BranchClass::NumClasses)] = {};

@@ -91,10 +91,9 @@ struct RetireInfo
 
     /**
      * bop: an eligible bop probed the JTE port (and, on a hit, nextPc is
-     * the JTE target). jteOpcode carries the probed Rop value so a replay
-     * consumer can re-verify the probe against its own JTE state — the
+     * the JTE target). jteOpcode carries the probed Rop value — the
      * only point where timing-model state feeds back into the
-     * architectural stream (see cpu/retire_stream.hh).
+     * architectural stream.
      */
     bool bopProbed = false;
     bool bopHit = false;

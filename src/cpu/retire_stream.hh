@@ -1,25 +1,18 @@
 /**
  * @file
- * Execute-once, time-many support types (see docs/SIMULATOR.md).
+ * Support types of the recording executor (FunctionalCore::runRecorded;
+ * see docs/SIMULATOR.md, "One plan executor").
  *
- * A replay group executes one FunctionalCore per unique functional key
- * and fans the retired-instruction stream out to every timing model in
- * the group. The stream never exists in full: the producer fills one
- * RetireChunk, each consumer drains it, and the chunk is refilled —
- * memory stays flat however long the run is, and a chunk is small enough
- * to stay cache-resident while every consumer walks it.
+ * The recording executor fills one RetireChunk at a time, so memory
+ * stays flat however long the run is. No plan point runs it: the record
+ * lockstep tests compare the dispatch tiers through it, and perfbench's
+ * profile feeds its stream to InOrderTiming::consume.
  *
- * The single timing-to-functional feedback edge is bop's mid-instruction
- * JTE probe, whose outcome depends on each consumer's own JTE state. The
- * producer therefore records the *superset* stream: bound to
- * RecorderTiming, whose JTE port is always empty, every eligible bop
- * records as a probed miss followed by the full slow dispatch path
- * (dispatch sequence, then the jru that would have inserted the JTE).
- * Each consumer performs the real jteLookup against its own timing model
- * at every probed bop: on a miss it retires the recorded slow path as-is;
- * on a hit it retires a synthesized hit-bop and skips the recorded
- * entries up to the terminating jru — exactly the instructions direct
- * execution would never have fetched.
+ * Bound to RecorderTiming, whose JTE port is always empty, every
+ * eligible bop records as a probed miss followed by the full slow
+ * dispatch path (dispatch sequence, then the jru that would have
+ * inserted the JTE). A Baseline stream has no probed bop, so timing it
+ * through consume() matches Core::run.
  */
 
 #ifndef SCD_CPU_RETIRE_STREAM_HH
@@ -38,8 +31,8 @@ namespace scd::cpu
 
 /**
  * One span of consecutively retired instructions. 2048 entries keeps a
- * chunk (~200KB) within L2 so the producer's stores are still warm when
- * each consumer streams through them.
+ * chunk (~200KB) within L2 so the recorder's stores are still warm when
+ * a consumer streams through them.
  */
 struct RetireChunk
 {
@@ -50,13 +43,12 @@ struct RetireChunk
 };
 
 /**
- * The producer-side timing model of a replay group: a JTE port that is
- * permanently empty. Every eligible bop misses, so the recorded stream
- * contains the slow dispatch path for every dispatch — the superset from
- * which any consumer's execution is a prefix-preserving subsequence.
- * retire() ignores jru inserts and flushes (there is nothing to hold),
- * and no cycles exist; the producer's FunctionalCore runs through
- * runRecorded(), so retire() is never on the hot path.
+ * The recording executor's timing model: a JTE port that is permanently
+ * empty. Every eligible bop misses, so the recorded stream contains the
+ * slow dispatch path for every dispatch. retire() ignores jru inserts
+ * and flushes (there is nothing to hold), and no cycles exist; the
+ * recording FunctionalCore runs through runRecorded(), so retire() is
+ * never on the hot path.
  */
 class RecorderTiming : public TimingModel
 {

@@ -18,8 +18,7 @@
  * it has labels-as-values too.
  *
  * One handler body, two instantiations of the executor: recording
- * (runRecorded) appends one RetireInfo per slot to a buffer for replay
- * consumers; timed (runTimed, behind Core::run) retires each slot into
+ * (runRecorded) appends one RetireInfo per slot to a buffer; timed (runTimed, behind Core::run) retires each slot into
  * a concrete InOrderTiming before the next slot dispatches, so a bop's
  * JTE probe sees the previous retire's insert. Each timed handler calls
  * its family's specialization of InOrderTiming's retire body, with what

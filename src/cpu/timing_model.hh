@@ -5,7 +5,7 @@
  * A FunctionalCore (architectural state and execution) runs against one
  * TimingModel (cycles, predictors, memory hierarchy). Core holds its
  * InOrderTiming by the concrete type so the timed path runs its retire
- * body inline; replay groups and tools drive models through this
+ * body inline; perfbench's profile drives models through this
  * interface. It has two ports:
  *
  *  - The architectural JTE port (jteLookup). Jump-table entries are
@@ -21,7 +21,7 @@
  *    effects; cycles() and exportStats() report the result. A timed
  *    model also counts what the retired stream implies (instructions,
  *    branch classes, SCD events): it is the one consumer every retired
- *    instruction reaches, in direct runs and replay alike.
+ *    instruction reaches.
  */
 
 #ifndef SCD_CPU_TIMING_MODEL_HH
@@ -56,8 +56,7 @@ class TimingModel
     virtual void retire(const RetireInfo &ri) = 0;
 
     /**
-     * Account @p n consecutive retired instructions. Replay consumers
-     * feed whole bop-free chunk spans through this so a model can run
+     * Account @p n consecutive retired instructions, so a model can run
      * its retire body inline in the loop; the default simply iterates.
      * Semantically identical to n retire() calls.
      */

@@ -27,8 +27,7 @@ namespace scd::harness
  * @p label. Only deterministic fields are recorded (no wall times, no
  * job counts): serial and parallel runs of the same plan export
  * byte-identical documents. Failed and timed-out points are left out
- * of the points array; every non-Ok point (including degraded ones) is
- * named in the set's failure manifest instead.
+ * of the points array and named in the set's failure manifest instead.
  */
 obs::SetRecord &exportSet(obs::StatsSink &sink, const std::string &label,
                           const ExperimentSet &set);
@@ -45,7 +44,7 @@ bool writeJsonIfRequested(const obs::StatsSink &sink,
  * requested, then report troubled points. Returns the process exit
  * code — kExitExportFailure (1) when the export could not be written
  * (the data is gone, the worst outcome), kExitTroubled (2) when the
- * export succeeded but some points degraded, failed, or timed out, and
+ * export succeeded but some points failed or timed out, and
  * kExitOk (0) otherwise. Keeping the precedence in one place is what
  * makes the codes mean the same thing across all drivers
  * (tests/fault_test.cc asserts them).

@@ -29,7 +29,7 @@
  *         "failures": [                           // only when non-empty:
  *           {"vm": "...", "workload": "...",      // points that did not
  *            "scheme": "...", "machine": "...",   // finish cleanly
- *            "status": "failed|timed_out|degraded",
+ *            "status": "failed|timed_out",
  *            "error": "<diagnostic>"}
  *         ],
  *         "derived": {                            // present when a
@@ -79,8 +79,7 @@ struct PointRecord
 
 /**
  * One point that did not finish cleanly. Failed and timed-out points
- * carry no data (they are absent from the points array); degraded
- * points appear in both — real data in points, the diagnostic here.
+ * carry no data (they are absent from the points array).
  */
 struct FailureRecord
 {
@@ -88,7 +87,7 @@ struct FailureRecord
     std::string workload;
     std::string scheme;
     std::string machine;
-    std::string status; ///< pointStatusName(): failed|timed_out|degraded
+    std::string status; ///< pointStatusName(): failed|timed_out
     std::string error;  ///< diagnostic text from the harness
 };
 

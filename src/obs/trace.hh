@@ -10,8 +10,8 @@
  * The recording hooks are compiled into every build. InOrderTiming's
  * per-instruction hooks live in one instantiation of its retire body,
  * the one retire() runs (a core with a buffer attached takes that
- * path); the fused threaded path and the replay consumers run bodies
- * with no trace code. The branch layer's rare events (false hits, JTE
+ * path); the fused threaded path and consume() run bodies with no
+ * trace code. The branch layer's rare events (false hits, JTE
  * evictions, FDIP prefetches) test for an attached buffer.
  */
 
