@@ -37,11 +37,11 @@ namespace scd::bench
 
 /**
  * Reject every argument a binary does not take. @p accepted lists its
- * flags: one ending in '=' takes a value ("--size="), any other stands
- * alone. A binary takes no positional arguments, so
- * anything else — a misspelt flag, or "--size test" with a space —
- * prints the reason and exits 2 before any work starts, rather than
- * running with a default the caller did not ask for.
+ * flags, each with its '=' ("--size="): every flag takes a value. A
+ * binary takes no positional arguments, so anything else — a misspelt
+ * flag, or "--size test" with a space — prints the reason and exits 2
+ * before any work starts, rather than running with a default the
+ * caller did not ask for.
  */
 inline void
 checkFlags(int argc, char **argv, std::initializer_list<const char *> accepted)
@@ -50,9 +50,7 @@ checkFlags(int argc, char **argv, std::initializer_list<const char *> accepted)
         const char *arg = argv[n];
         bool known = false;
         for (const char *flag : accepted) {
-            size_t len = std::strlen(flag);
-            known = flag[len - 1] == '=' ? std::strncmp(arg, flag, len) == 0
-                                         : std::strcmp(arg, flag) == 0;
+            known = std::strncmp(arg, flag, std::strlen(flag)) == 0;
             if (known)
                 break;
         }

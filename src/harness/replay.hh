@@ -5,10 +5,8 @@
  * pointKey() is what runPlan() deduplicates on: points with equal keys
  * run once and share one result. replayGroupKey() names the guest a
  * point retires — points with equal keys retire identical instruction
- * streams whatever their timing models. No plan executor groups on it
- * any more: every distinct point runs on the fused direct path
- * (Core::run). perfbench reports it, and it documents which machine
- * knobs are architecturally visible.
+ * streams whatever their timing models. runPlan() does not use it;
+ * perfbench/scd_perfbench.cc reports it.
  */
 
 #ifndef SCD_HARNESS_REPLAY_HH
