@@ -1,13 +1,18 @@
 /**
  * @file
  * Tests for the plan executor (harness::runPlan): a plan must produce
- * the same results on either dispatch tier — stats, output, exit codes
- * and the --json export — across every scheme, both VMs and the machine
- * corners whose JTE probes hit, miss falsely or meet a cap; a point that
- * copies the result of an equal point must match its own run; points
- * of distinct frontends must not share a key; and the guest compile
- * cache must compile each (vm, workload, dispatch kind) exactly once
- * however many points share it.
+ * the same results as its points run directly one by one, and the same
+ * results on either dispatch tier — stats, output, exit codes and the
+ * --json export — across every scheme, both VMs and the machine corners
+ * whose JTE probes hit, miss falsely or meet a cap; a point that copies
+ * the result of an equal point must match its own run; points of
+ * distinct frontends must not share a key; and the guest compile cache
+ * must compile each (vm, workload, dispatch kind) exactly once however
+ * many points share it.
+ *
+ * The Replay and FrontendReplay suites keep their names from the
+ * execute-once, time-many executor that runPlan() used to offer; they
+ * now hold runPlan() to direct execution.
  */
 
 #include <gtest/gtest.h>
@@ -65,12 +70,104 @@ cornerMachines()
     return machines;
 }
 
-/** Every scheme x cornerMachines() x both VMs over kWorkloads. */
+/**
+ * Machines of the default and Rocket-like cores, a small BTB with a JTE
+ * cap (capped insert path), and a dedicated JTE table (non-overlay
+ * storage).
+ */
+std::vector<cpu::CoreConfig>
+storageMachines()
+{
+    std::vector<cpu::CoreConfig> machines;
+    machines.push_back(minorConfig());
+
+    cpu::CoreConfig capped = minorConfig();
+    capped.btb.entries = 64;
+    capped.btb.jteCap = 8;
+    machines.push_back(capped);
+
+    machines.push_back(rocketConfig());
+
+    cpu::CoreConfig dedicated = minorConfig();
+    dedicated.scdDedicatedTable = true;
+    dedicated.dedicatedJteEntries = 64;
+    machines.push_back(dedicated);
+    return machines;
+}
+
+/**
+ * Frontend organizations: the default multi-level machine, the
+ * 64-entry/4-bit-tag geometry where JTE probes falsely hit and resteer
+ * mid-dispatch, and FDIP over both the ideal and multi-level bases.
+ */
+std::vector<cpu::CoreConfig>
+frontendMachines()
+{
+    std::vector<cpu::CoreConfig> machines;
+    machines.push_back(withFrontend(minorConfig(), "mlbtb"));
+    machines.push_back(cornerMachines()[0]); // mlbtb+tag4, 64 entries
+    machines.push_back(withFrontend(minorConfig(), "fdip"));
+    machines.push_back(cornerMachines()[1]); // mlbtb+fdip
+    return machines;
+}
+
+/**
+ * Run every point of @p plan on its own through runWorkload(), outside
+ * runPlan()'s worker pool, dedup and failure containment.
+ */
+ExperimentSet
+runDirect(const ExperimentPlan &plan)
+{
+    ExperimentSet set;
+    set.points = plan.points();
+    set.runs.resize(plan.size());
+    set.jobs = 4;
+    parallelFor(4, plan.size(), [&](size_t i) {
+        const ExperimentPoint &p = set.points[i];
+        set.runs[i].result =
+            runWorkload(p.vm, *p.workload, p.size, p.scheme, p.machine,
+                        p.maxInstructions);
+    });
+    return set;
+}
+
+/**
+ * Expect @p planned (from runPlan) to equal @p direct point for point
+ * and, through the --json export, byte for byte.
+ */
+void
+expectByteIdentical(const ExperimentSet &direct,
+                    const ExperimentSet &planned)
+{
+    ASSERT_EQ(direct.points.size(), planned.points.size());
+    for (size_t i = 0; i < direct.points.size(); ++i) {
+        SCOPED_TRACE(direct.points[i].label());
+        ASSERT_EQ(planned.runs[i].status, PointStatus::Ok)
+            << planned.runs[i].error;
+        EXPECT_EQ(direct.at(i).run.cycles, planned.at(i).run.cycles);
+        EXPECT_EQ(direct.at(i).run.instructions,
+                  planned.at(i).run.instructions);
+        EXPECT_EQ(direct.at(i).run.exitCode, planned.at(i).run.exitCode);
+        EXPECT_EQ(direct.at(i).run.exited, planned.at(i).run.exited);
+        EXPECT_EQ(direct.at(i).output, planned.at(i).output);
+        EXPECT_EQ(direct.at(i).stats.all(), planned.at(i).stats.all());
+    }
+
+    // The machine-readable export only records deterministic fields, so
+    // the full documents must match byte for byte too.
+    obs::StatsSink directSink("plan_test", "test");
+    obs::StatsSink plannedSink("plan_test", "test");
+    exportSet(directSink, "matrix", direct);
+    exportSet(plannedSink, "matrix", planned);
+    EXPECT_EQ(directSink.render(), plannedSink.render());
+}
+
+/** Every scheme x @p machines x both VMs over kWorkloads. */
 ExperimentPlan
-matrixPlan()
+gridPlan(const std::vector<cpu::CoreConfig> &machines)
 {
     ExperimentPlan plan;
-    for (const cpu::CoreConfig &machine : cornerMachines()) {
+    for (const cpu::CoreConfig &machine : machines) {
         for (VmKind vm : {VmKind::Rlua, VmKind::Sjs}) {
             for (const std::string &name : kWorkloads) {
                 for (core::Scheme scheme : kSchemes) {
@@ -86,6 +183,62 @@ matrixPlan()
         }
     }
     return plan;
+}
+
+/** Every scheme x cornerMachines() x both VMs over kWorkloads. */
+ExperimentPlan
+matrixPlan()
+{
+    return gridPlan(cornerMachines());
+}
+
+TEST(Replay, ByteIdenticalToDirectAcrossSchemesAndMachines)
+{
+    ExperimentPlan plan = gridPlan(storageMachines());
+    RunOptions options;
+    options.jobs = 4;
+    expectByteIdentical(runDirect(plan), runPlan(plan, options));
+}
+
+TEST(Replay, InstructionLimitedPointsMatchDirect)
+{
+    // maxInstructions truncates execution mid-stream; the cut must land
+    // on the same instruction whether or not the plan executor runs it.
+    ExperimentPlan plan;
+    for (core::Scheme scheme : kSchemes) {
+        ExperimentPoint p;
+        p.vm = VmKind::Rlua;
+        p.workload = &workload("fibo");
+        p.size = InputSize::Test;
+        p.scheme = scheme;
+        p.machine = minorConfig();
+        p.maxInstructions = 20000; // fibo exits after ~50k
+        plan.add(std::move(p));
+    }
+    RunOptions options;
+    options.jobs = 2;
+    ExperimentSet planned = runPlan(plan, options);
+    expectByteIdentical(runDirect(plan), planned);
+    for (size_t i = 0; i < planned.points.size(); ++i) {
+        EXPECT_FALSE(planned.at(i).run.exited);
+        EXPECT_EQ(planned.at(i).run.instructions, 20000u);
+    }
+}
+
+TEST(FrontendReplay, ByteIdenticalToDirectUnderEveryOrganization)
+{
+    ExperimentPlan plan = gridPlan(frontendMachines());
+    RunOptions options;
+    options.jobs = 4;
+    ExperimentSet planned = runPlan(plan, options);
+    expectByteIdentical(runDirect(plan), planned);
+
+    // The aliasing geometry must actually exercise the false-hit resteer
+    // path.
+    bool sawFalseHit = false;
+    for (size_t i = 0; i < planned.points.size(); ++i)
+        sawFalseHit |= planned.at(i).stats.get("frontend.falseHits.jte") > 0;
+    EXPECT_TRUE(sawFalseHit);
 }
 
 /**
